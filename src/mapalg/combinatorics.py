@@ -11,67 +11,75 @@ from __future__ import annotations
 
 import itertools
 import math
-from functools import total_ordering
+import operator
 
 
-@total_ordering
-class ALabel:
+class ALabel(tuple):
     """A basis monomial of the coefficient algebra, as an exponent vector.
 
     Labels of one session share a fixed vector length.  In polynomial mode
     the exponents are non-negative; Laurent mode admits any integers (mode
     is enforced at the input boundary, not here).  The total order is
     graded-lex: total degree first, then the exponent vector.
+
+    A label is stored as the plain tuple ``(degree, exponents)``, so that
+    hashing, equality and the graded-lex order are tuple operations.  The
+    tuple arithmetic that would otherwise leak through is closed off:
+    ``*`` is the label product and ``+`` is refused.
     """
 
-    __slots__ = ("exponents",)
+    __slots__ = ()
 
-    def __init__(self, exponents):
+    def __new__(cls, exponents):
         exps = tuple(int(e) for e in exponents)
         if not exps:
             raise ValueError("a label needs at least one variable")
-        self.exponents = exps
+        return tuple.__new__(cls, (sum(exps), exps))
+
+    def __getnewargs__(self):
+        return (self[1],)
 
     @classmethod
     def unit(cls, nvars):
         return cls((0,) * nvars)
 
     @property
+    def exponents(self):
+        return self[1]
+
+    @property
     def nvars(self):
-        return len(self.exponents)
+        return len(self[1])
 
     @property
     def degree(self):
-        return sum(self.exponents)
+        return self[0]
 
     def is_unit(self):
-        return not any(self.exponents)
+        return not any(self[1])
 
     def sort_key(self):
-        return (self.degree, self.exponents)
+        return self
 
     def __mul__(self, other):
         if not isinstance(other, ALabel):
-            return NotImplemented
-        if other.nvars != self.nvars:
-            raise ValueError(
-                "label length mismatch: %d vs %d" % (self.nvars, other.nvars)
-            )
-        return ALabel(a + b for a, b in zip(self.exponents, other.exponents))
+            self._no_tuple_arithmetic(other)
+        a, b = self[1], other[1]
+        if len(a) != len(b):
+            raise ValueError("label length mismatch: %d vs %d" % (len(a), len(b)))
+        return tuple.__new__(ALabel, (self[0] + other[0], tuple(map(operator.add, a, b))))
+
+    def _no_tuple_arithmetic(self, other):
+        # tuple repetition and concatenation would otherwise answer for a label
+        raise TypeError(
+            "a label multiplies only with a label, not with %r" % type(other).__name__
+        )
+
+    __rmul__ = __add__ = __radd__ = _no_tuple_arithmetic
 
     def __pow__(self, k):
-        return ALabel(e * int(k) for e in self.exponents)
-
-    def __eq__(self, other):
-        return isinstance(other, ALabel) and self.exponents == other.exponents
-
-    def __lt__(self, other):
-        if not isinstance(other, ALabel):
-            return NotImplemented
-        return self.sort_key() < other.sort_key()
-
-    def __hash__(self):
-        return hash(self.exponents)
+        k = int(k)
+        return tuple.__new__(ALabel, (self[0] * k, tuple(e * k for e in self[1])))
 
     def render(self):
         if self.is_unit():

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -1013,6 +1014,38 @@ def make_spec(name, profile="desk", preset=None, seed=0, overrides=None):
     return CheckSpec(name=name, preset=preset, profile=profile, params=params, seed=seed)
 
 
+def _check_overrides(specs, overrides):
+    """Refuse an override that no check has as an integer bound, or that
+    none of the selected checks has, instead of silently dropping it."""
+    bounds = {
+        key
+        for checks in PROFILES.values()
+        for params in checks.values()
+        for key, value in params.items()
+        if isinstance(value, int)
+    }
+    selected = {key for spec in specs for key in spec.params}
+    for key in overrides or {}:
+        if key not in bounds:
+            raise ValueError(
+                "unknown override key %r: not an integer bound of any check (bounds: %s)"
+                % (key, ", ".join(sorted(bounds)))
+            )
+        if key not in selected:
+            raise ValueError(
+                "override key %r applies to none of the selected checks (%s)"
+                % (key, ", ".join(spec.name for spec in specs))
+            )
+
+
+def _clamp_jobs(requested, instances, cpus=None):
+    """Worker processes worth starting: no more than requested, than the
+    machine's CPUs or than there are instances, and at least one."""
+    if cpus is None:
+        cpus = os.cpu_count() or 1
+    return max(1, min(requested, cpus, instances))
+
+
 def _evaluate_packed(packed):
     name, spec, args = packed
     return CHECKS[name][1](spec, args)
@@ -1024,6 +1057,7 @@ def run_check(spec, jobs=1):
     workers only wall time changes."""
     instances_fn, evaluate_fn = CHECKS[spec.name]
     instances = list(instances_fn(spec))
+    jobs = _clamp_jobs(jobs, len(instances))
     start = time.perf_counter()
     failures = []
     notes = []
@@ -1060,8 +1094,9 @@ def run_suite(names, profile="desk", preset=None, seed=0, overrides=None, jobs=1
     """Run several checks and return their reports in order."""
     if names == ["all"] or names == ("all",):
         names = check_names()
-    reports = []
-    for name in names:
-        spec = make_spec(name, profile=profile, preset=preset, seed=seed, overrides=overrides)
-        reports.append(run_check(spec, jobs=jobs))
-    return reports
+    specs = [
+        make_spec(name, profile=profile, preset=preset, seed=seed, overrides=overrides)
+        for name in names
+    ]
+    _check_overrides(specs, overrides)
+    return [run_check(spec, jobs=jobs) for spec in specs]

@@ -303,8 +303,10 @@ def _normalize_word(preset, word):
     Adjacent out-of-order pairs are transposed with the bracket correction
     recorded as a strictly shorter word, which is normalized recursively.
     Each transposition removes one inversion, so the sort terminates, and
-    the recursion depth is bounded by the word length.  Results are cached
-    per preset and must be treated as frozen by callers.
+    the recursion depth is bounded by the word length.  The structure
+    constants are integers, so the coefficients are plain ``int``; they
+    become rationals only inside :class:`Element`.  Results are cached per
+    preset and must be treated as frozen by callers.
     """
     cached = preset._nf_cache.get(word)
     if cached is not None:
@@ -335,7 +337,7 @@ def _normalize_word(preset, word):
             out[mono] = out.get(mono, 0) + c * f
     mono = _collect(letters)
     out[mono] = out.get(mono, 0) + 1
-    out = {m: Fraction(f) for m, f in out.items() if f}
+    out = {m: f for m, f in out.items() if f}
     preset._nf_cache[word] = out
     return out
 
@@ -349,6 +351,15 @@ def monomial_key(mono):
     return (sum(e for _, e in mono), mono)
 
 
+def _integer_terms(terms):
+    """Scale ``terms`` to integers: (flattened word, numerator) pairs over
+    the least common denominator, which is returned alongside."""
+    den = math.lcm(*(c.denominator for c in terms.values()))
+    return den, [
+        (_flatten(m), c.numerator * (den // c.denominator)) for m, c in terms.items()
+    ]
+
+
 class Element:
     """A finite rational combination of PBW-ordered monomials.
 
@@ -356,6 +367,12 @@ class Element:
     increasing tuple of (generator, positive exponent) pairs, coefficients
     are exact fractions.  Elements are immutable by convention; all
     operations return fresh instances, so sharing across threads is safe.
+
+    Rationals live only here, at the edges: a product scales both factors
+    to integer numerators over a common denominator, accumulates integer
+    normal forms and divides once per output monomial.  Arithmetic builds
+    its results through :meth:`_trusted`, which skips the checks of
+    ``__init__``; the values of ``terms`` are nonzero ``Fraction`` either way.
     """
 
     __slots__ = ("preset", "terms")
@@ -370,6 +387,14 @@ class Element:
                 if c:
                     out[m] = c
         self.terms = out
+
+    @classmethod
+    def _trusted(cls, preset, terms):
+        """Wrap ``terms`` as they are: every value must be a nonzero Fraction."""
+        self = object.__new__(cls)
+        self.preset = preset
+        self.terms = terms
+        return self
 
     @classmethod
     def zero(cls, preset):
@@ -413,8 +438,12 @@ class Element:
         self._check_same(other)
         out = dict(self.terms)
         for m, c in other.terms.items():
-            out[m] = out.get(m, 0) + c
-        return Element(self.preset, out)
+            c += out.get(m, 0)
+            if c:
+                out[m] = c
+            else:
+                del out[m]
+        return Element._trusted(self.preset, out)
 
     def __sub__(self, other):
         if not isinstance(other, Element):
@@ -422,25 +451,36 @@ class Element:
         self._check_same(other)
         out = dict(self.terms)
         for m, c in other.terms.items():
-            out[m] = out.get(m, 0) - c
-        return Element(self.preset, out)
+            c = out.get(m, 0) - c
+            if c:
+                out[m] = c
+            else:
+                del out[m]
+        return Element._trusted(self.preset, out)
 
     def __neg__(self):
-        return Element(self.preset, {m: -c for m, c in self.terms.items()})
+        return Element._trusted(self.preset, {m: -c for m, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, Element):
             self._check_same(other)
+            preset = self.preset
+            den1, left = _integer_terms(self.terms)
+            den2, right = _integer_terms(other.terms)
             out = {}
-            for m1, c1 in self.terms.items():
-                w1 = _flatten(m1)
-                for m2, c2 in other.terms.items():
-                    c = c1 * c2
-                    for m, f in _normalize_word(self.preset, w1 + _flatten(m2)).items():
+            for w1, a in left:
+                for w2, b in right:
+                    c = a * b
+                    for m, f in _normalize_word(preset, w1 + w2).items():
                         out[m] = out.get(m, 0) + c * f
-            return Element(self.preset, out)
+            den = den1 * den2
+            return Element._trusted(
+                preset, {m: Fraction(v, den) for m, v in out.items() if v}
+            )
         if isinstance(other, (int, Fraction)):
-            return Element(
+            if not other:
+                return Element._trusted(self.preset, {})
+            return Element._trusted(
                 self.preset, {m: c * other for m, c in self.terms.items()}
             )
         return NotImplemented
@@ -528,7 +568,10 @@ class Element:
             if not isinstance(term, dict) or set(term) != {"monomial", "coeff"}:
                 raise ValueError("element term must have 'monomial' and 'coeff'")
             num, den = term["coeff"]
-            coeff = Fraction(int(num), int(den))
+            num, den = int(num), int(den)
+            if not den:
+                raise ValueError("coefficient denominator must be nonzero")
+            coeff = Fraction(num, den)
             factor = cls.one(preset)
             for entry in term["monomial"]:
                 index, label, exp = entry

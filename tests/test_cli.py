@@ -152,6 +152,15 @@ class TestReduce:
         code, _ = run_cli("reduce", "/nonexistent/e.json")
         assert code == 2
 
+    def test_zero_denominator_is_exit_2(self, tmp_path, capsys):
+        data = [{"monomial": [[1, [0], 1]], "coeff": ["1", "0"]}]
+        path = tmp_path / "e.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        code, _ = run_cli("reduce", str(path))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_json_output_schema(self, tmp_path):
         data = [{"monomial": [[0, [0], 1]], "coeff": ["1", "1"]}]
         path = tmp_path / "e.json"
@@ -190,6 +199,29 @@ class TestCheck:
             "check", "straightening", "--profile", "smoke", "--override", "rand_count=1"
         )
         assert code == 0
+
+    def test_unknown_override_key_is_exit_2(self, capsys):
+        code, out = run_cli(
+            "check", "straightening", "--profile", "smoke", "--override", "exh_szie=5"
+        )
+        assert code == 2
+        assert out == ""
+        err = capsys.readouterr().err
+        assert "exh_szie" in err and err.count("\n") == 1
+
+    def test_override_no_selected_check_has_is_exit_2(self, capsys):
+        code, _ = run_cli(
+            "check", "straightening", "--profile", "smoke", "--override", "max_total=3"
+        )
+        assert code == 2
+        assert capsys.readouterr().err.count("\n") == 1
+
+    def test_jobs_echoes_requested_value(self):
+        code, out = run_cli(
+            "check", "divided-powers", "--profile", "smoke", "--jobs", "3", "--format", "json"
+        )
+        assert code == 0
+        assert json.loads(out)["config"]["jobs"] == 3
 
     def test_bad_override(self):
         code, _ = run_cli("check", "straightening", "--override", "rand_count=x")

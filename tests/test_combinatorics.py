@@ -1,4 +1,5 @@
 import itertools
+import pickle
 
 import pytest
 
@@ -61,6 +62,27 @@ class TestALabel:
             assert ALabel.from_json(lab.to_json()) == lab
         with pytest.raises(ValueError):
             ALabel.from_json("nope")
+
+    def test_pickle_round_trip(self):
+        for lab in (U, T2, ALabel([3, 0, -1])):
+            back = pickle.loads(pickle.dumps(lab))
+            assert back == lab and type(back) is ALabel
+            assert back.exponents == lab.exponents and back.degree == lab.degree
+
+    def test_tuple_arithmetic_refused(self):
+        with pytest.raises(TypeError):
+            2 * T
+        with pytest.raises(TypeError):
+            T * 2
+        with pytest.raises(TypeError):
+            T + T
+        with pytest.raises(TypeError):
+            (1,) + T
+
+    def test_graded_lex_on_two_variables(self):
+        assert ALabel([1, 0]) < ALabel([0, 2])
+        assert ALabel([0, 1]) < ALabel([1, 0])
+        assert not ALabel([0, 2]) < ALabel([1, 0])
 
 
 class TestMultiset:

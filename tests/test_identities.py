@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from mapalg.combinatorics import ALabel, Multiset
@@ -5,6 +7,7 @@ from mapalg.forms import cartan_pair, cartan_single, dressed_block, root_block
 from mapalg.identities import (
     PROFILES,
     CheckFailure,
+    _clamp_jobs,
     _eqnq_sides,
     _idbbd_sides,
     _qpx_sides,
@@ -121,6 +124,23 @@ class TestRunner:
         )
         assert spec.params["rand_count"] == 2
         assert "bogus" not in spec.params
+
+    def test_unknown_override_key_rejected(self):
+        with pytest.raises(ValueError, match="unknown override key 'exh_szie'"):
+            run_suite(["straightening"], profile="smoke", overrides={"exh_szie": 5})
+        with pytest.raises(ValueError, match="not an integer bound"):
+            run_suite(["straightening"], profile="smoke", overrides={"labels": 3})
+
+    def test_override_absent_from_selected_checks_rejected(self):
+        with pytest.raises(ValueError, match="none of the selected checks"):
+            run_suite(["straightening", "A2"], profile="smoke", overrides={"max_total": 3})
+
+    def test_clamp_jobs(self):
+        assert _clamp_jobs(64, 1000, cpus=2) == 2
+        assert _clamp_jobs(8, 3, cpus=16) == 3
+        assert _clamp_jobs(2, 100, cpus=4) == 2
+        assert _clamp_jobs(4, 0, cpus=4) == 1
+        assert 1 <= _clamp_jobs(10**6, 10**6) <= max(1, os.cpu_count() or 1)
 
     def test_report_json_schema(self):
         spec = make_spec("divided-powers", profile="smoke")

@@ -1,4 +1,5 @@
 import itertools
+import pickle
 import random
 from fractions import Fraction
 
@@ -311,6 +312,10 @@ class TestElementInterface:
         with pytest.raises(ValueError):
             Element.from_json(SL2, {"not": "a list"})
 
+    def test_json_rejects_zero_denominator(self):
+        with pytest.raises(ValueError):
+            Element.from_json(SL2, [{"monomial": [[1, [0], 1]], "coeff": ["1", "0"]}])
+
     def test_render(self):
         assert Element.zero(SL2).render() == "0"
         assert Element.one(SL2).render() == "1"
@@ -322,3 +327,35 @@ class TestElementInterface:
         h = g(SL2, H, U)
         assert h**0 == Element.one(SL2)
         assert h**3 == h * h * h
+
+
+class TestRepresentation:
+    def test_pickle_round_trip(self):
+        gen = Gen(XP, ALabel([2]))
+        assert pickle.loads(pickle.dumps(gen)) == gen
+        elem = Fraction(1, 3) * g(SL3, 0, T) * g(SL3, 5, T2) - 2 * g(SL3, 3, U)
+        back = pickle.loads(pickle.dumps(elem))
+        assert back.terms == elem.terms
+        assert back.preset.name == "sl3"
+
+    def test_normal_form_cache_holds_ints(self):
+        a = g(SL3, 5, T) * g(SL3, 4, U) * g(SL3, 0, T2)
+        b = divided_power(SL2, Gen(XP, T), 3) * divided_power(SL2, Gen(XM, U), 3)
+        assert a and b
+        for preset in (SL2, SL3):
+            assert preset._nf_cache
+            for form in preset._nf_cache.values():
+                assert all(type(c) is int and c for c in form.values())
+
+    def test_arithmetic_keeps_nonzero_fractions(self):
+        x = Fraction(1, 2) * g(SL2, XP, T) + Fraction(2, 3) * g(SL2, H, U)
+        y = Fraction(3, 4) * g(SL2, XM, U) - Fraction(2, 3) * g(SL2, H, U)
+        results = [x * y, y * x, x + y, x - y, x - x, x * 0, x * Fraction(5, 7), 3 * y, x / 6]
+        results.append(divided_power(SL2, Gen(XP, U), 2) * divided_power(SL2, Gen(XM, U), 2))
+        h, ht = g(SL2, H, U), g(SL2, H, T)
+        results.append((h + ht) * (h - ht))  # the cross terms cancel inside the product
+        assert not (x - x).terms and not (x * 0).terms
+        assert not (x + y).terms.get(((Gen(H, U), 1),))
+        for elem in results:
+            for c in elem.terms.values():
+                assert type(c) is Fraction and c != 0
