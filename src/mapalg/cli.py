@@ -277,7 +277,9 @@ def _cmd_reduce(args, out):
     if isinstance(data, dict) and "element" in data:
         data = data["element"]
     try:
-        elem = Element.from_json(preset, data)
+        elem = Element.from_json(
+            preset, data, nvars=config.variables, laurent=config.mode == "laurent"
+        )
     except (ValueError, TypeError, KeyError) as exc:
         raise CliError("malformed element: %s" % exc)
     result = reduce_to_basis(elem)

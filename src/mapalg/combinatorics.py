@@ -230,6 +230,13 @@ class Multiset:
         return cls(pairs)
 
 
+def multisets_of_size(pool, size):
+    """Every multiset of ``size`` keys drawn with repetition from ``pool``,
+    in the order of ``itertools.combinations_with_replacement``."""
+    for combo in itertools.combinations_with_replacement(pool, size):
+        yield Multiset((k, 1) for k in combo)
+
+
 def multinomial(ms):
     """Number of distinct arrangements: size! over the product of
     multiplicity factorials.  Always a positive integer."""

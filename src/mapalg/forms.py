@@ -20,6 +20,7 @@ from .combinatorics import (
     ALabel,
     Multiset,
     multinomial,
+    multisets_of_size,
     partitions,
     sub_multisets,
 )
@@ -110,12 +111,27 @@ def cartan_single(chi):
     return cartan_pair(chi, Multiset.single(ALabel.unit(nvars), chi.size))
 
 
+_at_root_cache = {}
+
+
 def cartan_at_root(alpha, chi, target):
-    return omega(alpha, cartan_single(chi), target)
+    """:func:`cartan_single` pushed into ``target`` along root ``alpha``;
+    memoized like :func:`cartan_pair_at_root`."""
+    key = (alpha, None, chi, target.name)
+    hit = _at_root_cache.get(key)
+    if hit is None:
+        hit = _at_root_cache[key] = omega(alpha, cartan_single(chi), target)
+    return hit
 
 
 def cartan_pair_at_root(alpha, phi, chi, target):
-    return omega(alpha, cartan_pair(phi, chi), target)
+    """:func:`cartan_pair` pushed into ``target`` along root ``alpha``.
+    Values are memoized, shared and must not be mutated."""
+    key = (alpha, phi, chi, target.name)
+    hit = _at_root_cache.get(key)
+    if hit is None:
+        hit = _at_root_cache[key] = omega(alpha, cartan_pair(phi, chi), target)
+    return hit
 
 
 _root_block_cache = {}
@@ -313,17 +329,34 @@ def _index_of_monomial(preset, mono):
     )
 
 
-def _leading_coeff(idx):
-    num = 1
-    den = 1
+def _inverse_leading_coeff(idx):
+    """The leading coefficient of a basis element is a sign over a product
+    of factorials; its inverse is that sign times the product."""
+    inv = 1
     for ms in idx.minus + idx.plus:
         for _, m in ms.items():
-            den *= math.factorial(m)
+            inv *= math.factorial(m)
     for ms in idx.zero:
-        num *= (-1) ** ms.size
+        inv *= (-1) ** ms.size
         for _, m in ms.items():
-            den *= math.factorial(m)
-    return Fraction(num, den)
+            inv *= math.factorial(m)
+    return inv
+
+
+_reduction_step_cache = {}
+
+
+def _reduction_step(preset, mono):
+    """(index, inverse leading coefficient, basis element) for the basis
+    element whose top term is ``mono``, memoized per preset and monomial;
+    the element is the one stored by :func:`basis_element`."""
+    key = (preset.name, mono)
+    step = _reduction_step_cache.get(key)
+    if step is None:
+        idx = _index_of_monomial(preset, mono)
+        step = (idx, _inverse_leading_coeff(idx), basis_element(preset, idx))
+        _reduction_step_cache[key] = step
+    return step
 
 
 def reduce_to_basis(elem):
@@ -339,12 +372,12 @@ def reduce_to_basis(elem):
     preset = elem.preset
     residual = elem
     terms = []
-    while residual.terms:
-        mono = max(residual.terms, key=monomial_key)
-        idx = _index_of_monomial(preset, mono)
-        coeff = residual.terms[mono] / _leading_coeff(idx)
+    while residual.num:
+        mono = max(residual.num, key=monomial_key)
+        idx, inv_lead, basis = _reduction_step(preset, mono)
+        coeff = Fraction(residual.num[mono] * inv_lead, residual.den)
         terms.append((idx, coeff))
-        residual = residual - coeff * basis_element(preset, idx)
+        residual = residual - coeff * basis
     integral = all(c.denominator == 1 for _, c in terms)
     return ReductionResult(terms=terms, integral=integral, residual=residual)
 
@@ -367,11 +400,6 @@ def _compositions(total, slots):
             yield (first,) + rest
 
 
-def _multisets_of_size(pool, size):
-    for combo in itertools.combinations_with_replacement(pool, size):
-        yield Multiset((k, 1) for k in combo)
-
-
 def enumerate_basis(preset, max_degree, max_label_degree, nvars=1):
     """All basis indices with total multiset size at most ``max_degree``
     over polynomial labels of degree at most ``max_label_degree``, in a
@@ -383,7 +411,7 @@ def enumerate_basis(preset, max_degree, max_label_degree, nvars=1):
     slots = 2 * preset.m + preset.rank
     for total in range(max_degree + 1):
         for sizes in _compositions(total, slots):
-            pools = [list(_multisets_of_size(pool, s)) for s in sizes]
+            pools = [list(multisets_of_size(pool, s)) for s in sizes]
             for combo in itertools.product(*pools):
                 yield BasisIndex(
                     tuple(combo[: preset.m]),

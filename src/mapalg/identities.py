@@ -26,6 +26,7 @@ from .combinatorics import (
     Multiset,
     binom_int,
     multinomial,
+    multisets_of_size,
     sub_multisets,
     subpartitions,
 )
@@ -143,15 +144,10 @@ def _pool(exps):
     return tuple(ALabel([e]) for e in exps)
 
 
-def _multisets_of_size(pool, size):
-    for combo in itertools.combinations_with_replacement(pool, size):
-        yield Multiset((k, 1) for k in combo)
-
-
 def _multisets_up_to(pool, max_size):
     out = []
     for s in range(max_size + 1):
-        out.extend(_multisets_of_size(pool, s))
+        out.extend(multisets_of_size(pool, s))
     return out
 
 
@@ -187,7 +183,7 @@ def _instances_straightening(spec):
             yield ("exh", phi, chi)
     rng = random.Random(spec.seed)
     rpool = _pool(p["rand_labels"])
-    shapes = list(_multisets_of_size(rpool, p["rand_size"]))
+    shapes = list(multisets_of_size(rpool, p["rand_size"]))
     for _ in range(p["rand_count"]):
         yield ("rand", rng.choice(shapes), rng.choice(shapes))
 
@@ -254,7 +250,7 @@ def _eval_D_consistency(spec, args):
     if kind == "homogeneous":
         _, sign, psi1, psi2, psi3 = args
         elem = root_block(sign, psi1, psi2, psi3)
-        bad = [m for m in elem.terms if sum(e for _, e in m) != psi3.size]
+        bad = [m for m in elem.num if sum(e for _, e in m) != psi3.size]
         if bad:
             return _property_failure(
                 "sign=%+d psi1=%s psi2=%s psi3=%s" % (sign, psi1, psi2, psi3),
@@ -849,9 +845,11 @@ def _eval_A2(spec, args):
         * divided_power(sl3, ga, r - k)
         for k in range(min(r, s) + 1)
     ]
-    monos = sorted({m for e in cands for m in e.terms} | set(lhs.terms))
-    columns = [tuple(e.terms.get(m, 0) for m in monos) for e in cands]
-    target = tuple(lhs.terms.get(m, 0) for m in monos)
+    cand_terms = [e.terms for e in cands]
+    lhs_terms = lhs.terms
+    monos = sorted({m for t in cand_terms for m in t} | set(lhs_terms))
+    columns = [tuple(t.get(m, 0) for m in monos) for t in cand_terms]
+    target = tuple(lhs_terms.get(m, 0) for m in monos)
     args_str = "sign=%+d roots=(%d,%d) r=%d s=%d a=%s b=%s" % (sign, aidx, bidx, r, s, a, b)
     try:
         eps = exact_solve(columns, target)

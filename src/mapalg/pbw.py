@@ -235,6 +235,10 @@ class LiePreset:
     def __repr__(self):
         return "LiePreset(%s)" % self.name
 
+    def __reduce__(self):
+        # Pickle by name, so an unpickled element keeps the singleton.
+        return (make_preset, (self.name,))
+
 
 _SL2_MATS = {
     "neg_mats": (((0, 0), (1, 0)),),
@@ -351,63 +355,78 @@ def monomial_key(mono):
     return (sum(e for _, e in mono), mono)
 
 
-def _integer_terms(terms):
-    """Scale ``terms`` to integers: (flattened word, numerator) pairs over
-    the least common denominator, which is returned alongside."""
-    den = math.lcm(*(c.denominator for c in terms.values()))
-    return den, [
-        (_flatten(m), c.numerator * (den // c.denominator)) for m, c in terms.items()
-    ]
-
-
 class Element:
     """A finite rational combination of PBW-ordered monomials.
 
-    Canonical form: no zero coefficients, every monomial is a strictly
-    increasing tuple of (generator, positive exponent) pairs, coefficients
-    are exact fractions.  Elements are immutable by convention; all
-    operations return fresh instances, so sharing across threads is safe.
+    Storage: ``num`` maps each monomial to a nonzero integer numerator and
+    ``den`` is one positive common denominator, reduced so that
+    ``gcd(den, *num.values()) == 1``; zero is ``({}, 1)``.  This form is
+    canonical, so equality compares the integers directly.  Every monomial
+    is a strictly increasing tuple of (generator, positive exponent) pairs.
+    Elements are immutable by convention; all operations return fresh
+    instances, so sharing across threads is safe.
 
-    Rationals live only here, at the edges: a product scales both factors
-    to integer numerators over a common denominator, accumulates integer
-    normal forms and divides once per output monomial.  Arithmetic builds
-    its results through :meth:`_trusted`, which skips the checks of
-    ``__init__``; the values of ``terms`` are nonzero ``Fraction`` either way.
+    Rationals live only at the edges: sums, scalar multiples and products
+    are integer dict operations followed by one common-factor reduction,
+    and :attr:`terms` is a derived read-only view of the coefficients as
+    ``Fraction`` values, built on each access for rendering and export.
     """
 
-    __slots__ = ("preset", "terms")
+    __slots__ = ("preset", "num", "den")
 
     def __init__(self, preset, terms=None):
         self.preset = preset
-        out = {}
+        fracs = {}
         if terms:
             for m, c in terms.items():
                 if not isinstance(c, Fraction):
                     c = Fraction(c)
                 if c:
-                    out[m] = c
-        self.terms = out
+                    fracs[m] = c
+        # Over the LCM of reduced denominators the numerators share no
+        # factor with it, so the result is already canonical.
+        den = math.lcm(*(c.denominator for c in fracs.values())) if fracs else 1
+        self.num = {m: c.numerator * (den // c.denominator) for m, c in fracs.items()}
+        self.den = den
 
     @classmethod
-    def _trusted(cls, preset, terms):
-        """Wrap ``terms`` as they are: every value must be a nonzero Fraction."""
+    def _trusted(cls, preset, num, den):
+        """Wrap canonical storage as it is: nonzero ints over a reduced ``den``."""
         self = object.__new__(cls)
         self.preset = preset
-        self.terms = terms
+        self.num = num
+        self.den = den
         return self
 
     @classmethod
+    def _reduced(cls, preset, num, den):
+        """Wrap nonzero integer numerators over ``den > 0``, dividing out
+        their common factor."""
+        if den != 1:
+            g = math.gcd(den, *num.values())
+            if g != 1:
+                num = {m: c // g for m, c in num.items()}
+                den //= g
+        return cls._trusted(preset, num, den)
+
+    @property
+    def terms(self):
+        """The coefficients as a fresh ``{monomial: Fraction}`` dict."""
+        den = self.den
+        return {m: Fraction(c, den) for m, c in self.num.items()}
+
+    @classmethod
     def zero(cls, preset):
-        return cls(preset)
+        return cls._trusted(preset, {}, 1)
 
     @classmethod
     def one(cls, preset):
-        return cls(preset, {(): Fraction(1)})
+        return cls._trusted(preset, {(): 1}, 1)
 
     @classmethod
     def generator(cls, preset, index, label):
         preset.kind(index)
-        return cls(preset, {((Gen(index, label), 1),): Fraction(1)})
+        return cls._trusted(preset, {((Gen(index, label), 1),): 1}, 1)
 
     @classmethod
     def monomial(cls, preset, mono, coeff=1):
@@ -420,68 +439,79 @@ class Element:
             )
 
     def is_zero(self):
-        return not self.terms
+        return not self.num
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.num)
 
     def __eq__(self, other):
         if not isinstance(other, Element):
             return NotImplemented
-        return self.preset is other.preset and self.terms == other.terms
+        return (
+            self.preset is other.preset and self.den == other.den and self.num == other.num
+        )
 
     __hash__ = None
+
+    def _combine(self, other, sign):
+        """``self + sign * other`` over the common denominator."""
+        self._check_same(other)
+        d1, d2 = self.den, other.den
+        den = d1 * d2 // math.gcd(d1, d2)
+        s1, s2 = den // d1, sign * (den // d2)
+        out = dict(self.num) if s1 == 1 else {m: c * s1 for m, c in self.num.items()}
+        for m, c in other.num.items():
+            c = out.get(m, 0) + c * s2
+            if c:
+                out[m] = c
+            else:
+                del out[m]
+        return Element._reduced(self.preset, out, den)
 
     def __add__(self, other):
         if not isinstance(other, Element):
             return NotImplemented
-        self._check_same(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            c += out.get(m, 0)
-            if c:
-                out[m] = c
-            else:
-                del out[m]
-        return Element._trusted(self.preset, out)
+        return self._combine(other, 1)
 
     def __sub__(self, other):
         if not isinstance(other, Element):
             return NotImplemented
-        self._check_same(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            c = out.get(m, 0) - c
-            if c:
-                out[m] = c
-            else:
-                del out[m]
-        return Element._trusted(self.preset, out)
+        return self._combine(other, -1)
 
     def __neg__(self):
-        return Element._trusted(self.preset, {m: -c for m, c in self.terms.items()})
+        return Element._trusted(self.preset, {m: -c for m, c in self.num.items()}, self.den)
 
     def __mul__(self, other):
         if isinstance(other, Element):
             self._check_same(other)
             preset = self.preset
-            den1, left = _integer_terms(self.terms)
-            den2, right = _integer_terms(other.terms)
+            left = [(_flatten(m), a) for m, a in self.num.items()]
+            right = [(_flatten(m), b) for m, b in other.num.items()]
             out = {}
             for w1, a in left:
                 for w2, b in right:
                     c = a * b
                     for m, f in _normalize_word(preset, w1 + w2).items():
                         out[m] = out.get(m, 0) + c * f
-            den = den1 * den2
-            return Element._trusted(
-                preset, {m: Fraction(v, den) for m, v in out.items() if v}
-            )
-        if isinstance(other, (int, Fraction)):
+            out = {m: v for m, v in out.items() if v}
+            return Element._reduced(preset, out, self.den * other.den)
+        if isinstance(other, int):
             if not other:
-                return Element._trusted(self.preset, {})
+                return Element.zero(self.preset)
+            # gcd(den, nums) == 1 makes gcd(den, k * nums) == gcd(den, k).
+            g = math.gcd(self.den, other)
+            k = other // g
             return Element._trusted(
-                self.preset, {m: c * other for m, c in self.terms.items()}
+                self.preset, {m: c * k for m, c in self.num.items()}, self.den // g
+            )
+        if isinstance(other, Fraction):
+            if not other:
+                return Element.zero(self.preset)
+            p = other.numerator
+            return Element._reduced(
+                self.preset,
+                {m: c * p for m, c in self.num.items()},
+                self.den * other.denominator,
             )
         return NotImplemented
 
@@ -510,12 +540,12 @@ class Element:
         The None sentinel is deliberate: the zero element has no degree
         and must never take part in numeric comparisons.
         """
-        if not self.terms:
+        if not self.num:
             return None
-        return max(sum(e for _, e in m) for m in self.terms)
+        return max(sum(e for _, e in m) for m in self.num)
 
     def is_integral(self):
-        return all(c.denominator == 1 for c in self.terms.values())
+        return self.den == 1
 
     def sorted_terms(self):
         """Highest degree first, then ascending monomial order within a degree."""
@@ -525,7 +555,7 @@ class Element:
         )
 
     def render(self):
-        if not self.terms:
+        if not self.num:
             return "0"
         chunks = []
         for mono, coeff in self.sorted_terms():
@@ -558,9 +588,12 @@ class Element:
         return out
 
     @classmethod
-    def from_json(cls, preset, data):
+    def from_json(cls, preset, data, nvars=None, laurent=True):
         """Parse an element; monomials are products in the written order
-        and are normalized on load, so inputs need not be PBW-sorted."""
+        and are normalized on load, so inputs need not be PBW-sorted.
+
+        With ``nvars`` given, every label must have that many exponents,
+        and none may be negative unless ``laurent``."""
         if not isinstance(data, list):
             raise ValueError("element must be a JSON array of terms")
         total = cls.zero(preset)
@@ -577,7 +610,17 @@ class Element:
                 index, label, exp = entry
                 if not isinstance(exp, int) or exp < 1:
                     raise ValueError("monomial exponent must be a positive integer")
-                gen = cls.generator(preset, index, ALabel.from_json(label))
+                label = ALabel.from_json(label)
+                if nvars is not None and label.nvars != nvars:
+                    raise ValueError(
+                        "label %s has %d entries, session has %d variables"
+                        % (label.to_json(), label.nvars, nvars)
+                    )
+                if not laurent and any(e < 0 for e in label.exponents):
+                    raise ValueError(
+                        "label %s has a negative exponent in polynomial mode" % label.to_json()
+                    )
+                gen = cls.generator(preset, index, label)
                 factor = factor * gen**exp
             total = total + coeff * factor
         return total
@@ -633,12 +676,12 @@ def omega(alpha, u, target):
         return img
 
     out = Element.zero(target)
-    for mono, coeff in u.terms.items():
+    for mono, c in u.num.items():
         prod = Element.one(target)
         for g, e in mono:
             prod = prod * image(g) ** e
-        out = out + coeff * prod
-    return out
+        out = out + c * prod
+    return Element._reduced(target, out.num, out.den * u.den)
 
 
 def ad_divided(preset, x, r, v):
@@ -654,12 +697,12 @@ def ad_divided(preset, x, r, v):
     cur = v
     for _ in range(r):
         out = {}
-        for mono, c in cur.terms.items():
+        for mono, c in cur.num.items():
             if not mono:
                 continue
             ((g, _e),) = mono
             for k, cc in preset.bracket_pairs(x.index, g.index):
                 key = ((Gen(k, x.label * g.label), 1),)
                 out[key] = out.get(key, 0) + c * cc
-        cur = Element(preset, out)
+        cur = Element._reduced(preset, {m: c for m, c in out.items() if c}, cur.den)
     return cur / math.factorial(r)

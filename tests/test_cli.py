@@ -161,6 +161,28 @@ class TestReduce:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
 
+    def test_negative_exponent_in_polynomial_mode_is_exit_2(self, tmp_path, capsys):
+        data = [{"monomial": [[1, [-1], 1]], "coeff": ["1", "1"]}]
+        path = tmp_path / "e.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        code, out = run_cli("reduce", str(path))
+        assert code == 2 and "integral" not in out
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        code, out = run_cli("reduce", str(path), "--mode", "laurent")
+        assert code == 0 and "integral: true" in out
+
+    def test_label_length_must_match_variables(self, tmp_path, capsys):
+        data = [{"monomial": [[1, [1, 2], 1]], "coeff": ["1", "1"]}]
+        path = tmp_path / "e.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        code, out = run_cli("reduce", str(path))
+        assert code == 2 and "integral" not in out
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        code, out = run_cli("reduce", str(path), "--variables", "2")
+        assert code == 0 and "integral: true" in out
+
     def test_json_output_schema(self, tmp_path):
         data = [{"monomial": [[0, [0], 1]], "coeff": ["1", "1"]}]
         path = tmp_path / "e.json"

@@ -15,6 +15,7 @@ from mapalg.forms import (
     basis_element,
     cartan_at_root,
     cartan_pair,
+    cartan_pair_at_root,
     cartan_single,
     dressed_block,
     enumerate_basis,
@@ -23,7 +24,8 @@ from mapalg.forms import (
     root_block_expanded,
     root_monomial,
 )
-from mapalg.pbw import Element, Gen, divided_power, make_preset
+from mapalg import forms
+from mapalg.pbw import Element, Gen, divided_power, make_preset, omega
 
 U = ALabel([0])
 T = ALabel([1])
@@ -341,6 +343,49 @@ class TestReduce:
         for idx, coeff in result.terms:
             rebuilt = rebuilt + coeff * basis_element(SL3, idx)
         assert rebuilt == elem
+
+
+class TestMemoisedValues:
+    """The memo tables return the same values from a cold and a warm cache."""
+
+    AT_ROOT_CASES = [
+        (0, ms((U, 1), (T, 1)), chi(T, 2)),
+        (1, chi(T), chi(U)),
+        (2, ms((U, 2)), ms((T2, 1), (U, 1))),
+        (0, chi(T), ms()),
+    ]
+
+    def _at_root_values(self):
+        pairs = [cartan_pair_at_root(a, phi, c, SL3) for a, phi, c in self.AT_ROOT_CASES]
+        singles = [cartan_at_root(a, c, SL3) for a, _, c in self.AT_ROOT_CASES]
+        return pairs + singles
+
+    def test_at_root_cold_and_warm(self, monkeypatch):
+        before = self._at_root_values()
+        monkeypatch.setattr(forms, "_at_root_cache", {})
+        monkeypatch.setattr(forms, "_cartan_pair_cache", {})
+        cold = self._at_root_values()
+        warm = self._at_root_values()
+        assert cold == warm == before
+        assert all(a is b for a, b in zip(cold, warm))
+        for (a, phi, c), got in zip(self.AT_ROOT_CASES, cold):
+            assert got == omega(a, cartan_pair(phi, c), SL3)
+
+    def test_reduce_cold_and_warm(self, monkeypatch):
+        elems = [
+            divided_power(SL2, Gen(XP, T), 2) * divided_power(SL2, Gen(XM, U), 3),
+            Fraction(1, 2) * g(H, U) * g(H, T) + g(XM, T2),
+            cartan_pair_at_root(2, ms((U, 1), (T, 1)), chi(T, 2), SL3)
+            * g(SL3.pos_index(0), U, SL3),
+        ]
+        monkeypatch.setattr(forms, "_reduction_step_cache", {})
+        monkeypatch.setattr(forms, "_basis_element_cache", {})
+        cold = [reduce_to_basis(e) for e in elems]
+        warm = [reduce_to_basis(e) for e in elems]
+        for c, w in zip(cold, warm):
+            assert c.terms == w.terms and c.terms
+            assert c.integral == w.integral
+            assert c.residual.is_zero() and w.residual.is_zero()
 
 
 class TestEnumerateBasis:

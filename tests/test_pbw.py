@@ -1,4 +1,5 @@
 import itertools
+import math
 import pickle
 import random
 from fractions import Fraction
@@ -359,3 +360,30 @@ class TestRepresentation:
         for elem in results:
             for c in elem.terms.values():
                 assert type(c) is Fraction and c != 0
+
+    def test_pickle_keeps_preset_singleton(self):
+        for preset in (SL2, SL3):
+            elem = Fraction(1, 2) * g(preset, 0, T) + g(preset, 1, U)
+            back = pickle.loads(pickle.dumps(elem))
+            assert back.preset is preset
+            assert back * elem == elem * elem
+            assert pickle.loads(pickle.dumps(preset)) is preset
+
+    def test_canonical_storage(self):
+        x = Fraction(1, 2) * g(SL2, XP, T) + Fraction(2, 3) * g(SL2, H, U)
+        assert (x / 6) * 3 == x / 2
+        zero = x - x
+        assert zero.num == {} and zero.den == 1
+        assert x.den == 6 and x.num == {((Gen(XP, T), 1),): 3, ((Gen(H, U), 1),): 4}
+
+    def test_arithmetic_keeps_reduced_storage(self):
+        x = Fraction(1, 2) * g(SL2, XP, T) + Fraction(2, 3) * g(SL2, H, U)
+        y = Fraction(3, 4) * g(SL2, XM, U) - Fraction(2, 3) * g(SL2, H, U)
+        results = [x * y, y * x, x + y, x - y, x - x, x * 0, x * Fraction(5, 7), 3 * y, x / 6]
+        results.append(divided_power(SL2, Gen(XP, U), 2) * divided_power(SL2, Gen(XM, U), 2))
+        h, ht = g(SL2, H, U), g(SL2, H, T)
+        results.append((h + ht) * (h - ht))
+        for elem in results:
+            assert type(elem.den) is int and elem.den > 0
+            assert math.gcd(elem.den, *elem.num.values()) == 1
+            assert all(type(c) is int and c for c in elem.num.values())
