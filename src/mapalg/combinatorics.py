@@ -102,7 +102,9 @@ class ALabel(tuple):
 
     @classmethod
     def from_json(cls, data):
-        if not isinstance(data, list) or not all(isinstance(e, int) for e in data):
+        if not isinstance(data, list) or not all(
+            isinstance(e, int) and not isinstance(e, bool) for e in data
+        ):
             raise ValueError("label must be a JSON array of integers")
         return cls(data)
 

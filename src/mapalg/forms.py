@@ -11,6 +11,7 @@ by greedy leading-term elimination.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -25,6 +26,32 @@ from .combinatorics import (
     sub_multisets,
 )
 from .pbw import Element, Gen, divided_power, make_preset, monomial_key, omega
+
+
+_memo_tables = []
+
+
+def memoised(fn):
+    """Cache ``fn`` on its positional arguments, one dict per function.
+    Cached values are shared and must not be mutated; a call that raises
+    stores nothing, and :func:`clear_caches` empties every table."""
+    table = {}
+    _memo_tables.append(table)
+
+    @functools.wraps(fn)
+    def wrapper(*args):
+        hit = table.get(args)
+        if hit is None:
+            hit = table[args] = fn(*args)
+        return hit
+
+    return wrapper
+
+
+def clear_caches():
+    """Empty every table filled through :func:`memoised`."""
+    for table in _memo_tables:
+        table.clear()
 
 
 def _sl2():
@@ -63,9 +90,7 @@ def root_monomial(sign, alpha, psi, preset=None):
     return Element.monomial(preset, mono, Fraction(1, den))
 
 
-_cartan_pair_cache = {}
-
-
+@memoised
 def cartan_pair(phi, chi):
     """The Cartan-valued element attached to a pair of label multisets.
 
@@ -73,34 +98,27 @@ def cartan_pair(phi, chi):
     whenever the two sizes differ and equals 1 on the empty pair.  Values
     are memoized, shared and must not be mutated.
     """
-    key = (phi, chi)
-    hit = _cartan_pair_cache.get(key)
-    if hit is not None:
-        return hit
     sl2 = _sl2()
     if phi.size != chi.size:
-        out = Element.zero(sl2)
-    elif not phi:
-        out = Element.one(sl2)
-    else:
-        acc = Element.zero(sl2)
-        for psi1 in sub_multisets(phi):
-            if not psi1:
+        return Element.zero(sl2)
+    if not phi:
+        return Element.one(sl2)
+    acc = Element.zero(sl2)
+    for psi1 in sub_multisets(phi):
+        if not psi1:
+            continue
+        for psi2 in sub_multisets(chi):
+            if not psi2 or psi1.size != psi2.size:
                 continue
-            for psi2 in sub_multisets(chi):
-                if not psi2 or psi1.size != psi2.size:
-                    continue
-                rest = cartan_pair(phi - psi1, chi - psi2)
-                if rest.is_zero():
-                    continue
-                lab = _fold_label(ALabel.unit(psi1.items()[0][0].nvars), psi1, psi2)
-                weight = multinomial(psi1) * multinomial(psi2)
-                acc = acc + weight * (
-                    Element.generator(sl2, sl2.cartan_index(0), lab) * rest
-                )
-        out = -(acc / phi.size)
-    _cartan_pair_cache[key] = out
-    return out
+            rest = cartan_pair(phi - psi1, chi - psi2)
+            if rest.is_zero():
+                continue
+            lab = _fold_label(ALabel.unit(psi1.items()[0][0].nvars), psi1, psi2)
+            weight = multinomial(psi1) * multinomial(psi2)
+            acc = acc + weight * (
+                Element.generator(sl2, sl2.cartan_index(0), lab) * rest
+            )
+    return -(acc / phi.size)
 
 
 def cartan_single(chi):
@@ -111,32 +129,21 @@ def cartan_single(chi):
     return cartan_pair(chi, Multiset.single(ALabel.unit(nvars), chi.size))
 
 
-_at_root_cache = {}
-
-
+@memoised
 def cartan_at_root(alpha, chi, target):
     """:func:`cartan_single` pushed into ``target`` along root ``alpha``;
     memoized like :func:`cartan_pair_at_root`."""
-    key = (alpha, None, chi, target.name)
-    hit = _at_root_cache.get(key)
-    if hit is None:
-        hit = _at_root_cache[key] = omega(alpha, cartan_single(chi), target)
-    return hit
+    return omega(alpha, cartan_single(chi), target)
 
 
+@memoised
 def cartan_pair_at_root(alpha, phi, chi, target):
     """:func:`cartan_pair` pushed into ``target`` along root ``alpha``.
     Values are memoized, shared and must not be mutated."""
-    key = (alpha, phi, chi, target.name)
-    hit = _at_root_cache.get(key)
-    if hit is None:
-        hit = _at_root_cache[key] = omega(alpha, cartan_pair(phi, chi), target)
-    return hit
+    return omega(alpha, cartan_pair(phi, chi), target)
 
 
-_root_block_cache = {}
-
-
+@memoised
 def root_block(sign, psi1, psi2, psi3):
     """The straightening block of root vectors for three label multisets.
 
@@ -147,36 +154,29 @@ def root_block(sign, psi1, psi2, psi3):
     sizes differ.
     """
     sign = _sign(sign)
-    key = (sign, psi1, psi2, psi3)
-    hit = _root_block_cache.get(key)
-    if hit is not None:
-        return hit
     sl2 = _sl2()
     if psi1.size != psi2.size:
-        out = Element.zero(sl2)
-    elif not psi3:
-        out = Element.one(sl2) if not psi1 else Element.zero(sl2)
-    elif psi3.size == 1:
+        return Element.zero(sl2)
+    if not psi3:
+        return Element.one(sl2) if not psi1 else Element.zero(sl2)
+    if psi3.size == 1:
         b = psi3.items()[0][0]
         lab = _fold_label(b, psi1, psi2)
         weight = multinomial(psi1) * multinomial(psi2)
-        out = weight * Element.generator(sl2, sl2.root_index(sign, 0), lab)
-    else:
-        acc = Element.zero(sl2)
-        for b in psi3.support():
-            rest3 = psi3 - Multiset.single(b)
-            for phi1 in sub_multisets(psi1):
-                for phi2 in sub_multisets(psi2):
-                    if phi1.size != phi2.size:
-                        continue
-                    left = root_block(sign, phi1, phi2, Multiset.single(b))
-                    right = root_block(sign, psi1 - phi1, psi2 - phi2, rest3)
-                    if left.is_zero() or right.is_zero():
-                        continue
-                    acc = acc + left * right
-        out = acc / psi3.size
-    _root_block_cache[key] = out
-    return out
+        return weight * Element.generator(sl2, sl2.root_index(sign, 0), lab)
+    acc = Element.zero(sl2)
+    for b in psi3.support():
+        rest3 = psi3 - Multiset.single(b)
+        for phi1 in sub_multisets(psi1):
+            for phi2 in sub_multisets(psi2):
+                if phi1.size != phi2.size:
+                    continue
+                left = root_block(sign, phi1, phi2, Multiset.single(b))
+                right = root_block(sign, psi1 - phi1, psi2 - phi2, rest3)
+                if left.is_zero() or right.is_zero():
+                    continue
+                acc = acc + left * right
+    return acc / psi3.size
 
 
 def root_block_expanded(sign, psi, b, k, c):
@@ -201,16 +201,10 @@ def root_block_expanded(sign, psi, b, k, c):
     return acc
 
 
-_dressed_cache = {}
-
-
+@memoised
 def dressed_block(psi1, psi2, psi3):
     """Root block dressed with Cartan pairs over all sub-multiset splits
     of its first two arguments."""
-    key = (psi1, psi2, psi3)
-    hit = _dressed_cache.get(key)
-    if hit is not None:
-        return hit
     acc = Element.zero(_sl2())
     for phi1 in sub_multisets(psi1):
         for phi2 in sub_multisets(psi2):
@@ -223,7 +217,6 @@ def dressed_block(psi1, psi2, psi3):
             if block.is_zero():
                 continue
             acc = acc + pair * block
-    _dressed_cache[key] = acc
     return acc
 
 
@@ -268,9 +261,7 @@ class BasisIndex:
         )
 
 
-_basis_element_cache = {}
-
-
+@memoised
 def basis_element(preset, idx):
     """The basis element for ``idx``: negative root monomials, then the
     Cartan factors, then positive root monomials, normalized."""
@@ -278,10 +269,6 @@ def basis_element(preset, idx):
         raise ValueError("index arity does not match the %d positive roots" % preset.m)
     if len(idx.zero) != preset.rank:
         raise ValueError("index arity does not match rank %d" % preset.rank)
-    key = (preset.name, idx)
-    hit = _basis_element_cache.get(key)
-    if hit is not None:
-        return hit
     out = Element.one(preset)
     for j, ms in enumerate(idx.minus):
         out = out * root_monomial(-1, j, ms, preset)
@@ -289,7 +276,6 @@ def basis_element(preset, idx):
         out = out * cartan_at_root(preset.simple_root_index(i), ms, preset)
     for j, ms in enumerate(idx.plus):
         out = out * root_monomial(1, j, ms, preset)
-    _basis_element_cache[key] = out
     return out
 
 
@@ -343,20 +329,13 @@ def _inverse_leading_coeff(idx):
     return inv
 
 
-_reduction_step_cache = {}
-
-
+@memoised
 def _reduction_step(preset, mono):
     """(index, inverse leading coefficient, basis element) for the basis
     element whose top term is ``mono``, memoized per preset and monomial;
     the element is the one stored by :func:`basis_element`."""
-    key = (preset.name, mono)
-    step = _reduction_step_cache.get(key)
-    if step is None:
-        idx = _index_of_monomial(preset, mono)
-        step = (idx, _inverse_leading_coeff(idx), basis_element(preset, idx))
-        _reduction_step_cache[key] = step
-    return step
+    idx = _index_of_monomial(preset, mono)
+    return idx, _inverse_leading_coeff(idx), basis_element(preset, idx)
 
 
 def reduce_to_basis(elem):

@@ -7,6 +7,15 @@ structural equality; there are no numeric tolerances anywhere.  Bounds
 come from named profiles so the same checks scale from smoke tests to
 overnight runs, and failures carry the first counterexample with the
 recomputed nonzero difference.
+
+A check is declared as data: one :class:`Check` row in :data:`CHECKS`
+holds an instance generator, whose tuples start with their kind, a kind
+table mapping every kind to its evaluator, and the algebras the check
+accepts.  Most evaluators are one of two properties: :func:`_equal`, two
+sides built from the instance agree, and :func:`_integral`, an element
+built from the instance reduces over the integral basis with integer
+coefficients and zero residual (optionally below a degree bound).  The
+few claims that fit neither have a short evaluator of their own.
 """
 
 from __future__ import annotations
@@ -19,7 +28,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from typing import Callable, NamedTuple
 
 from .combinatorics import (
     ALabel,
@@ -31,11 +40,13 @@ from .combinatorics import (
     subpartitions,
 )
 from .forms import (
+    _fold_label,
     cartan_at_root,
     cartan_pair,
     cartan_pair_at_root,
     cartan_single,
     dressed_block,
+    memoised,
     reduce_to_basis,
     root_block,
     root_block_expanded,
@@ -137,7 +148,7 @@ PROFILES = _default_profiles()
 
 
 # ---------------------------------------------------------------------------
-# shared helpers
+# shared helpers and the two shared properties
 
 
 def _pool(exps):
@@ -167,8 +178,56 @@ def _property_failure(args, elem, expectation, finding):
     return CheckFailure(args=str(args), lhs=elem.render(), rhs=expectation, diff=finding)
 
 
-def _unit(pool):
-    return ALabel.unit(pool[0].nvars)
+def _equal(fmt, sides):
+    """Evaluator of "both sides agree": ``sides(*args[1:])`` returns the
+    two elements, and ``fmt % args[1:]`` names a failing instance.  The
+    storage is canonical, so ``==`` decides equality."""
+
+    def evaluate(spec, args):
+        lhs, rhs = sides(*args[1:])
+        if lhs == rhs:
+            return None
+        return _failure(fmt % args[1:], lhs, rhs)
+
+    return evaluate
+
+
+def _integral(fmt, build, bound=None):
+    """Evaluator of "reduces integrally": ``build(*args[1:])`` must reduce
+    over the basis with integer coefficients and zero residual and, when
+    ``bound`` is given, have degree below ``bound(*args[1:])``."""
+
+    def evaluate(spec, args):
+        elem = build(*args[1:])
+        result = reduce_to_basis(elem)
+        limit = None if bound is None else bound(*args[1:])
+        ok = result.integral and result.residual.is_zero()
+        if ok and (limit is None or _degree_below(elem, limit)):
+            return None
+        expectation = "integral reduction with zero residual"
+        finding = "integral=%s residual=%s" % (result.integral, result.residual.render())
+        if limit is not None:
+            expectation += ", degree < %d" % limit
+            finding += " degree=%s" % elem.degree()
+        return _property_failure(fmt % args[1:], elem, expectation, finding)
+
+    return evaluate
+
+
+def _root_power(sign, b, r):
+    """The ``r``-th divided power of the sl2 root vector of ``sign`` at label ``b``."""
+    sl2 = make_preset("sl2")
+    return divided_power(sl2, Gen(sl2.root_index(sign, 0), b), r)
+
+
+def _bracket(x, y):
+    return x * y - y * x
+
+
+def _at_preset(sides, side):
+    """Adapt ``sides(preset, *rest, side)`` to instances that name their
+    preset."""
+    return lambda name, *rest: sides(make_preset(name), *rest, side)
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +247,7 @@ def _instances_straightening(spec):
         yield ("rand", rng.choice(shapes), rng.choice(shapes))
 
 
-@lru_cache(maxsize=None)
+@memoised
 def _straightening_sides(phi, chi):
     lhs = root_monomial(1, 0, phi) * root_monomial(-1, 0, chi)
     rhs = Element.zero(make_preset("sl2"))
@@ -206,12 +265,6 @@ def _straightening_sides(phi, chi):
                         continue
                     rhs = rhs + sign * (left * right)
     return lhs, rhs
-
-
-def _eval_straightening(spec, args):
-    _, phi, chi = args
-    lhs, rhs = _straightening_sides(phi, chi)
-    return _failure(("phi=%s chi=%s" % (phi, chi)), lhs, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -240,37 +293,36 @@ def _instances_D_consistency(spec):
                 yield ("dressed-degree", psi1, psi2, psi3)
 
 
-def _eval_D_consistency(spec, args):
-    kind = args[0]
-    if kind == "expanded":
-        _, sign, psi, b, k, c = args
-        lhs = root_block_expanded(sign, psi, b, k, c)
-        rhs = root_block(sign, psi, Multiset.single(b, psi.size), Multiset.single(c, k))
-        return _failure("sign=%+d psi=%s b=%s k=%d c=%s" % (sign, psi, b, k, c), lhs, rhs)
-    if kind == "homogeneous":
-        _, sign, psi1, psi2, psi3 = args
-        elem = root_block(sign, psi1, psi2, psi3)
-        bad = [m for m in elem.num if sum(e for _, e in m) != psi3.size]
-        if bad:
-            return _property_failure(
-                "sign=%+d psi1=%s psi2=%s psi3=%s" % (sign, psi1, psi2, psi3),
-                elem,
-                "every monomial of total degree %d" % psi3.size,
-                "monomial of degree %d found" % sum(e for _, e in bad[0]),
-            )
+def _expanded_sides(sign, psi, b, k, c):
+    lhs = root_block_expanded(sign, psi, b, k, c)
+    rhs = root_block(sign, psi, Multiset.single(b, psi.size), Multiset.single(c, k))
+    return lhs, rhs
+
+
+def _homogeneous(spec, args):
+    _, sign, psi1, psi2, psi3 = args
+    elem = root_block(sign, psi1, psi2, psi3)
+    bad = [m for m in elem.num if sum(e for _, e in m) != psi3.size]
+    if not bad:
         return None
+    return _property_failure(
+        "sign=%+d psi1=%s psi2=%s psi3=%s" % args[1:],
+        elem,
+        "every monomial of total degree %d" % psi3.size,
+        "monomial of degree %d found" % sum(e for _, e in bad[0]),
+    )
+
+
+def _dressed_degree(spec, args):
     _, psi1, psi2, psi3 = args
     elem = dressed_block(psi1, psi2, psi3)
     bound = psi3.size + psi1.size
     deg = elem.degree()
-    if deg is not None and deg > bound:
-        return _property_failure(
-            "psi1=%s psi2=%s psi3=%s" % (psi1, psi2, psi3),
-            elem,
-            "degree <= %d" % bound,
-            "degree %d" % deg,
-        )
-    return None
+    if deg is None or deg <= bound:
+        return None
+    return _property_failure(
+        "psi1=%s psi2=%s psi3=%s" % args[1:], elem, "degree <= %d" % bound, "degree %d" % deg
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -303,44 +355,46 @@ def _leading_term(chi):
     return Element.monomial(sl2, mono, coeff)
 
 
-def _eval_p_properties(spec, args):
-    kind = args[0]
-    if kind == "leading":
-        chi = args[1]
-        elem = cartan_single(chi)
-        rest = elem - _leading_term(chi)
-        if not _degree_below(rest, chi.size) and chi.size > 0:
-            return _property_failure(
-                "chi=%s" % chi, elem, "leading term of degree %d, rest lower" % chi.size,
-                "rest has degree %s" % rest.degree(),
-            )
-        if not chi and not (elem - _leading_term(chi)).is_zero():
-            return _property_failure("chi={}", elem, "1", "mismatch")
-        return None
-    if kind == "product":
-        _, chi, chi2 = args
-        both = chi + chi2
-        factor = 1
-        for a in both.support():
-            factor *= binom_int(both.count(a), chi.count(a))
-        elem = cartan_single(chi) * cartan_single(chi2) - factor * cartan_single(both)
-        result = reduce_to_basis(elem)
-        pure_cartan = all(
-            all(not ms for ms in idx.minus) and all(not ms for ms in idx.plus)
-            for idx, _ in result.terms
+def _leading(spec, args):
+    chi = args[1]
+    elem = cartan_single(chi)
+    rest = elem - _leading_term(chi)
+    if chi.size > 0 and not _degree_below(rest, chi.size):
+        return _property_failure(
+            "chi=%s" % chi, elem, "leading term of degree %d, rest lower" % chi.size,
+            "rest has degree %s" % rest.degree(),
         )
-        if not (result.integral and pure_cartan and result.residual.is_zero()):
-            return _property_failure(
-                "chi=%s chi'=%s" % (chi, chi2),
-                elem,
-                "integral reduction over the Cartan block",
-                "integral=%s pure_cartan=%s" % (result.integral, pure_cartan),
-            )
+    if not chi and not rest.is_zero():
+        return _property_failure("chi={}", elem, "1", "mismatch")
+    return None
+
+
+def _cartan_product(spec, args):
+    _, chi, chi2 = args
+    both = chi + chi2
+    factor = 1
+    for a in both.support():
+        factor *= binom_int(both.count(a), chi.count(a))
+    elem = cartan_single(chi) * cartan_single(chi2) - factor * cartan_single(both)
+    result = reduce_to_basis(elem)
+    pure_cartan = all(
+        all(not ms for ms in idx.minus) and all(not ms for ms in idx.plus)
+        for idx, _ in result.terms
+    )
+    if result.integral and pure_cartan and result.residual.is_zero():
         return None
-    _, l, a, b = args
+    return _property_failure(
+        "chi=%s chi'=%s" % (chi, chi2),
+        elem,
+        "integral reduction over the Cartan block",
+        "integral=%s pure_cartan=%s" % (result.integral, pure_cartan),
+    )
+
+
+def _multiplicative_sides(l, a, b):
     lhs = cartan_pair(Multiset.single(a, l), Multiset.single(b, l))
     rhs = cartan_single(Multiset.single(a * b, l))
-    return _failure("l=%d a=%s b=%s" % (l, a, b), lhs, rhs)
+    return lhs, rhs
 
 
 # ---------------------------------------------------------------------------
@@ -391,11 +445,7 @@ def _xq_sides(preset, alpha, i, b, phi, chi, side):
                 * multinomial(psi1)
                 * multinomial(psi2)
             )
-            lab = b
-            for k, m in psi1.items():
-                lab = lab * k**m
-            for k, m in psi2.items():
-                lab = lab * k**m
+            lab = _fold_label(b, psi1, psi2)
             rest = cartan_pair_at_root(
                 preset.simple_root_index(i), phi - psi1, chi - psi2, preset
             )
@@ -421,9 +471,7 @@ def _xrq_sides(preset, alpha, i, b, chi, r, side):
             scalar = Fraction(
                 binom_int(weight_base + part.size - 1, part.size) * multinomial(part)
             )
-            lab = b
-            for k, m in part.items():
-                lab = lab * k**m
+            lab = _fold_label(b, part)
             prod = prod * (
                 scalar**cnt
                 * divided_power(preset, Gen(preset.root_index(sign, alpha), lab), cnt)
@@ -458,45 +506,15 @@ def _qpx_sides(b, phi, chi, literal=False):
         for f2 in f2s:
             inner = [(f1, f2)] if not literal else [(a, b2) for a in f1s for b2 in f2s]
             for ps1, ps2 in inner:
-                lab = b
-                for k, m in ps1.items():
-                    lab = lab * k**m
-                for k, m in ps2.items():
-                    lab = lab * k**m
                 rhs = rhs + (
                     multinomial(f1)
                     * multinomial(f2)
                     * (
-                        Element.generator(sl2, sl2.pos_index(0), lab)
+                        Element.generator(sl2, sl2.pos_index(0), _fold_label(b, ps1, ps2))
                         * cartan_pair(phi - ps1, chi - ps2)
                     )
                 )
     return lhs, rhs
-
-
-def _eval_commutation(spec, args):
-    kind = args[0]
-    if kind in ("xq-i", "xq-ii"):
-        _, preset_name, alpha, i, b, phi, chi = args
-        preset = make_preset(preset_name)
-        lhs, rhs = _xq_sides(preset, alpha, i, b, phi, chi, "i" if kind == "xq-i" else "ii")
-        return _failure(
-            "%s %s alpha=%d i=%d b=%s phi=%s chi=%s" % (kind, preset_name, alpha, i, b, phi, chi),
-            lhs,
-            rhs,
-        )
-    if kind in ("xrq-i", "xrq-ii"):
-        _, preset_name, alpha, i, b, chi, r = args
-        preset = make_preset(preset_name)
-        lhs, rhs = _xrq_sides(preset, alpha, i, b, chi, r, "i" if kind == "xrq-i" else "ii")
-        return _failure(
-            "%s %s alpha=%d i=%d b=%s chi=%s r=%d" % (kind, preset_name, alpha, i, b, chi, r),
-            lhs,
-            rhs,
-        )
-    _, b, phi, chi = args
-    lhs, rhs = _qpx_sides(b, phi, chi)
-    return _failure("qpx b=%s phi=%s chi=%s" % (b, phi, chi), lhs, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -591,11 +609,7 @@ def _eqnq_sides(b, varphi, chi):
                 rest = cartan_pair(trimmed - phi1, chi - phi2)
                 if rest.is_zero():
                     continue
-                lab = b * c
-                for k, m in phi1.items():
-                    lab = lab * k**m
-                for k, m in phi2.items():
-                    lab = lab * k**m
+                lab = _fold_label(b * c, phi1, phi2)
                 rhs = rhs + (
                     multinomial(phi1)
                     * multinomial(phi2)
@@ -621,29 +635,6 @@ def _eqnbbd_sides(varphi, phi, chi):
                     phi - Multiset.single(d), chi - Multiset.single(d2), shrunk
                 )
     return lhs, rhs
-
-
-def _eval_D_identities(spec, args):
-    kind = args[0]
-    if kind in ("idD-i", "idD-ii"):
-        _, sign, b, psi1, psi2, psi3 = args
-        lhs, rhs = _idD_sides(sign, b, psi1, psi2, psi3, "i" if kind == "idD-i" else "ii")
-        return _failure(
-            "%s sign=%+d b=%s psi1=%s psi2=%s psi3=%s" % (kind, sign, b, psi1, psi2, psi3),
-            lhs,
-            rhs,
-        )
-    if kind == "idbbd":
-        _, b, varphi, chi = args
-        lhs, rhs = _idbbd_sides(b, varphi, chi)
-        return _failure("idbbd b=%s varphi=%s chi=%s" % (b, varphi, chi), lhs, rhs)
-    if kind == "eqnq":
-        _, b, varphi, chi = args
-        lhs, rhs = _eqnq_sides(b, varphi, chi)
-        return _failure("eqnq b=%s varphi=%s chi=%s" % (b, varphi, chi), lhs, rhs)
-    _, varphi, phi, chi = args
-    lhs, rhs = _eqnbbd_sides(varphi, phi, chi)
-    return _failure("eqnbbd varphi=%s phi=%s chi=%s" % (varphi, phi, chi), lhs, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -709,110 +700,26 @@ def _instances_integrality(spec):
                 yield ("bracket-px", a, chi, r)
 
 
-def _eval_integrality(spec, args):
-    kind = args[0]
-    sl2 = make_preset("sl2")
-    if kind == "reduce-D":
-        _, sign, phi, chi, psi = args
-        elem = root_block(sign, phi, chi, psi)
-        result = reduce_to_basis(elem)
-        if not (result.integral and result.residual.is_zero()):
-            return _property_failure(
-                "D sign=%+d %s %s %s" % (sign, phi, chi, psi),
-                elem,
-                "integral reduction with zero residual",
-                "integral=%s residual=%s" % (result.integral, result.residual.render()),
-            )
+def _ad_integral(spec, args):
+    _, preset_name, sign, alpha, b, r, z, c = args
+    preset = make_preset(preset_name)
+    x = Gen(preset.root_index(sign, alpha), b)
+    w = ad_divided(preset, x, r, Element.generator(preset, z, c))
+    if w.is_integral():
         return None
-    if kind == "reduce-p":
-        _, phi, chi = args
-        elem = cartan_pair(phi, chi)
-        result = reduce_to_basis(elem)
-        if not (result.integral and result.residual.is_zero()):
-            return _property_failure(
-                "p %s %s" % (phi, chi), elem, "integral reduction", "integral=%s" % result.integral
-            )
-        return None
-    if kind == "reduce-bbD":
-        _, phi, chi, psi = args
-        elem = dressed_block(phi, chi, psi)
-        result = reduce_to_basis(elem)
-        if not (result.integral and result.residual.is_zero()):
-            return _property_failure(
-                "bbD %s %s %s" % (phi, chi, psi), elem, "integral reduction", "integral=%s" % result.integral
-            )
-        return None
-    if kind == "reduce-omega":
-        _, alpha, sign, phi, chi, psi = args
-        elem = omega(alpha, root_block(sign, phi, chi, psi), make_preset("sl3"))
-        result = reduce_to_basis(elem)
-        if not (result.integral and result.residual.is_zero()):
-            return _property_failure(
-                "omega-D alpha=%d sign=%+d %s %s %s" % (alpha, sign, phi, chi, psi),
-                elem,
-                "integral reduction",
-                "integral=%s" % result.integral,
-            )
-        return None
-    if kind == "ad":
-        _, preset_name, sign, alpha, b, r, z, c = args
-        preset = make_preset(preset_name)
-        x = Gen(preset.root_index(sign, alpha), b)
-        v = Element.generator(preset, z, c)
-        w = ad_divided(preset, x, r, v)
-        if not w.is_integral():
-            return _property_failure(
-                "ad %s sign=%+d alpha=%d b=%s r=%d z=%d c=%s" % (preset_name, sign, alpha, b, r, z, c),
-                w,
-                "integer coordinates",
-                "fractional coefficient",
-            )
-        return None
-    if kind == "product":
-        combo = args[1]
-        elem = Element.one(sl2)
-        for sign, b, r in combo:
-            elem = elem * divided_power(sl2, Gen(sl2.root_index(sign, 0), b), r)
-        result = reduce_to_basis(elem)
-        if not (result.integral and result.residual.is_zero()):
-            return _property_failure(
-                "product %s" % (combo,), elem, "integral reduction", "integral=%s" % result.integral
-            )
-        return None
-    if kind == "bracket-xx":
-        _, a, b, r, s = args
-        plus = divided_power(sl2, Gen(sl2.pos_index(0), a), r)
-        minus = divided_power(sl2, Gen(sl2.neg_index(0), b), s)
-        comm = plus * minus - minus * plus
-        result = reduce_to_basis(comm)
-        ok = result.integral and result.residual.is_zero() and _degree_below(comm, r + s)
-        if not ok:
-            return _property_failure(
-                "bracket-xx a=%s b=%s r=%d s=%d" % (a, b, r, s),
-                comm,
-                "integral, degree < %d" % (r + s),
-                "integral=%s degree=%s" % (result.integral, comm.degree()),
-            )
-        return None
-    _, a, chi, r = args
-    single = cartan_single(chi)
-    if kind == "bracket-xp":
-        dp = divided_power(sl2, Gen(sl2.pos_index(0), a), r)
-        comm = dp * single - single * dp
-    else:
-        dp = divided_power(sl2, Gen(sl2.neg_index(0), a), r)
-        comm = single * dp - dp * single
-    result = reduce_to_basis(comm)
-    bound = r + chi.size
-    ok = result.integral and result.residual.is_zero() and _degree_below(comm, bound)
-    if not ok:
-        return _property_failure(
-            "%s a=%s chi=%s r=%d" % (kind, a, chi, r),
-            comm,
-            "integral, degree < %d" % bound,
-            "integral=%s degree=%s" % (result.integral, comm.degree()),
-        )
-    return None
+    return _property_failure(
+        "ad %s sign=%+d alpha=%d b=%s r=%d z=%d c=%s" % args[1:],
+        w,
+        "integer coordinates",
+        "fractional coefficient",
+    )
+
+
+def _divided_product(combo):
+    elem = Element.one(make_preset("sl2"))
+    for sign, b, r in combo:
+        elem = elem * _root_power(sign, b, r)
+    return elem
 
 
 # ---------------------------------------------------------------------------
@@ -831,7 +738,7 @@ def _instances_A2(spec):
                             yield ("a2", sign, aidx, bidx, r, s, a, b)
 
 
-def _eval_A2(spec, args):
+def _a2_signs(spec, args):
     _, sign, aidx, bidx, r, s, a, b = args
     sl3 = make_preset("sl3")
     theta = sl3.root_sum_index(aidx, bidx)
@@ -850,7 +757,7 @@ def _eval_A2(spec, args):
     monos = sorted({m for t in cand_terms for m in t} | set(lhs_terms))
     columns = [tuple(t.get(m, 0) for m in monos) for t in cand_terms]
     target = tuple(lhs_terms.get(m, 0) for m in monos)
-    args_str = "sign=%+d roots=(%d,%d) r=%d s=%d a=%s b=%s" % (sign, aidx, bidx, r, s, a, b)
+    args_str = "sign=%+d roots=(%d,%d) r=%d s=%d a=%s b=%s" % args[1:]
     try:
         eps = exact_solve(columns, target)
     except ValueError:
@@ -892,13 +799,12 @@ def _instances_divided_powers(spec):
                     yield ("dp", index, b, r, s)
 
 
-def _eval_divided_powers(spec, args):
-    _, index, b, r, s = args
+def _divided_power_law_sides(index, b, r, s):
     sl2 = make_preset("sl2")
     g = Gen(index, b)
     lhs = divided_power(sl2, g, r) * divided_power(sl2, g, s)
     rhs = binom_int(r + s, r) * divided_power(sl2, g, r + s)
-    return _failure("gen=%d b=%s r=%d s=%d" % (index, b, r, s), lhs, rhs)
+    return lhs, rhs
 
 
 def _word_pool(pool):
@@ -939,17 +845,19 @@ def _build_from_spec(gens, espec):
     return out
 
 
-def _eval_self_consistency(spec, args):
-    pool = _pool(spec.params["labels"])
-    gens = _word_pool(pool)
-    sl2 = make_preset("sl2")
-    if args[0] == "assoc":
-        _, n, su, sv, sw = args
-        u = _build_from_spec(gens, su)
-        v = _build_from_spec(gens, sv)
-        w = _build_from_spec(gens, sw)
-        return _failure("assoc #%d" % n, (u * v) * w, u * (v * w))
+def _associative(spec, args):
+    _, n, su, sv, sw = args
+    gens = _word_pool(_pool(spec.params["labels"]))
+    u = _build_from_spec(gens, su)
+    v = _build_from_spec(gens, sv)
+    w = _build_from_spec(gens, sw)
+    return _failure("assoc #%d" % n, (u * v) * w, u * (v * w))
+
+
+def _fold_order(spec, args):
     _, word = args
+    gens = _word_pool(_pool(spec.params["labels"]))
+    sl2 = make_preset("sl2")
     factors = [Element.generator(sl2, gens[gi].index, gens[gi].label) for gi in word]
     left = Element.one(sl2)
     for f in factors:
@@ -961,32 +869,130 @@ def _eval_self_consistency(spec, args):
 
 
 # ---------------------------------------------------------------------------
-# registry and runner
+# the check table and the runner
 
 
-_ALLOWED_PRESETS = {
-    "straightening": ("sl2",),
-    "D-consistency": ("sl2",),
-    "p-properties": ("sl2",),
-    "commutation": ("sl2", "sl3"),
-    "D-identities": ("sl2",),
-    "integrality": ("sl2", "sl3"),
-    "A2": ("sl3",),
-    "divided-powers": ("sl2",),
-    "self-consistency": ("sl2",),
-}
+class Check(NamedTuple):
+    """One check as data.  ``instances(spec)`` yields argument tuples whose
+    first entry is their kind; ``kinds`` maps every kind to an evaluator
+    ``(spec, args)`` returning None on success, a :class:`CheckFailure`,
+    or a note string for the report; ``presets`` are the algebras the
+    check may be forced onto."""
 
+    instances: Callable
+    kinds: dict
+    presets: tuple
+
+
+# Rows call traced public functions through a lambda, never store them:
+# the name is then looked up at call time, so wrappers installed on the
+# module from outside (profilers, tracers) see every call.
 CHECKS = {
-    "straightening": (_instances_straightening, _eval_straightening),
-    "D-consistency": (_instances_D_consistency, _eval_D_consistency),
-    "p-properties": (_instances_p_properties, _eval_p_properties),
-    "commutation": (_instances_commutation, _eval_commutation),
-    "D-identities": (_instances_D_identities, _eval_D_identities),
-    "integrality": (_instances_integrality, _eval_integrality),
-    "A2": (_instances_A2, _eval_A2),
-    "divided-powers": (_instances_divided_powers, _eval_divided_powers),
-    "self-consistency": (_instances_self_consistency, _eval_self_consistency),
+    "straightening": Check(
+        _instances_straightening,
+        dict.fromkeys(("exh", "rand"), _equal("phi=%s chi=%s", _straightening_sides)),
+        ("sl2",),
+    ),
+    "D-consistency": Check(
+        _instances_D_consistency,
+        {
+            "expanded": _equal("sign=%+d psi=%s b=%s k=%d c=%s", _expanded_sides),
+            "homogeneous": _homogeneous,
+            "dressed-degree": _dressed_degree,
+        },
+        ("sl2",),
+    ),
+    "p-properties": Check(
+        _instances_p_properties,
+        {
+            "leading": _leading,
+            "product": _cartan_product,
+            "multiplicative": _equal("l=%d a=%s b=%s", _multiplicative_sides),
+        },
+        ("sl2",),
+    ),
+    "commutation": Check(
+        _instances_commutation,
+        {
+            "xq-i": _equal(
+                "xq-i %s alpha=%d i=%d b=%s phi=%s chi=%s", _at_preset(_xq_sides, "i")
+            ),
+            "xq-ii": _equal(
+                "xq-ii %s alpha=%d i=%d b=%s phi=%s chi=%s", _at_preset(_xq_sides, "ii")
+            ),
+            "xrq-i": _equal(
+                "xrq-i %s alpha=%d i=%d b=%s chi=%s r=%d", _at_preset(_xrq_sides, "i")
+            ),
+            "xrq-ii": _equal(
+                "xrq-ii %s alpha=%d i=%d b=%s chi=%s r=%d", _at_preset(_xrq_sides, "ii")
+            ),
+            "qpx": _equal("qpx b=%s phi=%s chi=%s", _qpx_sides),
+        },
+        ("sl2", "sl3"),
+    ),
+    "D-identities": Check(
+        _instances_D_identities,
+        {
+            "idD-i": _equal(
+                "idD-i sign=%+d b=%s psi1=%s psi2=%s psi3=%s", lambda *a: _idD_sides(*a, "i")
+            ),
+            "idD-ii": _equal(
+                "idD-ii sign=%+d b=%s psi1=%s psi2=%s psi3=%s", lambda *a: _idD_sides(*a, "ii")
+            ),
+            "idbbd": _equal("idbbd b=%s varphi=%s chi=%s", _idbbd_sides),
+            "eqnq": _equal("eqnq b=%s varphi=%s chi=%s", _eqnq_sides),
+            "eqnbbd": _equal("eqnbbd varphi=%s phi=%s chi=%s", _eqnbbd_sides),
+        },
+        ("sl2",),
+    ),
+    "integrality": Check(
+        _instances_integrality,
+        {
+            "reduce-D": _integral("D sign=%+d %s %s %s", lambda *a: root_block(*a)),
+            "reduce-p": _integral("p %s %s", lambda *a: cartan_pair(*a)),
+            "reduce-bbD": _integral("bbD %s %s %s", lambda *a: dressed_block(*a)),
+            "reduce-omega": _integral(
+                "omega-D alpha=%d sign=%+d %s %s %s",
+                lambda alpha, sign, *psis: omega(
+                    alpha, root_block(sign, *psis), make_preset("sl3")
+                ),
+            ),
+            "ad": _ad_integral,
+            "product": _integral("product %s", _divided_product),
+            "bracket-xx": _integral(
+                "bracket-xx a=%s b=%s r=%d s=%d",
+                lambda a, b, r, s: _bracket(_root_power(1, a, r), _root_power(-1, b, s)),
+                lambda a, b, r, s: r + s,
+            ),
+            "bracket-xp": _integral(
+                "bracket-xp a=%s chi=%s r=%d",
+                lambda a, chi, r: _bracket(_root_power(1, a, r), cartan_single(chi)),
+                lambda a, chi, r: r + chi.size,
+            ),
+            "bracket-px": _integral(
+                "bracket-px a=%s chi=%s r=%d",
+                lambda a, chi, r: _bracket(cartan_single(chi), _root_power(-1, a, r)),
+                lambda a, chi, r: r + chi.size,
+            ),
+        },
+        ("sl2", "sl3"),
+    ),
+    "A2": Check(_instances_A2, {"a2": _a2_signs}, ("sl3",)),
+    "divided-powers": Check(
+        _instances_divided_powers,
+        {"dp": _equal("gen=%d b=%s r=%d s=%d", _divided_power_law_sides)},
+        ("sl2",),
+    ),
+    "self-consistency": Check(
+        _instances_self_consistency,
+        {"assoc": _associative, "word": _fold_order},
+        ("sl2",),
+    ),
 }
+
+
+def _evaluate(spec, args):
+    return CHECKS[spec.name].kinds[args[0]](spec, args)
 
 
 def check_names():
@@ -998,7 +1004,7 @@ def make_spec(name, profile="desk", preset=None, seed=0, overrides=None):
         raise ValueError("unknown check %r (known: %s)" % (name, ", ".join(CHECKS)))
     if profile not in PROFILES:
         raise ValueError("unknown profile %r" % (profile,))
-    allowed = _ALLOWED_PRESETS[name]
+    allowed = CHECKS[name].presets
     if preset is not None and preset not in allowed:
         raise ValueError(
             "check %r needs one of %s, got %r" % (name, "/".join(allowed), preset)
@@ -1013,8 +1019,9 @@ def make_spec(name, profile="desk", preset=None, seed=0, overrides=None):
 
 
 def _check_overrides(specs, overrides):
-    """Refuse an override that no check has as an integer bound, or that
-    none of the selected checks has, instead of silently dropping it."""
+    """Refuse an override that no check has as an integer bound, that none
+    of the selected checks has, or that is negative, instead of silently
+    dropping it or running an empty family."""
     bounds = {
         key
         for checks in PROFILES.values()
@@ -1023,7 +1030,7 @@ def _check_overrides(specs, overrides):
         if isinstance(value, int)
     }
     selected = {key for spec in specs for key in spec.params}
-    for key in overrides or {}:
+    for key, value in (overrides or {}).items():
         if key not in bounds:
             raise ValueError(
                 "unknown override key %r: not an integer bound of any check (bounds: %s)"
@@ -1034,6 +1041,8 @@ def _check_overrides(specs, overrides):
                 "override key %r applies to none of the selected checks (%s)"
                 % (key, ", ".join(spec.name for spec in specs))
             )
+        if value < 0:
+            raise ValueError("override %s=%d: a bound must be >= 0" % (key, value))
 
 
 def _clamp_jobs(requested, instances, cpus=None):
@@ -1044,31 +1053,27 @@ def _clamp_jobs(requested, instances, cpus=None):
     return max(1, min(requested, cpus, instances))
 
 
-def _evaluate_packed(packed):
-    name, spec, args = packed
-    return CHECKS[name][1](spec, args)
-
-
 def run_check(spec, jobs=1):
     """Run one check and collect its report.  Instance order is fixed, so
     reports are deterministic for a given spec and seed; with several
     workers only wall time changes."""
-    instances_fn, evaluate_fn = CHECKS[spec.name]
-    instances = list(instances_fn(spec))
+    instances = list(CHECKS[spec.name].instances(spec))
     jobs = _clamp_jobs(jobs, len(instances))
     start = time.perf_counter()
     failures = []
     notes = []
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = pool.map(
-                _evaluate_packed,
-                [(spec.name, spec, args) for args in instances],
-                chunksize=max(1, len(instances) // (jobs * 8) or 1),
+            results = list(
+                pool.map(
+                    _evaluate,
+                    [spec] * len(instances),
+                    instances,
+                    chunksize=max(1, len(instances) // (jobs * 8) or 1),
+                )
             )
-            results = list(results)
     else:
-        results = [evaluate_fn(spec, args) for args in instances]
+        results = [_evaluate(spec, args) for args in instances]
     for res in results:
         if res is None:
             continue

@@ -601,6 +601,8 @@ class Element:
             if not isinstance(term, dict) or set(term) != {"monomial", "coeff"}:
                 raise ValueError("element term must have 'monomial' and 'coeff'")
             num, den = term["coeff"]
+            if isinstance(num, bool) or isinstance(den, bool):
+                raise ValueError("coefficient entries must be integers or strings, not booleans")
             num, den = int(num), int(den)
             if not den:
                 raise ValueError("coefficient denominator must be nonzero")
@@ -608,7 +610,9 @@ class Element:
             factor = cls.one(preset)
             for entry in term["monomial"]:
                 index, label, exp = entry
-                if not isinstance(exp, int) or exp < 1:
+                if not isinstance(index, int) or isinstance(index, bool):
+                    raise ValueError("generator index must be an integer")
+                if not isinstance(exp, int) or isinstance(exp, bool) or exp < 1:
                     raise ValueError("monomial exponent must be a positive integer")
                 label = ALabel.from_json(label)
                 if nvars is not None and label.nvars != nvars:

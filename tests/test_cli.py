@@ -183,6 +183,24 @@ class TestReduce:
         code, out = run_cli("reduce", str(path), "--variables", "2")
         assert code == 0 and "integral: true" in out
 
+    @pytest.mark.parametrize(
+        "monomial, coeff",
+        [
+            ([[True, [1], 1]], ["1", "1"]),
+            ([[1, [1], True]], ["1", "1"]),
+            ([[1, [True], 1]], ["1", "1"]),
+            ([[1, [1], 1]], [True, "1"]),
+        ],
+        ids=["index", "exponent", "label", "coeff"],
+    )
+    def test_boolean_is_exit_2(self, tmp_path, capsys, monomial, coeff):
+        path = tmp_path / "e.json"
+        path.write_text(json.dumps([{"monomial": monomial, "coeff": coeff}]), encoding="utf-8")
+        code, out = run_cli("reduce", str(path))
+        assert code == 2 and "integral" not in out
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_json_output_schema(self, tmp_path):
         data = [{"monomial": [[0, [0], 1]], "coeff": ["1", "1"]}]
         path = tmp_path / "e.json"
@@ -230,6 +248,20 @@ class TestCheck:
         assert out == ""
         err = capsys.readouterr().err
         assert "exh_szie" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            ["divided-powers", "--override", "max_total=-1"],
+            ["straightening", "--override", "exh_size=-1", "--override", "rand_count=-3"],
+        ],
+    )
+    def test_negative_override_is_exit_2(self, capsys, overrides):
+        code, out = run_cli("check", "--profile", "smoke", *overrides)
+        assert code == 2
+        assert out == ""
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_override_no_selected_check_has_is_exit_2(self, capsys):
         code, _ = run_cli(

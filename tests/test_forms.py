@@ -25,7 +25,7 @@ from mapalg.forms import (
     root_monomial,
 )
 from mapalg import forms
-from mapalg.pbw import Element, Gen, divided_power, make_preset, omega
+from mapalg.pbw import Element, Gen, binom_element, divided_power, make_preset, omega
 
 U = ALabel([0])
 T = ALabel([1])
@@ -145,6 +145,15 @@ class TestCartanPair:
         assert cartan_single(ms()) == Element.one(SL2)
         assert cartan_single(chi(T)) == -g(H, T)
         assert cartan_single(chi(U)) == -g(H, U)
+
+    def test_unit_label_is_signed_binomial(self):
+        # p({1:k}) = (-1)^k binom(h(x)1, k): the constant-label case of
+        # Garland's Lambda-series, computed here without the recursion.
+        for k in range(6):
+            assert cartan_single(chi(U, k)) == (-1) ** k * binom_element(g(H, U), k), k
+
+    def test_binomial_oracle_needs_the_unit_label(self):
+        assert cartan_single(chi(T, 2)) != binom_element(g(H, T), 2)
 
     def test_at_root(self):
         got = cartan_at_root(0, chi(U), SL3)
@@ -360,26 +369,25 @@ class TestMemoisedValues:
         singles = [cartan_at_root(a, c, SL3) for a, _, c in self.AT_ROOT_CASES]
         return pairs + singles
 
-    def test_at_root_cold_and_warm(self, monkeypatch):
+    def test_at_root_cold_and_warm(self):
         before = self._at_root_values()
-        monkeypatch.setattr(forms, "_at_root_cache", {})
-        monkeypatch.setattr(forms, "_cartan_pair_cache", {})
+        forms.clear_caches()
         cold = self._at_root_values()
         warm = self._at_root_values()
         assert cold == warm == before
+        assert all(a is not b for a, b in zip(before, cold))
         assert all(a is b for a, b in zip(cold, warm))
         for (a, phi, c), got in zip(self.AT_ROOT_CASES, cold):
             assert got == omega(a, cartan_pair(phi, c), SL3)
 
-    def test_reduce_cold_and_warm(self, monkeypatch):
+    def test_reduce_cold_and_warm(self):
         elems = [
             divided_power(SL2, Gen(XP, T), 2) * divided_power(SL2, Gen(XM, U), 3),
             Fraction(1, 2) * g(H, U) * g(H, T) + g(XM, T2),
             cartan_pair_at_root(2, ms((U, 1), (T, 1)), chi(T, 2), SL3)
             * g(SL3.pos_index(0), U, SL3),
         ]
-        monkeypatch.setattr(forms, "_reduction_step_cache", {})
-        monkeypatch.setattr(forms, "_basis_element_cache", {})
+        forms.clear_caches()
         cold = [reduce_to_basis(e) for e in elems]
         warm = [reduce_to_basis(e) for e in elems]
         for c, w in zip(cold, warm):

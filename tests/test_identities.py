@@ -5,6 +5,7 @@ import pytest
 from mapalg.combinatorics import ALabel, Multiset
 from mapalg.forms import cartan_pair, cartan_single, dressed_block, root_block
 from mapalg.identities import (
+    CHECKS,
     PROFILES,
     CheckFailure,
     _clamp_jobs,
@@ -135,6 +136,14 @@ class TestRunner:
         with pytest.raises(ValueError, match="none of the selected checks"):
             run_suite(["straightening", "A2"], profile="smoke", overrides={"max_total": 3})
 
+    def test_negative_override_rejected(self):
+        with pytest.raises(ValueError, match="must be >= 0"):
+            run_suite(["divided-powers"], profile="smoke", overrides={"max_total": -1})
+        with pytest.raises(ValueError, match="must be >= 0"):
+            run_suite(
+                ["straightening"], profile="smoke", overrides={"exh_size": -1, "rand_count": -3}
+            )
+
     def test_clamp_jobs(self):
         assert _clamp_jobs(64, 1000, cpus=2) == 2
         assert _clamp_jobs(8, 3, cpus=16) == 3
@@ -190,6 +199,17 @@ class TestRunner:
     def test_profiles_cover_all_checks(self):
         for profile, table in PROFILES.items():
             assert set(table) == set(check_names()), profile
+
+
+class TestCheckTable:
+    def test_every_kind_has_a_row_and_every_row_is_reached(self):
+        for name in check_names():
+            check = CHECKS[name]
+            yielded = set()
+            for preset in check.presets:
+                spec = make_spec(name, profile="smoke", preset=preset)
+                yielded |= {args[0] for args in check.instances(spec)}
+            assert yielded == set(check.kinds), name
 
 
 class TestDeskSubfamilies:
