@@ -13,6 +13,8 @@ import itertools
 import math
 import operator
 
+from .memo import memoised
+
 
 class ALabel(tuple):
     """A basis monomial of the coefficient algebra, as an exponent vector.
@@ -119,6 +121,10 @@ class Multiset:
 
     ``psi <= chi`` is the pointwise partial order from the math; use
     ``sort_key()`` when a total order is needed for sorting.
+
+    The public constructor validates, merges and sorts its entries; the
+    enumerations and ``-`` build results that are already canonical
+    through :meth:`_canonical`, which does none of that.
     """
 
     __slots__ = ("_items", "_map", "_size")
@@ -137,8 +143,21 @@ class Multiset:
         self._size = sum(acc.values())
 
     @classmethod
+    def _canonical(cls, items, size):
+        """Wrap a tuple of (key, multiplicity) pairs that is already in
+        canonical form: distinct keys in sort order, positive integer
+        multiplicities summing to ``size``.  Nothing is checked."""
+        self = object.__new__(cls)
+        self._items = items
+        self._map = dict(items)
+        self._size = size
+        return self
+
+    @classmethod
     def single(cls, key, mult=1):
         """The characteristic multiset of one key (scaled by ``mult``)."""
+        if mult == 1:
+            return cls._canonical(((key, 1),), 1)
         return cls(((key, mult),))
 
     @property
@@ -186,12 +205,23 @@ class Multiset:
     def __sub__(self, other):
         if not isinstance(other, Multiset):
             return NotImplemented
-        if not other <= self:
-            raise ValueError("cannot subtract %r from %r: not contained" % (other, self))
-        out = dict(self._map)
-        for k, m in other._items:
-            out[k] -= m
-        return Multiset(out)
+        taken = other._map
+        items = []
+        matched = 0
+        for k, m in self._items:
+            t = taken.get(k)
+            if t is None:
+                items.append((k, m))
+                continue
+            matched += 1
+            if t < m:
+                items.append((k, m - t))
+            elif t > m:
+                break
+        else:
+            if matched == len(taken):
+                return Multiset._canonical(tuple(items), self._size - other._size)
+        raise ValueError("cannot subtract %r from %r: not contained" % (other, self))
 
     def scale(self, k):
         k = int(k)
@@ -279,20 +309,28 @@ def label_product(ms, nvars=None):
     return out
 
 
+@memoised
+def _all_sub_multisets(chi):
+    keys = [k for k, _ in chi.items()]
+    ranges = [range(m + 1) for _, m in chi.items()]
+    return tuple(
+        Multiset._canonical(tuple((k, m) for k, m in zip(keys, combo) if m), sum(combo))
+        for combo in itertools.product(*ranges)
+    )
+
+
 def sub_multisets(chi, size=None):
     """All multisets contained pointwise in ``chi``, each exactly once.
 
     Without ``size`` the count is the product of (multiplicity + 1) over
     the support.  With ``size`` only those of that total size are yielded.
     The order is deterministic (per-key multiplicities counted up in key
-    order, last key fastest).
+    order, last key fastest).  The full list is built once per ``chi`` and
+    shared, so the yielded multisets are shared between callers too.
     """
     if size is not None and size < 0:
         raise ValueError("size must be >= 0")
-    keys = [k for k, _ in chi.items()]
-    ranges = [range(m + 1) for _, m in chi.items()]
-    for combo in itertools.product(*ranges):
-        psi = Multiset(zip(keys, combo))
+    for psi in _all_sub_multisets(chi):
         if size is None or psi.size == size:
             yield psi
 

@@ -11,7 +11,6 @@ by greedy leading-term elimination.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -25,33 +24,8 @@ from .combinatorics import (
     partitions,
     sub_multisets,
 )
+from .memo import clear_caches, memoised  # noqa: F401  (clear_caches is re-exported)
 from .pbw import Element, Gen, divided_power, make_preset, monomial_key, omega
-
-
-_memo_tables = []
-
-
-def memoised(fn):
-    """Cache ``fn`` on its positional arguments, one dict per function.
-    Cached values are shared and must not be mutated; a call that raises
-    stores nothing, and :func:`clear_caches` empties every table."""
-    table = {}
-    _memo_tables.append(table)
-
-    @functools.wraps(fn)
-    def wrapper(*args):
-        hit = table.get(args)
-        if hit is None:
-            hit = table[args] = fn(*args)
-        return hit
-
-    return wrapper
-
-
-def clear_caches():
-    """Empty every table filled through :func:`memoised`."""
-    for table in _memo_tables:
-        table.clear()
 
 
 def _sl2():
@@ -87,7 +61,7 @@ def root_monomial(sign, alpha, psi, preset=None):
     den = 1
     for _, m in psi.items():
         den *= math.factorial(m)
-    return Element.monomial(preset, mono, Fraction(1, den))
+    return Element._trusted(preset, {mono: 1}, den)
 
 
 @memoised

@@ -46,12 +46,12 @@ from .forms import (
     cartan_pair_at_root,
     cartan_single,
     dressed_block,
-    memoised,
     reduce_to_basis,
     root_block,
     root_block_expanded,
     root_monomial,
 )
+from .memo import memoised
 from .pbw import Element, Gen, ad_divided, divided_power, exact_solve, make_preset, omega
 
 
@@ -1056,8 +1056,14 @@ def _clamp_jobs(requested, instances, cpus=None):
 def run_check(spec, jobs=1):
     """Run one check and collect its report.  Instance order is fixed, so
     reports are deterministic for a given spec and seed; with several
-    workers only wall time changes."""
+    workers only wall time changes.  A family with no instances is refused:
+    it would pass without testing anything."""
     instances = list(CHECKS[spec.name].instances(spec))
+    if not instances:
+        raise ValueError(
+            "check %r has no instances under these bounds; an empty family proves nothing"
+            % spec.name
+        )
     jobs = _clamp_jobs(jobs, len(instances))
     start = time.perf_counter()
     failures = []

@@ -1,0 +1,42 @@
+"""One registry for every cache of the engine.
+
+Each cache is a plain dict made by :func:`new_table`, either directly (the
+per-preset product tables in :mod:`mapalg.pbw`) or through the
+:func:`memoised` decorator, and :func:`clear_caches` empties them all.
+Cached values are shared between callers and must not be mutated.
+"""
+
+from __future__ import annotations
+
+import functools
+
+_tables = []
+
+
+def new_table():
+    """A fresh dict registered for :func:`clear_caches`."""
+    table = {}
+    _tables.append(table)
+    return table
+
+
+def memoised(fn):
+    """Cache ``fn`` on its positional arguments, one dict per function
+    (exposed as ``.table``).  A call that raises stores nothing."""
+    table = new_table()
+
+    @functools.wraps(fn)
+    def wrapper(*args):
+        hit = table.get(args)
+        if hit is None:
+            hit = table[args] = fn(*args)
+        return hit
+
+    wrapper.table = table
+    return wrapper
+
+
+def clear_caches():
+    """Empty every registered table."""
+    for table in _tables:
+        table.clear()

@@ -7,6 +7,13 @@ already in triangular normal form.  Elements are finite rational linear
 combinations of such monomials over generators ``z tensor a`` where ``a``
 is a monomial label; products are straightened exactly with the rewrite
 ``x y = y x + [x, y]`` and never touch floating point.
+
+Monomials are multiplied as monomials, never flattened into words: the
+right factor's letters are inserted one at a time into the sorted left
+factor, with runs ``(g, e)`` kept as exponents.  Each non-trivial
+insertion step is memoised per preset on ``(monomial, generator)`` and
+each non-trivial product on ``(m1, m2)``; both tables join the registry of
+:mod:`mapalg.memo`.
 """
 
 from __future__ import annotations
@@ -16,6 +23,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .combinatorics import ALabel
+from .memo import new_table
 
 
 class Gen(NamedTuple):
@@ -153,7 +161,9 @@ class LiePreset:
                 if s in roots_by_vec:
                     self._root_sum[(j1, j2)] = roots_by_vec[s]
 
-        self._nf_cache = {}
+        # m1 · m2 and mono · g normal forms, see _mono_product and _insert
+        self._products = new_table()
+        self._inserts = new_table()
 
     def _validate_table(self):
         br = self._brackets
@@ -291,63 +301,67 @@ def make_preset(name):
     return preset
 
 
-def _collect(letters):
-    mono = []
-    for g in letters:
-        if mono and mono[-1][0] == g:
-            mono[-1][1] += 1
-        else:
-            mono.append([g, 1])
-    return tuple((g, e) for g, e in mono)
+def _insert(preset, mono, g):
+    """Normal form of ``mono · g`` for a sorted monomial and one generator,
+    as monomial -> int.
 
-
-def _normalize_word(preset, word):
-    """Normal form of a product of single generators, as monomial -> coeff.
-
-    Adjacent out-of-order pairs are transposed with the bracket correction
-    recorded as a strictly shorter word, which is normalized recursively.
-    Each transposition removes one inversion, so the sort terminates, and
-    the recursion depth is bounded by the word length.  The structure
-    constants are integers, so the coefficients are plain ``int``; they
-    become rationals only inside :class:`Element`.  Results are cached per
-    preset and must be treated as frozen by callers.
+    When ``g`` is not below the last letter the product is already sorted.
+    Otherwise write ``mono = prefix · x`` with one copy of its last letter
+    ``x`` split off and use the one rewrite ``x g = g x + [x, g]``:
+    ``prefix·x·g = (prefix·g)·x + sum_k c_k prefix·z_k`` for
+    ``[x, g] = sum_k c_k z_k``.  Every letter of ``prefix·g``'s leading
+    term is at most ``x``, and every other term is shorter, so the
+    recursion ends.  The structure constants are integers, so are the
+    coefficients.  Non-trivial results are memoised per preset on
+    ``(mono, g)``.
     """
-    cached = preset._nf_cache.get(word)
-    if cached is not None:
-        return cached
-    letters = list(word)
-    corrections = []
-    i = 0
-    while i + 1 < len(letters):
-        a = letters[i]
-        b = letters[i + 1]
-        if a <= b:
-            i += 1
-            continue
-        table = preset.bracket_pairs(a.index, b.index)
-        if table:
-            lab = a.label * b.label
-            head = tuple(letters[:i])
-            tail = tuple(letters[i + 2 :])
-            for k, c in table:
-                corrections.append((c, head + (Gen(k, lab),) + tail))
-        letters[i] = b
-        letters[i + 1] = a
-        if i:
-            i -= 1
+    if mono:
+        x, e = mono[-1]
+        if g < x:
+            key = (mono, g)
+            hit = preset._inserts.get(key)
+            if hit is None:
+                hit = preset._inserts[key] = _insert_below(preset, mono, g, x, e)
+            return hit
+        if g == x:
+            return {mono[:-1] + ((x, e + 1),): 1}
+    return {mono + ((g, 1),): 1}
+
+
+def _insert_below(preset, mono, g, x, e):
+    prefix = mono[:-1] + ((x, e - 1),) if e > 1 else mono[:-1]
     out = {}
-    for c, shorter in corrections:
-        for mono, f in _normalize_word(preset, shorter).items():
-            out[mono] = out.get(mono, 0) + c * f
-    mono = _collect(letters)
-    out[mono] = out.get(mono, 0) + 1
-    out = {m: f for m, f in out.items() if f}
-    preset._nf_cache[word] = out
+    for m, c in _insert(preset, prefix, g).items():
+        for m2, f in _insert(preset, m, x).items():
+            out[m2] = out.get(m2, 0) + c * f
+    table = preset.bracket_pairs(x.index, g.index)
+    if table:
+        lab = x.label * g.label
+        for k, ck in table:
+            for m, f in _insert(preset, prefix, Gen(k, lab)).items():
+                out[m] = out.get(m, 0) + ck * f
+    return {m: c for m, c in out.items() if c}
+
+
+def _mono_product(preset, m1, m2):
+    """Normal form of the product of two sorted monomials, as monomial ->
+    int: the last letter of ``m2`` is peeled off and inserted into every
+    monomial of ``m1`` times the rest.  Products that need rewriting are
+    memoised per preset on ``(m1, m2)``; the rest are concatenations."""
+    if not m1 or not m2 or m1[-1][0] < m2[0][0]:
+        return {m1 + m2: 1}
+    key = (m1, m2)
+    hit = preset._products.get(key)
+    if hit is not None:
+        return hit
+    g, e = m2[-1]
+    rest = m2[:-1] + ((g, e - 1),) if e > 1 else m2[:-1]
+    out = {}
+    for m, c in _mono_product(preset, m1, rest).items():
+        for m3, f in _insert(preset, m, g).items():
+            out[m3] = out.get(m3, 0) + c * f
+    out = preset._products[key] = {m: c for m, c in out.items() if c}
     return out
-
-
-def _flatten(mono):
-    return tuple(g for g, e in mono for _ in range(e))
 
 
 def monomial_key(mono):
@@ -370,6 +384,8 @@ class Element:
     are integer dict operations followed by one common-factor reduction,
     and :attr:`terms` is a derived read-only view of the coefficients as
     ``Fraction`` values, built on each access for rendering and export.
+    A product runs over pairs of monomials: a pair already in order is
+    concatenated, any other goes through :func:`_mono_product`.
     """
 
     __slots__ = ("preset", "num", "den")
@@ -485,13 +501,17 @@ class Element:
         if isinstance(other, Element):
             self._check_same(other)
             preset = self.preset
-            left = [(_flatten(m), a) for m, a in self.num.items()]
-            right = [(_flatten(m), b) for m, b in other.num.items()]
+            right = other.num.items()
             out = {}
-            for w1, a in left:
-                for w2, b in right:
+            for m1, a in self.num.items():
+                for m2, b in right:
+                    if not m1 or not m2 or m1[-1][0] < m2[0][0]:
+                        # already sorted: the common case, kept inline
+                        m = m1 + m2
+                        out[m] = out.get(m, 0) + a * b
+                        continue
                     c = a * b
-                    for m, f in _normalize_word(preset, w1 + w2).items():
+                    for m, f in _mono_product(preset, m1, m2).items():
                         out[m] = out.get(m, 0) + c * f
             out = {m: v for m, v in out.items() if v}
             return Element._reduced(preset, out, self.den * other.den)
@@ -637,7 +657,7 @@ def divided_power(preset, gen, r):
         raise ValueError("negative divided power")
     if r == 0:
         return Element.one(preset)
-    return Element(preset, {((gen, r),): Fraction(1, math.factorial(r))})
+    return Element._trusted(preset, {((gen, r),): 1}, math.factorial(r))
 
 
 def binom_element(u, r):

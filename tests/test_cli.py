@@ -263,6 +263,16 @@ class TestCheck:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
 
+    def test_empty_family_is_exit_2(self, capsys):
+        code, out = run_cli(
+            "check", "self-consistency", "--profile", "smoke",
+            "--override", "assoc_count=0", "--override", "word_len=0",
+        )
+        assert code == 2
+        assert out == ""
+        err = capsys.readouterr().err
+        assert "no instances" in err and err.count("\n") == 1
+
     def test_override_no_selected_check_has_is_exit_2(self, capsys):
         code, _ = run_cli(
             "check", "straightening", "--profile", "smoke", "--override", "max_total=3"

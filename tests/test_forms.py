@@ -395,6 +395,37 @@ class TestMemoisedValues:
             assert c.integral == w.integral
             assert c.residual.is_zero() and w.residual.is_zero()
 
+    def _registry_values(self):
+        u = divided_power(SL2, Gen(XP, T), 3) * divided_power(SL2, Gen(XM, U), 2)
+        v = g(H, T) + divided_power(SL2, Gen(XM, T), 2)
+        return [
+            u * v,
+            root_block(1, ms((U, 1), (T, 1)), ms((T, 2)), ms((U, 2))),
+            dressed_block(ms((U, 1), (T, 1)), ms((T, 1), (T2, 1)), chi(T)),
+        ]
+
+    def test_clear_caches_empties_every_table(self):
+        from mapalg import combinatorics, memo
+
+        named = [
+            SL2._products,
+            SL2._inserts,
+            combinatorics._all_sub_multisets.table,
+            root_block.table,
+            dressed_block.table,
+            cartan_pair.table,
+        ]
+        warm = self._registry_values()
+        assert all(named)
+        assert all(any(t is r for r in memo._tables) for t in named)
+        forms.clear_caches()
+        assert not any(memo._tables)
+        cold = self._registry_values()
+        assert cold == warm
+        assert all(c is not w for c, w in zip(cold, warm))
+        assert all(named)
+
+
 
 class TestEnumerateBasis:
     def test_degree_zero(self):

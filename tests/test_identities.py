@@ -1,4 +1,6 @@
+import json
 import os
+import re
 
 import pytest
 
@@ -25,6 +27,8 @@ U = ALabel([0])
 T = ALabel([1])
 
 SL2 = make_preset("sl2")
+
+REFERENCE = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "reference.json")
 
 
 def ms(*pairs):
@@ -102,6 +106,21 @@ class TestRunner:
         for report in reports:
             assert report.passed, report.name
             assert report.instances > 0
+        # the same counts, verdicts and A2 sign vectors as the benchmark's
+        # reference report (read only)
+        with open(REFERENCE, encoding="utf-8") as fh:
+            want = json.load(fh)["profiles"]["smoke"]
+        got = {
+            r.name: {"instances": r.instances, "verdict": "pass" if r.passed else "fail"}
+            for r in reports
+        }
+        assert got == want["checks"]
+        (a2,) = [r for r in reports if r.name == "A2"]
+        signs = {}
+        for note in a2.notes:
+            key, eps = re.fullmatch(r"signs (.*): eps=\[(.*)\]", note).groups()
+            signs[key] = [int(x) for x in eps.split(",")]
+        assert signs == want["a2_signs"]
 
     def test_unknown_check(self):
         with pytest.raises(ValueError):
@@ -135,6 +154,13 @@ class TestRunner:
     def test_override_absent_from_selected_checks_rejected(self):
         with pytest.raises(ValueError, match="none of the selected checks"):
             run_suite(["straightening", "A2"], profile="smoke", overrides={"max_total": 3})
+
+    def test_empty_family_rejected(self):
+        spec = make_spec(
+            "self-consistency", profile="smoke", overrides={"assoc_count": 0, "word_len": 0}
+        )
+        with pytest.raises(ValueError, match="no instances"):
+            run_check(spec)
 
     def test_negative_override_rejected(self):
         with pytest.raises(ValueError, match="must be >= 0"):

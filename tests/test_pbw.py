@@ -104,20 +104,28 @@ class TestMul:
             assert comm.is_zero() or comm.degree() <= 1
 
 
-def _normalize_rightmost(preset, word):
-    """Independent oracle: rightmost-inversion rewriting, no memoization."""
+def _normalize_rightmost(preset, word, memo=None):
+    """Independent oracle: rightmost-inversion rewriting of whole words.
+
+    It shares no code or cache with the engine; ``memo``, when given, is a
+    dict owned by the caller, so long words stay affordable in one test."""
+    if memo is not None and word in memo:
+        return memo[word]
     for i in reversed(range(len(word) - 1)):
         if word[i] > word[i + 1]:
             out = {}
             swapped = word[:i] + (word[i + 1], word[i]) + word[i + 2 :]
-            for m, c in _normalize_rightmost(preset, swapped).items():
+            for m, c in _normalize_rightmost(preset, swapped, memo).items():
                 out[m] = out.get(m, 0) + c
             lab = word[i].label * word[i + 1].label
             for k, cc in preset.bracket_pairs(word[i].index, word[i + 1].index):
                 shorter = word[:i] + (Gen(k, lab),) + word[i + 2 :]
-                for m, c in _normalize_rightmost(preset, shorter).items():
+                for m, c in _normalize_rightmost(preset, shorter, memo).items():
                     out[m] = out.get(m, 0) + cc * c
-            return {m: c for m, c in out.items() if c}
+            out = {m: c for m, c in out.items() if c}
+            if memo is not None:
+                memo[word] = out
+            return out
     mono = []
     for letter in word:
         if mono and mono[-1][0] == letter:
@@ -125,6 +133,32 @@ def _normalize_rightmost(preset, word):
         else:
             mono.append([letter, 1])
     return {tuple((x, e) for x, e in mono): Fraction(1)}
+
+
+def _flat_word(mono):
+    return tuple(x for x, e in mono for _ in range(e))
+
+
+def _oracle_product(u, v, memo):
+    """``u * v`` through the word oracle, pair of monomials by pair."""
+    out = Element.zero(u.preset)
+    for m1, a in u.terms.items():
+        for m2, b in v.terms.items():
+            word = _flat_word(m1) + _flat_word(m2)
+            out = out + a * b * Element(u.preset, _normalize_rightmost(u.preset, word, memo))
+    return out
+
+
+def _run_element(rng, preset, labels, runs, max_exp, terms):
+    """A sum of ``terms`` monomials, each up to ``runs`` sorted exponent runs
+    (a product of divided powers of distinct generators)."""
+    pool = [Gen(i, lab) for i in range(preset.dim) for lab in labels]
+    out = {}
+    while len(out) < terms:
+        gens = sorted(rng.sample(pool, rng.randint(1, runs)))
+        mono = tuple((x, rng.randint(1, max_exp)) for x in gens)
+        out[mono] = Fraction(rng.choice([-3, -1, 1, 2]), rng.choice([1, 2, 6]))
+    return Element(preset, out)
 
 
 class TestNormalization:
@@ -138,6 +172,58 @@ class TestNormalization:
                 via_engine = via_engine * g(SL2, *letter)
             oracle = Element(SL2, _normalize_rightmost(SL2, word))
             assert via_engine == oracle
+
+    def test_against_independent_normalizer_sl3(self):
+        rng = random.Random(11)
+        pool = [Gen(i, lab) for i in range(SL3.dim) for lab in (U, T)]
+        for _ in range(80):
+            word = tuple(rng.choice(pool) for _ in range(rng.randint(0, 6)))
+            via_engine = Element.one(SL3)
+            for letter in word:
+                via_engine = via_engine * g(SL3, *letter)
+            oracle = Element(SL3, _normalize_rightmost(SL3, word))
+            assert via_engine == oracle
+
+    @pytest.mark.parametrize("preset", [SL2, SL3], ids=["sl2", "sl3"])
+    def test_divided_power_products_against_oracle(self, preset):
+        # up to three divided powers of degree <= 4 in any order: words of
+        # up to 12 letters, as in the integrality ``product`` kind
+        rng = random.Random(17)
+        memo = {}
+        roots = [preset.root_index(sign, a) for sign in (1, -1) for a in range(preset.m)]
+        for _ in range(25 if preset is SL2 else 12):
+            factors = [
+                (Gen(rng.choice(roots), rng.choice((U, T))), rng.randint(1, 4))
+                for _ in range(rng.randint(2, 3))
+            ]
+            via_engine = Element.one(preset)
+            word = ()
+            scale = 1
+            for x, r in factors:
+                via_engine = via_engine * divided_power(preset, x, r)
+                word += (x,) * r
+                scale *= math.factorial(r)
+            oracle = Element(preset, _normalize_rightmost(preset, word, memo)) / scale
+            assert via_engine == oracle
+
+    @pytest.mark.parametrize("preset", [SL2, SL3], ids=["sl2", "sl3"])
+    def test_multi_term_run_products_against_oracle(self, preset):
+        rng = random.Random(19)
+        memo = {}
+        max_exp = 3 if preset is SL2 else 2
+        for _ in range(20 if preset is SL2 else 10):
+            u = _run_element(rng, preset, (U, T), 2, max_exp, 3)
+            v = _run_element(rng, preset, (U, T), 2, max_exp, 2)
+            assert len(u.num) > 1 and len(v.num) > 1
+            assert any(e > 1 for m in list(u.num) + list(v.num) for _, e in m)
+            assert u * v == _oracle_product(u, v, memo)
+
+    @pytest.mark.parametrize("preset", [SL2, SL3], ids=["sl2", "sl3"])
+    def test_associativity_with_exponent_runs(self, preset):
+        rng = random.Random(23)
+        for _ in range(20 if preset is SL2 else 10):
+            u, v, w = (_run_element(rng, preset, (U, T), 2, 3, 2) for _ in range(3))
+            assert (u * v) * w == u * (v * w)
 
     def test_left_right_words(self):
         pool = [Gen(i, lab) for i in range(3) for lab in (U, T)]
@@ -344,9 +430,10 @@ class TestRepresentation:
         b = divided_power(SL2, Gen(XP, T), 3) * divided_power(SL2, Gen(XM, U), 3)
         assert a and b
         for preset in (SL2, SL3):
-            assert preset._nf_cache
-            for form in preset._nf_cache.values():
-                assert all(type(c) is int and c for c in form.values())
+            for table in (preset._products, preset._inserts):
+                assert table
+                for form in table.values():
+                    assert all(type(c) is int and c for c in form.values())
 
     def test_arithmetic_keeps_nonzero_fractions(self):
         x = Fraction(1, 2) * g(SL2, XP, T) + Fraction(2, 3) * g(SL2, H, U)
