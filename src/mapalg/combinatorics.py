@@ -302,10 +302,15 @@ def label_product(ms, nvars=None):
         if nvars is None:
             raise ValueError("empty multiset: pass nvars to produce the unit label")
         return ALabel.unit(nvars)
-    first = ms.items()[0][0]
-    out = ALabel.unit(first.nvars)
-    for key, m in ms.items():
-        out = out * key**m
+    return fold_label(ALabel.unit(ms.items()[0][0].nvars), ms)
+
+
+def fold_label(start, *multisets):
+    """``start`` times every key of the multisets raised to its multiplicity."""
+    out = start
+    for ms in multisets:
+        for key, m in ms.items():
+            out = out * key**m
     return out
 
 

@@ -6,7 +6,8 @@ blocks combining both.  The rank-one objects are pushed into a larger
 algebra along a chosen root when needed.  The integral basis consists of
 products (negative part) x (Cartan part) x (positive part) indexed by
 tuples of label multisets, and arbitrary elements are reduced against it
-by greedy leading-term elimination.
+by greedy leading-term elimination, whose premise (each basis element has
+one top-degree term) is checked once per monomial.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from fractions import Fraction
 from .combinatorics import (
     ALabel,
     Multiset,
+    fold_label,
     multinomial,
     multisets_of_size,
     partitions,
@@ -38,14 +40,6 @@ def _sign(sign):
     if sign in (-1, "-", "-1"):
         return -1
     raise ValueError("sign must be + or -")
-
-
-def _fold_label(start, *multisets):
-    out = start
-    for ms in multisets:
-        for key, m in ms.items():
-            out = out * key**m
-    return out
 
 
 def root_monomial(sign, alpha, psi, preset=None):
@@ -87,7 +81,7 @@ def cartan_pair(phi, chi):
             rest = cartan_pair(phi - psi1, chi - psi2)
             if rest.is_zero():
                 continue
-            lab = _fold_label(ALabel.unit(psi1.items()[0][0].nvars), psi1, psi2)
+            lab = fold_label(ALabel.unit(psi1.items()[0][0].nvars), psi1, psi2)
             weight = multinomial(psi1) * multinomial(psi2)
             acc = acc + weight * (
                 Element.generator(sl2, sl2.cartan_index(0), lab) * rest
@@ -135,7 +129,7 @@ def root_block(sign, psi1, psi2, psi3):
         return Element.one(sl2) if not psi1 else Element.zero(sl2)
     if psi3.size == 1:
         b = psi3.items()[0][0]
-        lab = _fold_label(b, psi1, psi2)
+        lab = fold_label(b, psi1, psi2)
         weight = multinomial(psi1) * multinomial(psi2)
         return weight * Element.generator(sl2, sl2.root_index(sign, 0), lab)
     acc = Element.zero(sl2)
@@ -168,7 +162,7 @@ def root_block_expanded(sign, psi, b, k, c):
     for split in partitions(psi, k):
         term = Element.one(sl2)
         for part, cnt in split.items():
-            lab = _fold_label(c * b**part.size, part)
+            lab = fold_label(c * b**part.size, part)
             scalar = Fraction(multinomial(part)) ** cnt
             term = term * (scalar * divided_power(sl2, Gen(index, lab), cnt))
         acc = acc + term
@@ -203,9 +197,6 @@ class BasisIndex:
     minus: tuple
     zero: tuple
     plus: tuple
-
-    def total_size(self):
-        return sum(ms.size for ms in self.minus + self.zero + self.plus)
 
     def render(self):
         def block(mss):
@@ -255,13 +246,12 @@ def basis_element(preset, idx):
 
 @dataclass
 class ReductionResult:
-    """Exact decomposition over the basis: input = sum of coeff * basis
-    element + residual, with residual zero on success and ``integral``
-    true exactly when every coefficient is an integer."""
+    """Exact decomposition over the basis: the input equals the sum of
+    coeff * basis element over ``terms``, and ``integral`` is true exactly
+    when every coefficient is an integer."""
 
     terms: list
     integral: bool
-    residual: Element
 
     def to_json(self):
         return {
@@ -307,9 +297,26 @@ def _inverse_leading_coeff(idx):
 def _reduction_step(preset, mono):
     """(index, inverse leading coefficient, basis element) for the basis
     element whose top term is ``mono``, memoized per preset and monomial;
-    the element is the one stored by :func:`basis_element`."""
+    the element is the one stored by :func:`basis_element`.
+
+    Raises ValueError unless ``mono`` is that element's only monomial of
+    top degree, with coefficient one over the inverse leading coefficient:
+    the premise that makes greedy elimination exact.
+    """
     idx = _index_of_monomial(preset, mono)
-    return idx, _inverse_leading_coeff(idx), basis_element(preset, idx)
+    inv_lead = _inverse_leading_coeff(idx)
+    basis = basis_element(preset, idx)
+    top = sum(e for _, e in mono)
+    if basis.num.get(mono, 0) * inv_lead != basis.den or any(
+        sum(e for _, e in m) >= top for m in basis.num if m != mono
+    ):
+        raise ValueError(
+            "basis element %s does not have %s as its only top-degree term "
+            "with coefficient %s" % (
+                idx.render(), Element.monomial(preset, mono).render(), Fraction(1, inv_lead)
+            )
+        )
+    return idx, inv_lead, basis
 
 
 def reduce_to_basis(elem):
@@ -317,22 +324,23 @@ def reduce_to_basis(elem):
 
     Every monomial's exponent pattern names a unique index whose basis
     element has exactly that monomial as its top-degree term (the Cartan
-    factors contribute an alternating sign and lower-degree corrections).
-    Each round removes the maximal monomial of the residual and introduces
-    only strictly smaller degrees, so the loop terminates with residual
-    zero and reconstructs the input exactly.
+    factors contribute an alternating sign and lower-degree corrections);
+    :func:`_reduction_step` checks this once per monomial and raises
+    ValueError if it fails.  Each round removes the maximal monomial of
+    what is left and introduces only strictly smaller degrees, so the loop
+    terminates and the terms reconstruct the input exactly.
     """
     preset = elem.preset
-    residual = elem
+    rest = elem
     terms = []
-    while residual.num:
-        mono = max(residual.num, key=monomial_key)
+    while rest.num:
+        mono = max(rest.num, key=monomial_key)
         idx, inv_lead, basis = _reduction_step(preset, mono)
-        coeff = Fraction(residual.num[mono] * inv_lead, residual.den)
+        coeff = Fraction(rest.num[mono] * inv_lead, rest.den)
         terms.append((idx, coeff))
-        residual = residual - coeff * basis
+        rest = rest - coeff * basis
     integral = all(c.denominator == 1 for _, c in terms)
-    return ReductionResult(terms=terms, integral=integral, residual=residual)
+    return ReductionResult(terms=terms, integral=integral)
 
 
 def _labels_up_to(nvars, max_degree):

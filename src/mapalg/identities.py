@@ -14,18 +14,17 @@ table mapping every kind to its evaluator, and the algebras the check
 accepts.  Most evaluators are one of two properties: :func:`_equal`, two
 sides built from the instance agree, and :func:`_integral`, an element
 built from the instance reduces over the integral basis with integer
-coefficients and zero residual (optionally below a degree bound).  The
-few claims that fit neither have a short evaluator of their own.
+coefficients (optionally below a degree bound).  A reduction whose basis
+premise fails is reported as a failed instance.  The few claims that fit
+neither have a short evaluator of their own.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import os
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, NamedTuple
@@ -34,13 +33,13 @@ from .combinatorics import (
     ALabel,
     Multiset,
     binom_int,
+    fold_label,
     multinomial,
     multisets_of_size,
     sub_multisets,
     subpartitions,
 )
 from .forms import (
-    _fold_label,
     cartan_at_root,
     cartan_pair,
     cartan_pair_at_root,
@@ -192,20 +191,30 @@ def _equal(fmt, sides):
     return evaluate
 
 
+def _reduction(elem):
+    """``(reduce_to_basis(elem), None)``, or ``(None, message)`` when the
+    basis violates the reduction's premise, so that callers report it as a
+    failed instance."""
+    try:
+        return reduce_to_basis(elem), None
+    except ValueError as exc:
+        return None, str(exc)
+
+
 def _integral(fmt, build, bound=None):
     """Evaluator of "reduces integrally": ``build(*args[1:])`` must reduce
-    over the basis with integer coefficients and zero residual and, when
-    ``bound`` is given, have degree below ``bound(*args[1:])``."""
+    over the basis with integer coefficients and, when ``bound`` is given,
+    have degree below ``bound(*args[1:])``."""
 
     def evaluate(spec, args):
         elem = build(*args[1:])
-        result = reduce_to_basis(elem)
+        result, error = _reduction(elem)
         limit = None if bound is None else bound(*args[1:])
-        ok = result.integral and result.residual.is_zero()
+        ok = result is not None and result.integral
         if ok and (limit is None or _degree_below(elem, limit)):
             return None
-        expectation = "integral reduction with zero residual"
-        finding = "integral=%s residual=%s" % (result.integral, result.residual.render())
+        expectation = "integral reduction"
+        finding = error or "integral=%s" % result.integral
         if limit is not None:
             expectation += ", degree < %d" % limit
             finding += " degree=%s" % elem.degree()
@@ -376,18 +385,17 @@ def _cartan_product(spec, args):
     for a in both.support():
         factor *= binom_int(both.count(a), chi.count(a))
     elem = cartan_single(chi) * cartan_single(chi2) - factor * cartan_single(both)
-    result = reduce_to_basis(elem)
-    pure_cartan = all(
-        all(not ms for ms in idx.minus) and all(not ms for ms in idx.plus)
-        for idx, _ in result.terms
-    )
-    if result.integral and pure_cartan and result.residual.is_zero():
-        return None
+    result, finding = _reduction(elem)
+    if finding is None:
+        pure_cartan = all(
+            all(not ms for ms in idx.minus) and all(not ms for ms in idx.plus)
+            for idx, _ in result.terms
+        )
+        if result.integral and pure_cartan:
+            return None
+        finding = "integral=%s pure_cartan=%s" % (result.integral, pure_cartan)
     return _property_failure(
-        "chi=%s chi'=%s" % (chi, chi2),
-        elem,
-        "integral reduction over the Cartan block",
-        "integral=%s pure_cartan=%s" % (result.integral, pure_cartan),
+        "chi=%s chi'=%s" % (chi, chi2), elem, "integral reduction over the Cartan block", finding
     )
 
 
@@ -445,7 +453,7 @@ def _xq_sides(preset, alpha, i, b, phi, chi, side):
                 * multinomial(psi1)
                 * multinomial(psi2)
             )
-            lab = _fold_label(b, psi1, psi2)
+            lab = fold_label(b, psi1, psi2)
             rest = cartan_pair_at_root(
                 preset.simple_root_index(i), phi - psi1, chi - psi2, preset
             )
@@ -471,7 +479,7 @@ def _xrq_sides(preset, alpha, i, b, chi, r, side):
             scalar = Fraction(
                 binom_int(weight_base + part.size - 1, part.size) * multinomial(part)
             )
-            lab = _fold_label(b, part)
+            lab = fold_label(b, part)
             prod = prod * (
                 scalar**cnt
                 * divided_power(preset, Gen(preset.root_index(sign, alpha), lab), cnt)
@@ -510,7 +518,7 @@ def _qpx_sides(b, phi, chi, literal=False):
                     multinomial(f1)
                     * multinomial(f2)
                     * (
-                        Element.generator(sl2, sl2.pos_index(0), _fold_label(b, ps1, ps2))
+                        Element.generator(sl2, sl2.pos_index(0), fold_label(b, ps1, ps2))
                         * cartan_pair(phi - ps1, chi - ps2)
                     )
                 )
@@ -609,7 +617,7 @@ def _eqnq_sides(b, varphi, chi):
                 rest = cartan_pair(trimmed - phi1, chi - phi2)
                 if rest.is_zero():
                     continue
-                lab = _fold_label(b * c, phi1, phi2)
+                lab = fold_label(b * c, phi1, phi2)
                 rhs = rhs + (
                     multinomial(phi1)
                     * multinomial(phi2)
@@ -991,10 +999,6 @@ CHECKS = {
 }
 
 
-def _evaluate(spec, args):
-    return CHECKS[spec.name].kinds[args[0]](spec, args)
-
-
 def check_names():
     return list(CHECKS)
 
@@ -1045,42 +1049,23 @@ def _check_overrides(specs, overrides):
             raise ValueError("override %s=%d: a bound must be >= 0" % (key, value))
 
 
-def _clamp_jobs(requested, instances, cpus=None):
-    """Worker processes worth starting: no more than requested, than the
-    machine's CPUs or than there are instances, and at least one."""
-    if cpus is None:
-        cpus = os.cpu_count() or 1
-    return max(1, min(requested, cpus, instances))
-
-
-def run_check(spec, jobs=1):
-    """Run one check and collect its report.  Instance order is fixed, so
-    reports are deterministic for a given spec and seed; with several
-    workers only wall time changes.  A family with no instances is refused:
-    it would pass without testing anything."""
-    instances = list(CHECKS[spec.name].instances(spec))
+def run_check(spec):
+    """Run one check and collect its report.  Instances are evaluated in
+    their fixed order in this process, so reports are deterministic for a
+    given spec and seed.  A family with no instances is refused: it would
+    pass without testing anything."""
+    check = CHECKS[spec.name]
+    instances = list(check.instances(spec))
     if not instances:
         raise ValueError(
             "check %r has no instances under these bounds; an empty family proves nothing"
             % spec.name
         )
-    jobs = _clamp_jobs(jobs, len(instances))
     start = time.perf_counter()
     failures = []
     notes = []
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(
-                pool.map(
-                    _evaluate,
-                    [spec] * len(instances),
-                    instances,
-                    chunksize=max(1, len(instances) // (jobs * 8) or 1),
-                )
-            )
-    else:
-        results = [_evaluate(spec, args) for args in instances]
-    for res in results:
+    for args in instances:
+        res = check.kinds[args[0]](spec, args)
         if res is None:
             continue
         if isinstance(res, str):
@@ -1099,7 +1084,7 @@ def run_check(spec, jobs=1):
     )
 
 
-def run_suite(names, profile="desk", preset=None, seed=0, overrides=None, jobs=1):
+def run_suite(names, profile="desk", preset=None, seed=0, overrides=None):
     """Run several checks and return their reports in order."""
     if names == ["all"] or names == ("all",):
         names = check_names()
@@ -1108,4 +1093,4 @@ def run_suite(names, profile="desk", preset=None, seed=0, overrides=None, jobs=1
         for name in names
     ]
     _check_overrides(specs, overrides)
-    return [run_check(spec, jobs=jobs) for spec in specs]
+    return [run_check(spec) for spec in specs]

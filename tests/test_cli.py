@@ -1,10 +1,16 @@
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import mapalg
+from mapalg import forms
 from mapalg.cli import main, parse_multiset
 from mapalg.combinatorics import ALabel, Multiset
+from mapalg.pbw import Element, make_preset
 
 
 def run_cli(*argv):
@@ -152,6 +158,25 @@ class TestReduce:
         code, _ = run_cli("reduce", "/nonexistent/e.json")
         assert code == 2
 
+    def test_broken_basis_premise_is_exit_2(self, tmp_path, capsys):
+        sl2 = make_preset("sl2")
+        t, one = ALabel([1]), ALabel([0])
+        idx = forms.BasisIndex((Multiset.single(t),), (Multiset(),), (Multiset.single(one),))
+        good = forms.basis_element(sl2, idx)
+        extra = Element.generator(sl2, 0, one) * Element.generator(sl2, 2, one)
+        path = tmp_path / "e.json"
+        path.write_text(json.dumps([{"monomial": [[0, [1], 1], [2, [0], 1]], "coeff": ["1", "1"]}]))
+        forms._reduction_step.table.clear()
+        forms.basis_element.table[(sl2, idx)] = good + extra
+        try:
+            code, out = run_cli("reduce", str(path))
+        finally:
+            forms.clear_caches()
+        assert code == 2
+        assert out == ""
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and idx.render() in err
+
     def test_zero_denominator_is_exit_2(self, tmp_path, capsys):
         data = [{"monomial": [[1, [0], 1]], "coeff": ["1", "0"]}]
         path = tmp_path / "e.json"
@@ -282,10 +307,30 @@ class TestCheck:
 
     def test_jobs_echoes_requested_value(self):
         code, out = run_cli(
-            "check", "divided-powers", "--profile", "smoke", "--jobs", "3", "--format", "json"
+            "check", "divided-powers", "--profile", "smoke", "--jobs", "1", "--format", "json"
         )
         assert code == 0
-        assert json.loads(out)["config"]["jobs"] == 3
+        assert json.loads(out)["config"]["jobs"] == 1
+
+    @pytest.mark.parametrize("jobs", ["0", "2"])
+    def test_jobs_other_than_one_is_exit_2(self, capsys, jobs):
+        code, out = run_cli("check", "divided-powers", "--profile", "smoke", "--jobs", jobs)
+        assert code == 2
+        assert out == ""
+        assert capsys.readouterr().err.count("\n") == 1
+
+    def test_import_loads_no_process_pool(self):
+        src = os.path.dirname(os.path.dirname(mapalg.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        code = (
+            "import sys, mapalg.cli; "
+            "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules))"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
 
     def test_bad_override(self):
         code, _ = run_cli("check", "straightening", "--override", "rand_count=x")

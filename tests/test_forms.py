@@ -1,4 +1,5 @@
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -25,6 +26,7 @@ from mapalg.forms import (
     root_monomial,
 )
 from mapalg import forms
+from mapalg.identities import CHECKS, CheckFailure, make_spec
 from mapalg.pbw import Element, Gen, binom_element, divided_power, make_preset, omega
 
 U = ALabel([0])
@@ -293,17 +295,18 @@ class TestBasisElement:
 
 
 class TestReduce:
-    def test_single_generator(self):
+    def test_single_generator(self, reconstructs):
         result = reduce_to_basis(g(XM, U))
         assert len(result.terms) == 1
         idx, coeff = result.terms[0]
         assert coeff == 1
         assert idx == BasisIndex((chi(U),), (ms(),), (ms(),))
         assert result.integral
-        assert result.residual.is_zero()
+        reconstructs(result, g(XM, U))
 
-    def test_straightened_product(self):
-        result = reduce_to_basis(g(XP, U) * g(XM, U))
+    def test_straightened_product(self, reconstructs):
+        elem = g(XP, U) * g(XM, U)
+        result = reduce_to_basis(elem)
         got = {(idx.minus, idx.zero, idx.plus): coeff for idx, coeff in result.terms}
         want = {
             ((chi(U),), (ms(),), (chi(U),)): Fraction(1),
@@ -311,20 +314,21 @@ class TestReduce:
         }
         assert got == want
         assert result.integral
-        assert result.residual.is_zero()
+        reconstructs(result, elem)
 
-    def test_non_integral_detected(self):
-        result = reduce_to_basis(Fraction(1, 2) * g(H, U))
+    def test_non_integral_detected(self, reconstructs):
+        elem = Fraction(1, 2) * g(H, U)
+        result = reduce_to_basis(elem)
         assert not result.integral
-        assert result.residual.is_zero()
+        reconstructs(result, elem)
 
-    def test_zero_element(self):
+    def test_zero_element(self, reconstructs):
         result = reduce_to_basis(Element.zero(SL2))
         assert result.terms == []
         assert result.integral
-        assert result.residual.is_zero()
+        reconstructs(result, Element.zero(SL2))
 
-    def test_round_trip_reconstruction(self):
+    def test_round_trip_reconstruction(self, reconstructs):
         import random
 
         rng = random.Random(3)
@@ -336,22 +340,47 @@ class TestReduce:
                 for _ in range(rng.randint(0, 3)):
                     term = term * Element.generator(SL2, *rng.choice(pool))
                 elem = elem + Fraction(rng.randint(-6, 6), rng.randint(1, 3)) * term
-            result = reduce_to_basis(elem)
-            rebuilt = Element.zero(SL2)
-            for idx, coeff in result.terms:
-                rebuilt = rebuilt + coeff * basis_element(SL2, idx)
-            assert rebuilt + result.residual == elem
-            assert result.residual.is_zero()
+            reconstructs(reduce_to_basis(elem), elem)
 
-    def test_sl3_reduction(self):
+    def test_sl3_reduction(self, reconstructs):
         elem = g(SL3.pos_index(0), U, SL3) * g(SL3.neg_index(0), T, SL3)
         result = reduce_to_basis(elem)
-        assert result.residual.is_zero()
         assert result.integral
-        rebuilt = Element.zero(SL3)
-        for idx, coeff in result.terms:
-            rebuilt = rebuilt + coeff * basis_element(SL3, idx)
-        assert rebuilt == elem
+        reconstructs(result, elem)
+
+    def test_corrupted_basis_element_is_refused(self):
+        """Negative control for the premise check: a basis element of
+        x-(t) x+(1) with a second top-degree monomial x-(1) x+(1) must stop
+        the reduction, and the integrality check must report it as a failed
+        instance."""
+        idx = BasisIndex((chi(T),), (ms(),), (chi(U),))
+        elem = g(XM, T) * g(XP, U)
+        good = basis_element(SL2, idx)
+        forms._reduction_step.table.clear()
+        basis_element.table[(SL2, idx)] = good + g(XM, U) * g(XP, U)
+        try:
+            with pytest.raises(ValueError, match=re.escape(idx.render())):
+                reduce_to_basis(elem)
+            evaluate = CHECKS["integrality"].kinds["product"]
+            spec = make_spec("integrality", profile="smoke")
+            failure = evaluate(spec, ("product", ((-1, T, 1), (1, U, 1))))
+            assert isinstance(failure, CheckFailure)
+            assert idx.render() in failure.diff
+        finally:
+            forms.clear_caches()
+        assert reduce_to_basis(elem).terms == [(idx, 1)]
+
+    def test_wrong_leading_coefficient_is_refused(self):
+        idx = BasisIndex((chi(T),), (ms(),), (chi(U),))
+        (mono,) = (g(XM, T) * g(XP, U)).num
+        good = basis_element(SL2, idx)
+        forms._reduction_step.table.clear()
+        basis_element.table[(SL2, idx)] = 2 * good
+        try:
+            with pytest.raises(ValueError, match=re.escape(idx.render())):
+                forms._reduction_step(SL2, mono)
+        finally:
+            forms.clear_caches()
 
 
 class TestMemoisedValues:
@@ -380,7 +409,7 @@ class TestMemoisedValues:
         for (a, phi, c), got in zip(self.AT_ROOT_CASES, cold):
             assert got == omega(a, cartan_pair(phi, c), SL3)
 
-    def test_reduce_cold_and_warm(self):
+    def test_reduce_cold_and_warm(self, reconstructs):
         elems = [
             divided_power(SL2, Gen(XP, T), 2) * divided_power(SL2, Gen(XM, U), 3),
             Fraction(1, 2) * g(H, U) * g(H, T) + g(XM, T2),
@@ -390,10 +419,11 @@ class TestMemoisedValues:
         forms.clear_caches()
         cold = [reduce_to_basis(e) for e in elems]
         warm = [reduce_to_basis(e) for e in elems]
-        for c, w in zip(cold, warm):
+        for c, w, e in zip(cold, warm, elems):
             assert c.terms == w.terms and c.terms
             assert c.integral == w.integral
-            assert c.residual.is_zero() and w.residual.is_zero()
+            reconstructs(c, e)
+            reconstructs(w, e)
 
     def _registry_values(self):
         u = divided_power(SL2, Gen(XP, T), 3) * divided_power(SL2, Gen(XM, U), 2)

@@ -10,7 +10,6 @@ from mapalg.identities import (
     CHECKS,
     PROFILES,
     CheckFailure,
-    _clamp_jobs,
     _eqnq_sides,
     _idbbd_sides,
     _qpx_sides,
@@ -170,13 +169,6 @@ class TestRunner:
                 ["straightening"], profile="smoke", overrides={"exh_size": -1, "rand_count": -3}
             )
 
-    def test_clamp_jobs(self):
-        assert _clamp_jobs(64, 1000, cpus=2) == 2
-        assert _clamp_jobs(8, 3, cpus=16) == 3
-        assert _clamp_jobs(2, 100, cpus=4) == 2
-        assert _clamp_jobs(4, 0, cpus=4) == 1
-        assert 1 <= _clamp_jobs(10**6, 10**6) <= max(1, os.cpu_count() or 1)
-
     def test_report_json_schema(self):
         spec = make_spec("divided-powers", profile="smoke")
         report = run_check(spec)
@@ -200,15 +192,6 @@ class TestRunner:
         assert report.passed
         assert report.notes
         assert all("eps=" in note for note in report.notes)
-
-    def test_parallel_matches_serial(self):
-        spec = make_spec("D-identities", profile="smoke", seed=7)
-        serial = run_check(spec, jobs=1)
-        parallel = run_check(spec, jobs=2)
-        a, b = serial.to_json(), parallel.to_json()
-        a.pop("elapsedMs")
-        b.pop("elapsedMs")
-        assert a == b
 
     def test_failures_carry_recomputable_difference(self):
         # evaluate a deliberately wrong identity through the same plumbing
@@ -249,9 +232,10 @@ class TestDeskSubfamilies:
         deg = elem.degree()
         assert deg is not None and deg <= 3
 
-    def test_integrality_of_pair_reduction(self):
+    def test_integrality_of_pair_reduction(self, reconstructs):
         from mapalg.forms import reduce_to_basis
 
-        result = reduce_to_basis(cartan_pair(chi(T, 2), chi(U, 2)))
+        elem = cartan_pair(chi(T, 2), chi(U, 2))
+        result = reduce_to_basis(elem)
         assert result.integral
-        assert result.residual.is_zero()
+        reconstructs(result, elem)
