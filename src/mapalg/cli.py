@@ -306,28 +306,23 @@ def _cmd_check(args, out):
         seed=args.seed,
         overrides=overrides,
     )
-    if config.output_format == "json":
-        doc = {"config": config.to_json(), "reports": [r.to_json() for r in reports]}
-        print(json.dumps(doc, indent=2), file=out)
-    else:
-        print(config.header(), file=out)
-        for report in reports:
-            status = "PASS" if report.passed else "FAIL"
-            print(
-                "check %s: %s  instances=%d elapsed=%.0fms"
-                % (report.name, status, report.instances, report.elapsed_ms),
-                file=out,
-            )
-            for note in report.notes:
-                print("  note: %s" % note, file=out)
-            if report.failures:
-                first = report.failures[0]
-                print("  first counterexample: %s" % first.args, file=out)
-                print("    lhs:  %s" % first.lhs, file=out)
-                print("    rhs:  %s" % first.rhs, file=out)
-                print("    diff: %s" % first.diff, file=out)
-        passed = sum(1 for r in reports if r.passed)
-        print("summary: %d/%d passed" % (passed, len(reports)), file=out)
+    lines = []
+    for report in reports:
+        status = "PASS" if report.passed else "FAIL"
+        lines.append(
+            "check %s: %s  instances=%d elapsed=%.0fms"
+            % (report.name, status, report.instances, report.elapsed_ms)
+        )
+        lines.extend("  note: %s" % note for note in report.notes)
+        if report.failures:
+            first = report.failures[0]
+            lines.append("  first counterexample: %s" % first.args)
+            lines.append("    lhs:  %s" % first.lhs)
+            lines.append("    rhs:  %s" % first.rhs)
+            lines.append("    diff: %s" % first.diff)
+    passed = sum(1 for r in reports if r.passed)
+    lines.append("summary: %d/%d passed" % (passed, len(reports)))
+    _emit(config, {"reports": [r.to_json() for r in reports]}, lines, out)
     return 0 if all(r.passed for r in reports) else 1
 
 

@@ -127,7 +127,7 @@ class Multiset:
     through :meth:`_canonical`, which does none of that.
     """
 
-    __slots__ = ("_items", "_map", "_size")
+    __slots__ = ("_items", "_size")
 
     def __init__(self, entries=()):
         acc = {}
@@ -138,7 +138,6 @@ class Multiset:
                 raise ValueError("negative multiplicity %d for %r" % (mult, key))
             if mult:
                 acc[key] = acc.get(key, 0) + mult
-        self._map = acc
         self._items = tuple(sorted(acc.items(), key=lambda kv: kv[0].sort_key()))
         self._size = sum(acc.values())
 
@@ -149,7 +148,6 @@ class Multiset:
         multiplicities summing to ``size``.  Nothing is checked."""
         self = object.__new__(cls)
         self._items = items
-        self._map = dict(items)
         self._size = size
         return self
 
@@ -171,10 +169,14 @@ class Multiset:
         return tuple(k for k, _ in self._items)
 
     def count(self, key):
-        return self._map.get(key, 0)
+        # a scan: the multisets of the engine have at most a few keys
+        for k, m in self._items:
+            if k == key:
+                return m
+        return 0
 
     def __contains__(self, key):
-        return key in self._map
+        return any(k == key for k, _ in self._items)
 
     def __bool__(self):
         return bool(self._items)
@@ -205,7 +207,7 @@ class Multiset:
     def __sub__(self, other):
         if not isinstance(other, Multiset):
             return NotImplemented
-        taken = other._map
+        taken = dict(other._items)
         items = []
         matched = 0
         for k, m in self._items:
@@ -338,6 +340,16 @@ def sub_multisets(chi, size=None):
     for psi in _all_sub_multisets(chi):
         if size is None or psi.size == size:
             yield psi
+
+
+def matched_splits(psi1, psi2):
+    """Every pair ``(phi1, phi2)`` of sub-multisets of ``psi1`` and ``psi2``
+    of equal size, in the order of two nested :func:`sub_multisets` loops."""
+    subs2 = _all_sub_multisets(psi2)
+    for phi1 in _all_sub_multisets(psi1):
+        for phi2 in subs2:
+            if phi1.size == phi2.size:
+                yield phi1, phi2
 
 
 def _parts_descending(budget):

@@ -21,10 +21,10 @@ from .combinatorics import (
     ALabel,
     Multiset,
     fold_label,
+    matched_splits,
     multinomial,
     multisets_of_size,
     partitions,
-    sub_multisets,
 )
 from .memo import clear_caches, memoised  # noqa: F401  (clear_caches is re-exported)
 from .pbw import Element, Gen, divided_power, make_preset, monomial_key, omega
@@ -72,20 +72,17 @@ def cartan_pair(phi, chi):
     if not phi:
         return Element.one(sl2)
     acc = Element.zero(sl2)
-    for psi1 in sub_multisets(phi):
+    for psi1, psi2 in matched_splits(phi, chi):
         if not psi1:
             continue
-        for psi2 in sub_multisets(chi):
-            if not psi2 or psi1.size != psi2.size:
-                continue
-            rest = cartan_pair(phi - psi1, chi - psi2)
-            if rest.is_zero():
-                continue
-            lab = fold_label(ALabel.unit(psi1.items()[0][0].nvars), psi1, psi2)
-            weight = multinomial(psi1) * multinomial(psi2)
-            acc = acc + weight * (
-                Element.generator(sl2, sl2.cartan_index(0), lab) * rest
-            )
+        rest = cartan_pair(phi - psi1, chi - psi2)
+        if rest.is_zero():
+            continue
+        lab = fold_label(ALabel.unit(psi1.items()[0][0].nvars), psi1, psi2)
+        weight = multinomial(psi1) * multinomial(psi2)
+        acc = acc + weight * (
+            Element.generator(sl2, sl2.cartan_index(0), lab) * rest
+        )
     return -(acc / phi.size)
 
 
@@ -135,15 +132,12 @@ def root_block(sign, psi1, psi2, psi3):
     acc = Element.zero(sl2)
     for b in psi3.support():
         rest3 = psi3 - Multiset.single(b)
-        for phi1 in sub_multisets(psi1):
-            for phi2 in sub_multisets(psi2):
-                if phi1.size != phi2.size:
-                    continue
-                left = root_block(sign, phi1, phi2, Multiset.single(b))
-                right = root_block(sign, psi1 - phi1, psi2 - phi2, rest3)
-                if left.is_zero() or right.is_zero():
-                    continue
-                acc = acc + left * right
+        for phi1, phi2 in matched_splits(psi1, psi2):
+            left = root_block(sign, phi1, phi2, Multiset.single(b))
+            right = root_block(sign, psi1 - phi1, psi2 - phi2, rest3)
+            if left.is_zero() or right.is_zero():
+                continue
+            acc = acc + left * right
     return acc / psi3.size
 
 
@@ -174,17 +168,14 @@ def dressed_block(psi1, psi2, psi3):
     """Root block dressed with Cartan pairs over all sub-multiset splits
     of its first two arguments."""
     acc = Element.zero(_sl2())
-    for phi1 in sub_multisets(psi1):
-        for phi2 in sub_multisets(psi2):
-            if phi1.size != phi2.size:
-                continue
-            pair = cartan_pair(phi1, phi2)
-            if pair.is_zero():
-                continue
-            block = root_block(1, psi1 - phi1, psi2 - phi2, psi3)
-            if block.is_zero():
-                continue
-            acc = acc + pair * block
+    for phi1, phi2 in matched_splits(psi1, psi2):
+        pair = cartan_pair(phi1, phi2)
+        if pair.is_zero():
+            continue
+        block = root_block(1, psi1 - phi1, psi2 - phi2, psi3)
+        if block.is_zero():
+            continue
+        acc = acc + pair * block
     return acc
 
 

@@ -11,12 +11,15 @@ recomputed nonzero difference.
 A check is declared as data: one :class:`Check` row in :data:`CHECKS`
 holds an instance generator, whose tuples start with their kind, a kind
 table mapping every kind to its evaluator, and the algebras the check
-accepts.  Most evaluators are one of two properties: :func:`_equal`, two
-sides built from the instance agree, and :func:`_integral`, an element
-built from the instance reduces over the integral basis with integer
-coefficients (optionally below a degree bound).  A reduction whose basis
-premise fails is reported as a failed instance.  The few claims that fit
-neither have a short evaluator of their own.
+accepts.  An evaluator is a function of the instance's fields alone.
+Nearly all are one of two properties: :func:`_equal`, two sides built
+from the instance agree, and :func:`_integral`, an element built from the
+instance reduces over the integral basis with integer coefficients
+(optionally below a degree bound).  Degree claims are equations too: an
+element equals its part in a degree range (:func:`_graded_part`).  A
+reduction whose basis premise fails is reported as a failed instance.
+Only the Cartan product, the adjoint integrality and the A2 sign
+extraction keep an evaluator of their own.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from .combinatorics import (
     Multiset,
     binom_int,
     fold_label,
+    matched_splits,
     multinomial,
     multisets_of_size,
     sub_multisets,
@@ -161,11 +165,6 @@ def _multisets_up_to(pool, max_size):
     return out
 
 
-def _degree_below(elem, bound):
-    deg = elem.degree()
-    return deg is None or deg < bound
-
-
 def _failure(args, lhs, rhs):
     diff = lhs - rhs
     if diff.is_zero():
@@ -178,17 +177,32 @@ def _property_failure(args, elem, expectation, finding):
 
 
 def _equal(fmt, sides):
-    """Evaluator of "both sides agree": ``sides(*args[1:])`` returns the
-    two elements, and ``fmt % args[1:]`` names a failing instance.  The
-    storage is canonical, so ``==`` decides equality."""
+    """Evaluator of "both sides agree": ``sides(*fields)`` returns the two
+    elements, and ``fmt % fields`` names a failing instance.  The storage
+    is canonical, so ``==`` decides equality."""
 
-    def evaluate(spec, args):
-        lhs, rhs = sides(*args[1:])
+    def evaluate(*fields):
+        lhs, rhs = sides(*fields)
         if lhs == rhs:
             return None
-        return _failure(fmt % args[1:], lhs, rhs)
+        return _failure(fmt % fields, lhs, rhs)
 
     return evaluate
+
+
+def _graded_part(elem, lo=0, hi=None):
+    """The terms of ``elem`` whose total degree lies in ``[lo, hi]``.
+
+    Rebuilt through ``Element._reduced``: the kept numerators may share a
+    factor with the denominator, and ``==`` is only exact on canonical
+    storage, so a part equal in value must also be equal in storage.
+    """
+    num = {}
+    for m, c in elem.num.items():
+        deg = sum(e for _, e in m)
+        if lo <= deg and (hi is None or deg <= hi):
+            num[m] = c
+    return Element._reduced(elem.preset, num, elem.den)
 
 
 def _reduction(elem):
@@ -202,23 +216,24 @@ def _reduction(elem):
 
 
 def _integral(fmt, build, bound=None):
-    """Evaluator of "reduces integrally": ``build(*args[1:])`` must reduce
+    """Evaluator of "reduces integrally": ``build(*fields)`` must reduce
     over the basis with integer coefficients and, when ``bound`` is given,
-    have degree below ``bound(*args[1:])``."""
+    have degree below ``bound(*fields)``."""
 
-    def evaluate(spec, args):
-        elem = build(*args[1:])
+    def evaluate(*fields):
+        elem = build(*fields)
         result, error = _reduction(elem)
-        limit = None if bound is None else bound(*args[1:])
+        limit = None if bound is None else bound(*fields)
+        deg = None if limit is None else elem.degree()
         ok = result is not None and result.integral
-        if ok and (limit is None or _degree_below(elem, limit)):
+        if ok and (deg is None or deg < limit):
             return None
         expectation = "integral reduction"
         finding = error or "integral=%s" % result.integral
         if limit is not None:
             expectation += ", degree < %d" % limit
-            finding += " degree=%s" % elem.degree()
-        return _property_failure(fmt % args[1:], elem, expectation, finding)
+            finding += " degree=%s" % deg
+        return _property_failure(fmt % fields, elem, expectation, finding)
 
     return evaluate
 
@@ -308,30 +323,16 @@ def _expanded_sides(sign, psi, b, k, c):
     return lhs, rhs
 
 
-def _homogeneous(spec, args):
-    _, sign, psi1, psi2, psi3 = args
-    elem = root_block(sign, psi1, psi2, psi3)
-    bad = [m for m in elem.num if sum(e for _, e in m) != psi3.size]
-    if not bad:
-        return None
-    return _property_failure(
-        "sign=%+d psi1=%s psi2=%s psi3=%s" % args[1:],
-        elem,
-        "every monomial of total degree %d" % psi3.size,
-        "monomial of degree %d found" % sum(e for _, e in bad[0]),
-    )
+def _homogeneous_sides(sign, psi1, psi2, psi3):
+    """The block against its part of degree ``|psi3|``."""
+    block = root_block(sign, psi1, psi2, psi3)
+    return block, _graded_part(block, psi3.size, psi3.size)
 
 
-def _dressed_degree(spec, args):
-    _, psi1, psi2, psi3 = args
-    elem = dressed_block(psi1, psi2, psi3)
-    bound = psi3.size + psi1.size
-    deg = elem.degree()
-    if deg is None or deg <= bound:
-        return None
-    return _property_failure(
-        "psi1=%s psi2=%s psi3=%s" % args[1:], elem, "degree <= %d" % bound, "degree %d" % deg
-    )
+def _dressed_degree_sides(psi1, psi2, psi3):
+    """The dressed block against its part of degree at most ``|psi1| + |psi3|``."""
+    block = dressed_block(psi1, psi2, psi3)
+    return block, _graded_part(block, hi=psi1.size + psi3.size)
 
 
 # ---------------------------------------------------------------------------
@@ -355,8 +356,6 @@ def _instances_p_properties(spec):
 
 def _leading_term(chi):
     sl2 = make_preset("sl2")
-    if not chi:
-        return Element.one(sl2)
     mono = tuple((Gen(sl2.cartan_index(0), a), m) for a, m in chi.items())
     coeff = Fraction((-1) ** chi.size)
     for _, m in chi.items():
@@ -364,22 +363,14 @@ def _leading_term(chi):
     return Element.monomial(sl2, mono, coeff)
 
 
-def _leading(spec, args):
-    chi = args[1]
-    elem = cartan_single(chi)
-    rest = elem - _leading_term(chi)
-    if chi.size > 0 and not _degree_below(rest, chi.size):
-        return _property_failure(
-            "chi=%s" % chi, elem, "leading term of degree %d, rest lower" % chi.size,
-            "rest has degree %s" % rest.degree(),
-        )
-    if not chi and not rest.is_zero():
-        return _property_failure("chi={}", elem, "1", "mismatch")
-    return None
+def _leading_sides(chi):
+    """The part of degree at least ``|chi|`` against the leading term.  The
+    leading term is homogeneous of degree ``|chi|``, so equality says that
+    everything else has lower degree; for ``chi = {}`` both sides are 1."""
+    return _graded_part(cartan_single(chi), chi.size), _leading_term(chi)
 
 
-def _cartan_product(spec, args):
-    _, chi, chi2 = args
+def _cartan_product(chi, chi2):
     both = chi + chi2
     factor = 1
     for a in both.support():
@@ -444,23 +435,20 @@ def _xq_sides(preset, alpha, i, b, phi, chi, side):
     xgen = Element.generator(preset, preset.root_index(1 if side == "i" else -1, alpha), b)
     lhs = xgen * pair if side == "i" else pair * xgen
     rhs = Element.zero(preset)
-    for psi1 in sub_multisets(phi):
-        for psi2 in sub_multisets(chi):
-            if psi1.size != psi2.size:
-                continue
-            coeff = (
-                binom_int(weight_base + psi1.size - 1, psi1.size)
-                * multinomial(psi1)
-                * multinomial(psi2)
-            )
-            lab = fold_label(b, psi1, psi2)
-            rest = cartan_pair_at_root(
-                preset.simple_root_index(i), phi - psi1, chi - psi2, preset
-            )
-            gen = Element.generator(
-                preset, preset.root_index(1 if side == "i" else -1, alpha), lab
-            )
-            rhs = rhs + coeff * (rest * gen if side == "i" else gen * rest)
+    for psi1, psi2 in matched_splits(phi, chi):
+        coeff = (
+            binom_int(weight_base + psi1.size - 1, psi1.size)
+            * multinomial(psi1)
+            * multinomial(psi2)
+        )
+        lab = fold_label(b, psi1, psi2)
+        rest = cartan_pair_at_root(
+            preset.simple_root_index(i), phi - psi1, chi - psi2, preset
+        )
+        gen = Element.generator(
+            preset, preset.root_index(1 if side == "i" else -1, alpha), lab
+        )
+        rhs = rhs + coeff * (rest * gen if side == "i" else gen * rest)
     return lhs, rhs
 
 
@@ -562,21 +550,18 @@ def _idD_sides(sign, b, psi1, psi2, psi3, variant):
         lhs = (psi2.size + psi3.size) * root_block(sign, psi1, psi2, psi3)
     sl2 = make_preset("sl2")
     rhs = Element.zero(sl2)
-    for phi1 in sub_multisets(psi1):
-        for phi2 in sub_multisets(psi2):
-            if phi1.size != phi2.size:
+    for phi1, phi2 in matched_splits(psi1, psi2):
+        weight = phi2.count(b) if variant == "i" else phi1.size + 1
+        if weight == 0:
+            continue
+        for c in psi3.support():
+            left = root_block(sign, phi1, phi2, Multiset.single(c))
+            right = root_block(
+                sign, psi1 - phi1, psi2 - phi2, psi3 - Multiset.single(c)
+            )
+            if left.is_zero() or right.is_zero():
                 continue
-            weight = phi2.count(b) if variant == "i" else phi1.size + 1
-            if weight == 0:
-                continue
-            for c in psi3.support():
-                left = root_block(sign, phi1, phi2, Multiset.single(c))
-                right = root_block(
-                    sign, psi1 - phi1, psi2 - phi2, psi3 - Multiset.single(c)
-                )
-                if left.is_zero() or right.is_zero():
-                    continue
-                rhs = rhs + weight * (left * right)
+            rhs = rhs + weight * (left * right)
     return lhs, rhs
 
 
@@ -591,16 +576,13 @@ def _idbbd_sides(b, varphi, chi):
     for phi in sub_multisets(varphi):
         rhs = rhs - (chi.count(b) + 1) * dressed_block(phi, grown, varphi - phi)
     for phi in sub_multisets(varphi):
-        for phi1 in sub_multisets(phi):
-            for phi2 in sub_multisets(chi):
-                if phi1.size != phi2.size:
-                    continue
-                left = root_block(-1, phi1, phi2, Multiset.single(b))
-                if left.is_zero():
-                    continue
-                rhs = rhs + (phi1.size + 1) * (
-                    left * dressed_block(phi - phi1, chi - phi2, varphi - phi)
-                )
+        for phi1, phi2 in matched_splits(phi, chi):
+            left = root_block(-1, phi1, phi2, Multiset.single(b))
+            if left.is_zero():
+                continue
+            rhs = rhs + (phi1.size + 1) * (
+                left * dressed_block(phi - phi1, chi - phi2, varphi - phi)
+            )
     return lhs, rhs
 
 
@@ -610,19 +592,16 @@ def _eqnq_sides(b, varphi, chi):
     rhs = Element.zero(sl2)
     for c in varphi.support():
         trimmed = varphi - Multiset.single(c)
-        for phi1 in sub_multisets(trimmed):
-            for phi2 in sub_multisets(chi):
-                if phi1.size != phi2.size:
-                    continue
-                rest = cartan_pair(trimmed - phi1, chi - phi2)
-                if rest.is_zero():
-                    continue
-                lab = fold_label(b * c, phi1, phi2)
-                rhs = rhs + (
-                    multinomial(phi1)
-                    * multinomial(phi2)
-                    * (Element.generator(sl2, sl2.cartan_index(0), lab) * rest)
-                )
+        for phi1, phi2 in matched_splits(trimmed, chi):
+            rest = cartan_pair(trimmed - phi1, chi - phi2)
+            if rest.is_zero():
+                continue
+            lab = fold_label(b * c, phi1, phi2)
+            rhs = rhs + (
+                multinomial(phi1)
+                * multinomial(phi2)
+                * (Element.generator(sl2, sl2.cartan_index(0), lab) * rest)
+            )
     return lhs, rhs
 
 
@@ -708,15 +687,15 @@ def _instances_integrality(spec):
                 yield ("bracket-px", a, chi, r)
 
 
-def _ad_integral(spec, args):
-    _, preset_name, sign, alpha, b, r, z, c = args
+def _ad_integral(preset_name, sign, alpha, b, r, z, c):
     preset = make_preset(preset_name)
     x = Gen(preset.root_index(sign, alpha), b)
     w = ad_divided(preset, x, r, Element.generator(preset, z, c))
     if w.is_integral():
         return None
     return _property_failure(
-        "ad %s sign=%+d alpha=%d b=%s r=%d z=%d c=%s" % args[1:],
+        "ad %s sign=%+d alpha=%d b=%s r=%d z=%d c=%s"
+        % (preset_name, sign, alpha, b, r, z, c),
         w,
         "integer coordinates",
         "fractional coefficient",
@@ -746,8 +725,7 @@ def _instances_A2(spec):
                             yield ("a2", sign, aidx, bidx, r, s, a, b)
 
 
-def _a2_signs(spec, args):
-    _, sign, aidx, bidx, r, s, a, b = args
+def _a2_signs(sign, aidx, bidx, r, s, a, b):
     sl3 = make_preset("sl3")
     theta = sl3.root_sum_index(aidx, bidx)
     ga = Gen(sl3.root_index(sign, aidx), a)
@@ -765,7 +743,7 @@ def _a2_signs(spec, args):
     monos = sorted({m for t in cand_terms for m in t} | set(lhs_terms))
     columns = [tuple(t.get(m, 0) for m in monos) for t in cand_terms]
     target = tuple(lhs_terms.get(m, 0) for m in monos)
-    args_str = "sign=%+d roots=(%d,%d) r=%d s=%d a=%s b=%s" % args[1:]
+    args_str = "sign=%+d roots=(%d,%d) r=%d s=%d a=%s b=%s" % (sign, aidx, bidx, r, s, a, b)
     try:
         eps = exact_solve(columns, target)
     except ValueError:
@@ -815,22 +793,16 @@ def _divided_power_law_sides(index, b, r, s):
     return lhs, rhs
 
 
-def _word_pool(pool):
-    sl2 = make_preset("sl2")
-    return [Gen(i, b) for i in range(sl2.dim) for b in pool]
-
-
 def _instances_self_consistency(spec):
     p = spec.params
-    pool = _pool(p["labels"])
-    gens = _word_pool(pool)
+    gens = [Gen(i, b) for i in range(make_preset("sl2").dim) for b in _pool(p["labels"])]
     rng = random.Random(spec.seed)
 
     def rand_elem_spec():
         words = []
         for _ in range(rng.randint(1, 2)):
             length = rng.randint(1, 2)
-            word = tuple(rng.randrange(len(gens)) for _ in range(length))
+            word = tuple(gens[rng.randrange(len(gens))] for _ in range(length))
             coeff = rng.choice([-3, -2, -1, 1, 2, 3])
             words.append((coeff, word))
         return tuple(words)
@@ -838,42 +810,34 @@ def _instances_self_consistency(spec):
     for n in range(p["assoc_count"]):
         yield ("assoc", n, rand_elem_spec(), rand_elem_spec(), rand_elem_spec())
     for length in range(1, p["word_len"] + 1):
-        for word in itertools.product(range(len(gens)), repeat=length):
+        for word in itertools.product(gens, repeat=length):
             yield ("word", word)
 
 
-def _build_from_spec(gens, espec):
+def _build_from_spec(espec):
+    """The sum of ``coeff`` times the left-folded product of each word."""
     sl2 = make_preset("sl2")
     out = Element.zero(sl2)
     for coeff, word in espec:
         term = Element.one(sl2)
-        for gi in word:
-            term = term * Element.generator(sl2, gens[gi].index, gens[gi].label)
+        for g in word:
+            term = term * Element.generator(sl2, g.index, g.label)
         out = out + coeff * term
     return out
 
 
-def _associative(spec, args):
-    _, n, su, sv, sw = args
-    gens = _word_pool(_pool(spec.params["labels"]))
-    u = _build_from_spec(gens, su)
-    v = _build_from_spec(gens, sv)
-    w = _build_from_spec(gens, sw)
-    return _failure("assoc #%d" % n, (u * v) * w, u * (v * w))
+def _associativity_sides(n, su, sv, sw):
+    u, v, w = _build_from_spec(su), _build_from_spec(sv), _build_from_spec(sw)
+    return (u * v) * w, u * (v * w)
 
 
-def _fold_order(spec, args):
-    _, word = args
-    gens = _word_pool(_pool(spec.params["labels"]))
+def _fold_order_sides(word):
+    """A word multiplied from the left against the same word from the right."""
     sl2 = make_preset("sl2")
-    factors = [Element.generator(sl2, gens[gi].index, gens[gi].label) for gi in word]
-    left = Element.one(sl2)
-    for f in factors:
-        left = left * f
     right = Element.one(sl2)
-    for f in reversed(factors):
-        right = f * right
-    return _failure("word %s" % (word,), left, right)
+    for g in reversed(word):
+        right = Element.generator(sl2, g.index, g.label) * right
+    return _build_from_spec(((1, word),)), right
 
 
 # ---------------------------------------------------------------------------
@@ -881,11 +845,12 @@ def _fold_order(spec, args):
 
 
 class Check(NamedTuple):
-    """One check as data.  ``instances(spec)`` yields argument tuples whose
-    first entry is their kind; ``kinds`` maps every kind to an evaluator
-    ``(spec, args)`` returning None on success, a :class:`CheckFailure`,
-    or a note string for the report; ``presets`` are the algebras the
-    check may be forced onto."""
+    """One check as data.  ``instances(spec)`` yields tuples whose first
+    entry is their kind and whose other entries are the instance's fields;
+    ``kinds`` maps every kind to an evaluator called with those fields
+    alone, returning None on success, a :class:`CheckFailure`, or a note
+    string for the report; ``presets`` are the algebras the check may be
+    forced onto."""
 
     instances: Callable
     kinds: dict
@@ -905,15 +870,15 @@ CHECKS = {
         _instances_D_consistency,
         {
             "expanded": _equal("sign=%+d psi=%s b=%s k=%d c=%s", _expanded_sides),
-            "homogeneous": _homogeneous,
-            "dressed-degree": _dressed_degree,
+            "homogeneous": _equal("sign=%+d psi1=%s psi2=%s psi3=%s", _homogeneous_sides),
+            "dressed-degree": _equal("psi1=%s psi2=%s psi3=%s", _dressed_degree_sides),
         },
         ("sl2",),
     ),
     "p-properties": Check(
         _instances_p_properties,
         {
-            "leading": _leading,
+            "leading": _equal("chi=%s", _leading_sides),
             "product": _cartan_product,
             "multiplicative": _equal("l=%d a=%s b=%s", _multiplicative_sides),
         },
@@ -993,7 +958,10 @@ CHECKS = {
     ),
     "self-consistency": Check(
         _instances_self_consistency,
-        {"assoc": _associative, "word": _fold_order},
+        {
+            "assoc": _equal("assoc #%d %s %s %s", _associativity_sides),
+            "word": _equal("word %s", _fold_order_sides),
+        },
         ("sl2",),
     ),
 }
@@ -1065,7 +1033,7 @@ def run_check(spec):
     failures = []
     notes = []
     for args in instances:
-        res = check.kinds[args[0]](spec, args)
+        res = check.kinds[args[0]](*args[1:])
         if res is None:
             continue
         if isinstance(res, str):
@@ -1085,9 +1053,17 @@ def run_check(spec):
 
 
 def run_suite(names, profile="desk", preset=None, seed=0, overrides=None):
-    """Run several checks and return their reports in order."""
-    if names == ["all"] or names == ("all",):
+    """Run several checks and return their reports in order.  ``all``
+    stands for every check and must be named alone; no check may be named
+    twice."""
+    names = list(names)
+    if "all" in names:
+        if len(names) > 1:
+            raise ValueError("'all' already names every check; give it alone")
         names = check_names()
+    for name in names:
+        if names.count(name) > 1:
+            raise ValueError("check %r is named more than once" % name)
     specs = [
         make_spec(name, profile=profile, preset=preset, seed=seed, overrides=overrides)
         for name in names

@@ -5,6 +5,9 @@ everywhere, no tolerances) and prints a single PASS/FAIL line.  The desk
 checks are executed once per session and shared.
 """
 
+import json
+import os
+import re
 from fractions import Fraction
 
 import pytest
@@ -17,6 +20,8 @@ from mapalg.pbw import Element, Gen, divided_power, make_preset
 U = ALabel([0])
 T = ALabel([1])
 SL2 = make_preset("sl2")
+
+REFERENCE = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "reference.json")
 
 ALL_CHECKS = (
     "straightening",
@@ -190,3 +195,20 @@ def test_criterion_12_engine_self_consistency(desk):
         and counts.get("word") == 6 + 36 + 216 + 1296
     )
     _verdict(12, "associativity and fold-order agreement", ok)
+
+
+def test_desk_matches_reference(desk):
+    """The desk counts, verdicts and A2 sign vectors equal the benchmark's
+    reference report (read only)."""
+    with open(REFERENCE, encoding="utf-8") as fh:
+        want = json.load(fh)["profiles"]["desk"]
+    got = {
+        name: {"instances": report.instances, "verdict": "pass" if report.passed else "fail"}
+        for name, (_, report) in desk.items()
+    }
+    assert got == want["checks"]
+    signs = {}
+    for note in desk["A2"][1].notes:
+        key, eps = re.fullmatch(r"signs (.*): eps=\[(.*)\]", note).groups()
+        signs[key] = [int(x) for x in eps.split(",")]
+    assert signs == want["a2_signs"]

@@ -250,6 +250,20 @@ class TestCheck:
         code, _ = run_cli("check", "bogus", "--profile", "smoke")
         assert code == 2
 
+    def test_repeated_check_is_exit_2(self, capsys):
+        code, out = run_cli("check", "straightening", "straightening", "--profile", "smoke")
+        assert code == 2
+        assert out == ""
+        err = capsys.readouterr().err
+        assert "more than once" in err and err.count("\n") == 1
+
+    def test_all_with_other_names_is_exit_2(self, capsys):
+        code, out = run_cli("check", "all", "straightening", "--profile", "smoke")
+        assert code == 2
+        assert out == ""
+        err = capsys.readouterr().err
+        assert "'all'" in err and err.count("\n") == 1
+
     def test_all_json(self):
         code, out = run_cli("check", "all", "--profile", "smoke", "--format", "json")
         assert code == 0

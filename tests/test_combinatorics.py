@@ -8,6 +8,7 @@ from mapalg.combinatorics import (
     Multiset,
     binom_int,
     label_product,
+    matched_splits,
     multinomial,
     partitions,
     sub_multisets,
@@ -223,6 +224,26 @@ class TestSubMultisets:
     def test_deterministic(self):
         chi = ms((U, 2), (T, 2))
         assert list(sub_multisets(chi)) == list(sub_multisets(chi))
+
+
+class TestMatchedSplits:
+    @pytest.mark.parametrize(
+        "psi1, psi2",
+        [
+            (ms((U, 2), (T, 1)), ms((T, 1), (T2, 2))),
+            (ms((U, 1), (T, 3)), ms((U, 2), (T, 1), (T2, 1))),
+            (ms(), ms((T, 2))),
+            (ms((T2, 2)), ms()),
+        ],
+    )
+    def test_equals_the_size_filtered_double_loop(self, psi1, psi2):
+        want = [
+            (phi1, phi2)
+            for phi1 in sub_multisets(psi1)
+            for phi2 in sub_multisets(psi2)
+            if phi1.size == phi2.size
+        ]
+        assert list(matched_splits(psi1, psi2)) == want
 
 
 class TestPartitions:

@@ -26,7 +26,7 @@ from mapalg.forms import (
     root_monomial,
 )
 from mapalg import forms
-from mapalg.identities import CHECKS, CheckFailure, make_spec
+from mapalg.identities import CHECKS, CheckFailure
 from mapalg.pbw import Element, Gen, binom_element, divided_power, make_preset, omega
 
 U = ALabel([0])
@@ -362,8 +362,7 @@ class TestReduce:
             with pytest.raises(ValueError, match=re.escape(idx.render())):
                 reduce_to_basis(elem)
             evaluate = CHECKS["integrality"].kinds["product"]
-            spec = make_spec("integrality", profile="smoke")
-            failure = evaluate(spec, ("product", ((-1, T, 1), (1, U, 1))))
+            failure = evaluate(((-1, T, 1), (1, U, 1)))
             assert isinstance(failure, CheckFailure)
             assert idx.render() in failure.diff
         finally:

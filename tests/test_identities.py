@@ -1,6 +1,7 @@
 import json
 import os
 import re
+from fractions import Fraction
 
 import pytest
 
@@ -11,6 +12,7 @@ from mapalg.identities import (
     PROFILES,
     CheckFailure,
     _eqnq_sides,
+    _graded_part,
     _idbbd_sides,
     _qpx_sides,
     _straightening_sides,
@@ -20,6 +22,7 @@ from mapalg.identities import (
     run_check,
     run_suite,
 )
+from mapalg.memo import clear_caches
 from mapalg.pbw import Element, make_preset
 
 U = ALabel([0])
@@ -219,6 +222,45 @@ class TestCheckTable:
                 spec = make_spec(name, profile="smoke", preset=preset)
                 yielded |= {args[0] for args in check.instances(spec)}
             assert yielded == set(check.kinds), name
+
+
+class TestDegreeRowsFire:
+    """Negative controls for the degree rows: one monomial of the wrong
+    degree added to a memoised block must make its row report a failure."""
+
+    H = Element.generator(SL2, SL2.cartan_index(0), U)
+
+    def _fires(self, check, kind, fields, table, key, extra):
+        evaluate = CHECKS[check].kinds[kind]
+        assert evaluate(*fields) is None
+        table[key] = table[key] + extra
+        try:
+            assert isinstance(evaluate(*fields), CheckFailure)
+        finally:
+            clear_caches()
+        assert evaluate(*fields) is None
+
+    def test_graded_part_is_canonical(self):
+        # over the denominator 4 the kept numerator is 2: equal in value
+        # to h/2, and it must be equal in storage too
+        elem = Fraction(1, 2) * self.H + Fraction(1, 4) * self.H * self.H
+        assert _graded_part(elem, 1, 1) == Fraction(1, 2) * self.H
+        assert _graded_part(elem, 2) == Fraction(1, 4) * self.H * self.H
+        assert _graded_part(elem, 3).is_zero()
+
+    def test_homogeneous(self):
+        fields = (1, chi(T), chi(U), ms((U, 1), (T, 1)))
+        self._fires("D-consistency", "homogeneous", fields, root_block.table, fields, self.H)
+
+    def test_dressed_degree(self):
+        fields = (chi(U, 2), chi(T, 2), chi(T))
+        self._fires(
+            "D-consistency", "dressed-degree", fields, dressed_block.table, fields, self.H**4
+        )
+
+    def test_leading(self):
+        key = (chi(T, 2), chi(U, 2))
+        self._fires("p-properties", "leading", (chi(T, 2),), cartan_pair.table, key, self.H**3)
 
 
 class TestDeskSubfamilies:
