@@ -330,6 +330,10 @@ def _cmd_basis(args, out):
     config = _config_from(args)
     if args.max_degree < 0 or args.max_label_degree < 0:
         raise CliError("bounds must be >= 0")
+    if config.mode == "laurent":
+        raise CliError(
+            "basis lists polynomial labels only; Laurent labels are not enumerable by degree"
+        )
     preset = make_preset(config.algebra)
     indices = list(
         enumerate_basis(preset, args.max_degree, args.max_label_degree, config.variables)

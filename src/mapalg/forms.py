@@ -6,8 +6,9 @@ blocks combining both.  The rank-one objects are pushed into a larger
 algebra along a chosen root when needed.  The integral basis consists of
 products (negative part) x (Cartan part) x (positive part) indexed by
 tuples of label multisets, and arbitrary elements are reduced against it
-by greedy leading-term elimination, whose premise (each basis element has
-one top-degree term) is checked once per monomial.
+by exact leading-term elimination, one degree layer at a time from the
+top, over integer numerators.  Its premise (each basis element has one
+top-degree term) is checked once per monomial.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .combinatorics import (
     partitions,
 )
 from .memo import clear_caches, memoised  # noqa: F401  (clear_caches is re-exported)
-from .pbw import Element, Gen, divided_power, make_preset, monomial_key, omega
+from .pbw import Element, Gen, divided_power, make_preset, omega
 
 
 def _sl2():
@@ -252,22 +253,16 @@ class ReductionResult:
 
 
 def _index_of_monomial(preset, mono):
-    minus = [dict() for _ in range(preset.m)]
-    zero = [dict() for _ in range(preset.rank)]
-    plus = [dict() for _ in range(preset.m)]
+    """The basis index whose top term is ``mono``.  A sorted monomial lists
+    the labels of each generator slot in ascending order, which is the
+    canonical order of a multiset, so each slot's multiset is wrapped as
+    it is."""
+    slots = [[] for _ in range(preset.dim)]
     for g, e in mono:
-        cls, pos = preset.kind(g.index)
-        if cls == "neg":
-            minus[pos][g.label] = e
-        elif cls == "cartan":
-            zero[pos][g.label] = e
-        else:
-            plus[pos][g.label] = e
-    return BasisIndex(
-        tuple(Multiset(d) for d in minus),
-        tuple(Multiset(d) for d in zero),
-        tuple(Multiset(d) for d in plus),
-    )
+        slots[g.index].append((g.label, e))
+    parts = [Multiset._canonical(tuple(s), sum(e for _, e in s)) for s in slots]
+    m, r = preset.m, preset.rank
+    return BasisIndex(tuple(parts[:m]), tuple(parts[m : m + r]), tuple(parts[m + r :]))
 
 
 def _inverse_leading_coeff(idx):
@@ -286,9 +281,14 @@ def _inverse_leading_coeff(idx):
 
 @memoised
 def _reduction_step(preset, mono):
-    """(index, inverse leading coefficient, basis element) for the basis
-    element whose top term is ``mono``, memoized per preset and monomial;
-    the element is the one stored by :func:`basis_element`.
+    """``(index, inverse leading coefficient, tail denominator, tail)`` for
+    the basis element whose top term is ``mono``, memoized per preset and
+    monomial; the element is the one stored by :func:`basis_element`.
+
+    The tail is ``inv_lead * basis - mono``, the correction that
+    eliminating ``mono`` leaves behind, as integer numerators over the
+    tail denominator (reduced to lowest terms), grouped by total degree:
+    a tuple of ``(degree, ((monomial, numerator), ...))``.
 
     Raises ValueError unless ``mono`` is that element's only monomial of
     top degree, with coefficient one over the inverse leading coefficient:
@@ -298,38 +298,73 @@ def _reduction_step(preset, mono):
     inv_lead = _inverse_leading_coeff(idx)
     basis = basis_element(preset, idx)
     top = sum(e for _, e in mono)
-    if basis.num.get(mono, 0) * inv_lead != basis.den or any(
-        sum(e for _, e in m) >= top for m in basis.num if m != mono
-    ):
+    groups = {}
+    premise = basis.num.get(mono, 0) * inv_lead == basis.den
+    for m, c in basis.num.items():
+        if m == mono:
+            continue
+        degree = sum(e for _, e in m)
+        if degree >= top:
+            premise = False
+            break
+        groups.setdefault(degree, []).append((m, c * inv_lead))
+    if not premise:
         raise ValueError(
             "basis element %s does not have %s as its only top-degree term "
             "with coefficient %s" % (
                 idx.render(), Element.monomial(preset, mono).render(), Fraction(1, inv_lead)
             )
         )
-    return idx, inv_lead, basis
+    den = basis.den
+    g = math.gcd(den, *(c for group in groups.values() for _, c in group))
+    tail = tuple(
+        (degree, tuple((m, c // g) for m, c in group))
+        for degree, group in groups.items()
+    )
+    return idx, inv_lead, den // g, tail
 
 
 def reduce_to_basis(elem):
-    """Greedy leading-term elimination against the basis.
+    """Exact leading-term elimination against the basis, one degree layer
+    at a time.
 
     Every monomial's exponent pattern names a unique index whose basis
     element has exactly that monomial as its top-degree term (the Cartan
     factors contribute an alternating sign and lower-degree corrections);
     :func:`_reduction_step` checks this once per monomial and raises
-    ValueError if it fails.  Each round removes the maximal monomial of
-    what is left and introduces only strictly smaller degrees, so the loop
-    terminates and the terms reconstruct the input exactly.
+    ValueError if it fails.  Eliminating a monomial therefore only adds
+    terms of lower degree, so each layer of the residual is final once
+    the layers above it are done.  Layers are taken from the top degree
+    down, each in descending monomial order, and every step subtracts its
+    tail into the residual's integer numerators, which share one
+    denominator (scaled up when a tail's denominator is not 1).  The
+    terms come out in the order of "take the maximal monomial of what is
+    left" and reconstruct the input exactly.
     """
-    preset = elem.preset
-    rest = elem
+    den = elem.den
+    layers = {}
+    for mono, c in elem.num.items():
+        layers.setdefault(sum(e for _, e in mono), {})[mono] = c
     terms = []
-    while rest.num:
-        mono = max(rest.num, key=monomial_key)
-        idx, inv_lead, basis = _reduction_step(preset, mono)
-        coeff = Fraction(rest.num[mono] * inv_lead, rest.den)
-        terms.append((idx, coeff))
-        rest = rest - coeff * basis
+    for degree in range(max(layers, default=-1), -1, -1):
+        layer = layers.pop(degree, None)
+        if not layer:
+            continue
+        for mono in sorted(layer, reverse=True):
+            c = layer[mono]
+            if not c:
+                continue
+            idx, inv_lead, tail_den, tail = _reduction_step(elem.preset, mono)
+            terms.append((idx, Fraction(c * inv_lead, den)))
+            if tail_den != 1:
+                den *= tail_den
+                for residual in (layer, *layers.values()):
+                    for m in residual:
+                        residual[m] *= tail_den
+            for lower, group in tail:
+                residual = layers.setdefault(lower, {})
+                for m, t in group:
+                    residual[m] = residual.get(m, 0) - c * t
     integral = all(c.denominator == 1 for _, c in terms)
     return ReductionResult(terms=terms, integral=integral)
 

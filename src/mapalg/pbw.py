@@ -364,11 +364,6 @@ def _mono_product(preset, m1, m2):
     return out
 
 
-def monomial_key(mono):
-    """Sort key: total exponent first, then the monomial itself."""
-    return (sum(e for _, e in mono), mono)
-
-
 class Element:
     """A finite rational combination of PBW-ordered monomials.
 

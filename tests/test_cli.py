@@ -386,3 +386,10 @@ class TestBasis:
         code, out = run_cli("basis", "--max-degree", "1", "--format", "json")
         doc = json.loads(out)
         assert doc["count"] == len(doc["basis"])
+
+    def test_laurent_mode_is_exit_2(self, capsys):
+        code, out = run_cli("basis", "--max-degree", "1", "--mode", "laurent")
+        assert code == 2
+        assert out == ""
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Laurent" in err

@@ -110,6 +110,48 @@ def _elem_to_poly(elem):
     return out
 
 
+def _greedy_reduction(elem):
+    """Reference for :func:`reduce_to_basis`: the max-scan loop it replaced.
+    Each round takes the maximal monomial (total degree, then monomial
+    order) of what is left, indexes it with the validating multiset
+    constructor and subtracts its multiple of the basis element."""
+    preset = elem.preset
+    rest = elem
+    terms = []
+    while rest.num:
+        mono = max(rest.num, key=lambda m: (sum(e for _, e in m), m))
+        parts = [dict() for _ in range(preset.dim)]
+        for gen, e in mono:
+            parts[gen.index][gen.label] = e
+        parts = [Multiset(d) for d in parts]
+        m, r = preset.m, preset.rank
+        idx = BasisIndex(tuple(parts[:m]), tuple(parts[m : m + r]), tuple(parts[m + r :]))
+        basis = basis_element(preset, idx)
+        coeff = Fraction(rest.num[mono], rest.den) / Fraction(basis.num[mono], basis.den)
+        terms.append((idx, coeff))
+        rest = rest - coeff * basis
+    return terms
+
+
+def _random_elements(preset, seed, count):
+    """Seeded sums of scaled products of generators and divided powers over
+    labels {1, t}, with an explicit zero first."""
+    import random
+
+    rng = random.Random(seed)
+    pool = [Gen(i, lab) for i in range(preset.dim) for lab in (U, T)]
+    out = [Element.zero(preset)]
+    for _ in range(count - 1):
+        elem = Element.zero(preset)
+        for _ in range(rng.randint(1, 3)):
+            term = Element.one(preset)
+            for _ in range(rng.randint(0, 3)):
+                term = term * divided_power(preset, rng.choice(pool), rng.randint(1, 3))
+            elem = elem + Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2, 3))) * term
+        out.append(elem)
+    return out
+
+
 class TestCartanPair:
     def test_base_case(self):
         assert cartan_pair(ms(), ms()) == Element.one(SL2)
@@ -347,6 +389,39 @@ class TestReduce:
         result = reduce_to_basis(elem)
         assert result.integral
         reconstructs(result, elem)
+
+    def test_matches_greedy_loop(self):
+        """Layered elimination gives the max-scan loop's terms, in its order
+        and with its coefficients, on seeded sl2 and sl3 elements."""
+        seen = {"den > 1": 0, "non-integral": 0, "zero": 0, "integral": 0}
+        for preset, seed in ((SL2, 11), (SL3, 12)):
+            for elem in _random_elements(preset, seed, 150):
+                result = reduce_to_basis(elem)
+                assert result.terms == _greedy_reduction(elem)
+                seen["den > 1"] += elem.den > 1
+                seen["zero"] += elem.is_zero()
+                seen["integral" if result.integral else "non-integral"] += 1
+        assert all(seen.values()), seen
+
+    def test_fractional_tail_scales_the_residual(self, reconstructs):
+        """A basis element patched with a fractional lower-degree term (top
+        term and its coefficient kept) gives its step a tail denominator of
+        2; the residual is scaled, so the terms still reconstruct the input,
+        including the lower-degree monomials it already had."""
+        idx = BasisIndex((chi(T),), (ms(),), (chi(U),))
+        (mono,) = (g(XM, T) * g(XP, U)).num
+        elem = g(XM, T) * g(XP, U) + 3 * g(XM, U) + g(H, T) + 5 * Element.one(SL2)
+        good = basis_element(SL2, idx)
+        forms._reduction_step.table.clear()
+        basis_element.table[(SL2, idx)] = good + Fraction(1, 2) * g(XM, U) + g(H, U)
+        try:
+            assert forms._reduction_step(SL2, mono)[2] == 2
+            result = reduce_to_basis(elem)
+            reconstructs(result, elem)
+            assert result.terms == _greedy_reduction(elem)
+            assert not result.integral
+        finally:
+            forms.clear_caches()
 
     def test_corrupted_basis_element_is_refused(self):
         """Negative control for the premise check: a basis element of
