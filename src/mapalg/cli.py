@@ -290,6 +290,11 @@ def _cmd_reduce(args, out):
 
 def _cmd_check(args, out):
     config = _config_from(args, profile=args.profile)
+    if config.variables != 1 or config.mode != "polynomial":
+        raise CliError(
+            "check instances use one-variable polynomial labels; "
+            "--variables must be 1 and --mode polynomial"
+        )
     overrides = {}
     for item in args.override:
         if "=" not in item:

@@ -318,12 +318,15 @@ def fold_label(start, *multisets):
 
 @memoised
 def _all_sub_multisets(chi):
+    # The subs count up in mixed radix, so the complement of the i-th sub
+    # is the i-th from the end: no multiset is built twice.
     keys = [k for k, _ in chi.items()]
     ranges = [range(m + 1) for _, m in chi.items()]
-    return tuple(
+    subs = [
         Multiset._canonical(tuple((k, m) for k, m in zip(keys, combo) if m), sum(combo))
         for combo in itertools.product(*ranges)
-    )
+    ]
+    return tuple(zip(subs, reversed(subs)))
 
 
 def sub_multisets(chi, size=None):
@@ -332,30 +335,37 @@ def sub_multisets(chi, size=None):
     Without ``size`` the count is the product of (multiplicity + 1) over
     the support.  With ``size`` only those of that total size are yielded.
     The order is deterministic (per-key multiplicities counted up in key
-    order, last key fastest).  The full list is built once per ``chi`` and
-    shared, so the yielded multisets are shared between callers too.
+    order, last key fastest).  The table behind it is built once per
+    ``chi`` and shared, so the yielded multisets are shared between
+    callers too; :func:`splits` reads the same table with complements.
     """
     if size is not None and size < 0:
         raise ValueError("size must be >= 0")
-    for psi in _all_sub_multisets(chi):
+    for psi, _ in _all_sub_multisets(chi):
         if size is None or psi.size == size:
             yield psi
 
 
+def splits(chi):
+    """Every pair ``(sub, chi - sub)``, the subs in :func:`sub_multisets`
+    order, from the same shared table: no complement is computed per call."""
+    return _all_sub_multisets(chi)
+
+
 def matched_splits(psi1, psi2):
-    """Every pair ``(phi1, phi2)`` of sub-multisets of ``psi1`` and ``psi2``
-    of equal size, in the order of two nested :func:`sub_multisets` loops."""
-    subs2 = _all_sub_multisets(psi2)
-    for phi1 in _all_sub_multisets(psi1):
-        for phi2 in subs2:
-            if phi1.size == phi2.size:
-                yield phi1, phi2
+    """Every ``(phi1, psi1 - phi1, phi2, psi2 - phi2)`` with ``phi1`` and
+    ``phi2`` of equal size, in the order of two nested :func:`splits`
+    loops, complements included."""
+    splits2 = _all_sub_multisets(psi2)
+    for phi1, rest1 in _all_sub_multisets(psi1):
+        size = phi1._size
+        for phi2, rest2 in splits2:
+            if phi2._size == size:
+                yield phi1, rest1, phi2, rest2
 
 
 def _parts_descending(budget):
-    parts = list(sub_multisets(budget))
-    parts.sort(key=Multiset.sort_key, reverse=True)
-    return parts
+    return sorted(splits(budget), key=lambda split: split[0].sort_key(), reverse=True)
 
 
 def partitions(chi, parts):
@@ -377,11 +387,11 @@ def partitions(chi, parts):
             if not remaining:
                 yield ()
             return
-        for part in _parts_descending(remaining):
+        for part, others in _parts_descending(remaining):
             key = part.sort_key()
             if bound is not None and key > bound:
                 continue
-            for rest in rec(remaining - part, left - 1, key):
+            for rest in rec(others, left - 1, key):
                 yield (part,) + rest
 
     for seq in rec(chi, parts, None):
@@ -400,11 +410,11 @@ def subpartitions(chi, parts):
         if left == 0:
             yield ()
             return
-        for part in _parts_descending(budget):
+        for part, others in _parts_descending(budget):
             key = part.sort_key()
             if bound is not None and key > bound:
                 continue
-            for rest in rec(budget - part, left - 1, key):
+            for rest in rec(others, left - 1, key):
                 yield (part,) + rest
 
     for seq in rec(chi, parts, None):

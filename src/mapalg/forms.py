@@ -73,10 +73,10 @@ def cartan_pair(phi, chi):
     if not phi:
         return Element.one(sl2)
     acc = Element.zero(sl2)
-    for psi1, psi2 in matched_splits(phi, chi):
+    for psi1, rest1, psi2, rest2 in matched_splits(phi, chi):
         if not psi1:
             continue
-        rest = cartan_pair(phi - psi1, chi - psi2)
+        rest = cartan_pair(rest1, rest2)
         if rest.is_zero():
             continue
         lab = fold_label(ALabel.unit(psi1.items()[0][0].nvars), psi1, psi2)
@@ -132,10 +132,11 @@ def root_block(sign, psi1, psi2, psi3):
         return weight * Element.generator(sl2, sl2.root_index(sign, 0), lab)
     acc = Element.zero(sl2)
     for b in psi3.support():
-        rest3 = psi3 - Multiset.single(b)
-        for phi1, phi2 in matched_splits(psi1, psi2):
-            left = root_block(sign, phi1, phi2, Multiset.single(b))
-            right = root_block(sign, psi1 - phi1, psi2 - phi2, rest3)
+        single = Multiset.single(b)
+        rest3 = psi3 - single
+        for phi1, rest1, phi2, rest2 in matched_splits(psi1, psi2):
+            left = root_block(sign, phi1, phi2, single)
+            right = root_block(sign, rest1, rest2, rest3)
             if left.is_zero() or right.is_zero():
                 continue
             acc = acc + left * right
@@ -169,11 +170,11 @@ def dressed_block(psi1, psi2, psi3):
     """Root block dressed with Cartan pairs over all sub-multiset splits
     of its first two arguments."""
     acc = Element.zero(_sl2())
-    for phi1, phi2 in matched_splits(psi1, psi2):
+    for phi1, rest1, phi2, rest2 in matched_splits(psi1, psi2):
         pair = cartan_pair(phi1, phi2)
         if pair.is_zero():
             continue
-        block = root_block(1, psi1 - phi1, psi2 - phi2, psi3)
+        block = root_block(1, rest1, rest2, psi3)
         if block.is_zero():
             continue
         acc = acc + pair * block

@@ -40,6 +40,7 @@ from .combinatorics import (
     matched_splits,
     multinomial,
     multisets_of_size,
+    splits,
     sub_multisets,
     subpartitions,
 )
@@ -275,16 +276,15 @@ def _instances_straightening(spec):
 def _straightening_sides(phi, chi):
     lhs = root_monomial(1, 0, phi) * root_monomial(-1, 0, chi)
     rhs = Element.zero(make_preset("sl2"))
-    for psi1 in sub_multisets(chi):
-        for psi2 in sub_multisets(chi - psi1):
+    for psi1, chi_left in splits(chi):
+        for psi2, rest_chi in splits(chi_left):
             sign = (-1) ** (psi1.size + psi2.size)
-            rest_chi = chi - psi1 - psi2
-            for phi1 in sub_multisets(phi):
+            for phi1, phi_left in splits(phi):
                 left = root_block(-1, phi1, psi1, rest_chi)
                 if left.is_zero():
                     continue
-                for phi2 in sub_multisets(phi - phi1):
-                    right = dressed_block(phi2, psi2, phi - phi1 - phi2)
+                for phi2, rest_phi in splits(phi_left):
+                    right = dressed_block(phi2, psi2, rest_phi)
                     if right.is_zero():
                         continue
                     rhs = rhs + sign * (left * right)
@@ -435,16 +435,14 @@ def _xq_sides(preset, alpha, i, b, phi, chi, side):
     xgen = Element.generator(preset, preset.root_index(1 if side == "i" else -1, alpha), b)
     lhs = xgen * pair if side == "i" else pair * xgen
     rhs = Element.zero(preset)
-    for psi1, psi2 in matched_splits(phi, chi):
+    for psi1, rest1, psi2, rest2 in matched_splits(phi, chi):
         coeff = (
             binom_int(weight_base + psi1.size - 1, psi1.size)
             * multinomial(psi1)
             * multinomial(psi2)
         )
         lab = fold_label(b, psi1, psi2)
-        rest = cartan_pair_at_root(
-            preset.simple_root_index(i), phi - psi1, chi - psi2, preset
-        )
+        rest = cartan_pair_at_root(preset.simple_root_index(i), rest1, rest2, preset)
         gen = Element.generator(
             preset, preset.root_index(1 if side == "i" else -1, alpha), lab
         )
@@ -550,15 +548,14 @@ def _idD_sides(sign, b, psi1, psi2, psi3, variant):
         lhs = (psi2.size + psi3.size) * root_block(sign, psi1, psi2, psi3)
     sl2 = make_preset("sl2")
     rhs = Element.zero(sl2)
-    for phi1, phi2 in matched_splits(psi1, psi2):
+    trims = [(single, psi3 - single) for single in map(Multiset.single, psi3.support())]
+    for phi1, rest1, phi2, rest2 in matched_splits(psi1, psi2):
         weight = phi2.count(b) if variant == "i" else phi1.size + 1
         if weight == 0:
             continue
-        for c in psi3.support():
-            left = root_block(sign, phi1, phi2, Multiset.single(c))
-            right = root_block(
-                sign, psi1 - phi1, psi2 - phi2, psi3 - Multiset.single(c)
-            )
+        for single, rest3 in trims:
+            left = root_block(sign, phi1, phi2, single)
+            right = root_block(sign, rest1, rest2, rest3)
             if left.is_zero() or right.is_zero():
                 continue
             rhs = rhs + weight * (left * right)
@@ -569,20 +566,19 @@ def _idbbd_sides(b, varphi, chi):
     sl2 = make_preset("sl2")
     xminus = Element.generator(sl2, sl2.neg_index(0), b)
     lhs = Element.zero(sl2)
-    for phi in sub_multisets(varphi):
-        lhs = lhs + dressed_block(phi, chi, varphi - phi) * xminus
+    for phi, rest in splits(varphi):
+        lhs = lhs + dressed_block(phi, chi, rest) * xminus
     rhs = Element.zero(sl2)
-    grown = chi + Multiset.single(b)
-    for phi in sub_multisets(varphi):
-        rhs = rhs - (chi.count(b) + 1) * dressed_block(phi, grown, varphi - phi)
-    for phi in sub_multisets(varphi):
-        for phi1, phi2 in matched_splits(phi, chi):
-            left = root_block(-1, phi1, phi2, Multiset.single(b))
+    single = Multiset.single(b)
+    grown = chi + single
+    for phi, rest in splits(varphi):
+        rhs = rhs - (chi.count(b) + 1) * dressed_block(phi, grown, rest)
+    for phi, rest in splits(varphi):
+        for phi1, rest1, phi2, rest2 in matched_splits(phi, chi):
+            left = root_block(-1, phi1, phi2, single)
             if left.is_zero():
                 continue
-            rhs = rhs + (phi1.size + 1) * (
-                left * dressed_block(phi - phi1, chi - phi2, varphi - phi)
-            )
+            rhs = rhs + (phi1.size + 1) * (left * dressed_block(rest1, rest2, rest))
     return lhs, rhs
 
 
@@ -592,8 +588,8 @@ def _eqnq_sides(b, varphi, chi):
     rhs = Element.zero(sl2)
     for c in varphi.support():
         trimmed = varphi - Multiset.single(c)
-        for phi1, phi2 in matched_splits(trimmed, chi):
-            rest = cartan_pair(trimmed - phi1, chi - phi2)
+        for phi1, rest1, phi2, rest2 in matched_splits(trimmed, chi):
+            rest = cartan_pair(rest1, rest2)
             if rest.is_zero():
                 continue
             lab = fold_label(b * c, phi1, phi2)

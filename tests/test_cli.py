@@ -333,6 +333,26 @@ class TestCheck:
         assert out == ""
         assert capsys.readouterr().err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--variables", "2"], ["--mode", "laurent"], ["--variables", "3", "--mode", "laurent"]],
+    )
+    def test_label_session_other_than_check_labels_is_exit_2(self, capsys, flags):
+        code, out = run_cli("check", "straightening", "--profile", "smoke", *flags)
+        assert code == 2
+        assert out == ""
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--variables must be 1" in err
+
+    def test_default_label_session_is_echoed(self):
+        code, out = run_cli(
+            "check", "divided-powers", "--profile", "smoke", "--format", "json",
+            "--variables", "1", "--mode", "polynomial",
+        )
+        assert code == 0
+        config = json.loads(out)["config"]
+        assert config["variables"] == 1 and config["mode"] == "polynomial"
+
     def test_import_loads_no_process_pool(self):
         src = os.path.dirname(os.path.dirname(mapalg.__file__))
         env = dict(os.environ, PYTHONPATH=src)

@@ -11,6 +11,7 @@ from mapalg.combinatorics import (
     matched_splits,
     multinomial,
     partitions,
+    splits,
     sub_multisets,
     subpartitions,
 )
@@ -238,12 +239,47 @@ class TestMatchedSplits:
     )
     def test_equals_the_size_filtered_double_loop(self, psi1, psi2):
         want = [
-            (phi1, phi2)
+            (phi1, psi1 - phi1, phi2, psi2 - phi2)
             for phi1 in sub_multisets(psi1)
             for phi2 in sub_multisets(psi2)
             if phi1.size == phi2.size
         ]
         assert list(matched_splits(psi1, psi2)) == want
+
+
+class TestSplits:
+    CHIS = [
+        ms(),
+        ms((T, 1)),
+        ms((U, 2), (T, 1)),
+        ms((U, 1), (T, 3), (T2, 2)),
+        ms((ms(), 1), (ms((T, 1)), 2), (ms((U, 1), (T2, 1)), 1)),
+    ]
+
+    @pytest.mark.parametrize("chi", CHIS)
+    def test_each_pair_sums_to_chi(self, chi):
+        for sub, rest in splits(chi):
+            assert sub + rest == chi
+            assert sub <= chi and rest <= chi
+            assert sub.size + rest.size == chi.size
+
+    @pytest.mark.parametrize("chi", CHIS)
+    def test_subs_in_sub_multisets_order(self, chi):
+        want = [
+            Multiset(zip(chi.support(), combo))
+            for combo in itertools.product(*(range(m + 1) for _, m in chi.items()))
+        ]
+        assert [sub for sub, _ in splits(chi)] == want
+        assert list(sub_multisets(chi)) == want
+
+    @pytest.mark.parametrize("chi", CHIS)
+    def test_second_call_returns_the_same_objects(self, chi):
+        first = list(splits(chi))
+        again = list(splits(Multiset(chi.items())))
+        assert len(again) == len(first)
+        for (sub, rest), (sub2, rest2) in zip(first, again):
+            assert sub is sub2 and rest is rest2
+        assert all(a is b for a, b in zip(sub_multisets(chi), (sub for sub, _ in first)))
 
 
 class TestPartitions:
