@@ -368,6 +368,39 @@ def _parts_descending(budget):
     return sorted(splits(budget), key=lambda split: split[0].sort_key(), reverse=True)
 
 
+def _part_sequences(chi, parts):
+    """Every ``(seq, leftover)``: ``seq`` is ``parts`` sub-multisets in
+    non-increasing sort order whose sum is contained in ``chi``, and
+    ``leftover`` is ``chi`` minus that sum, the recursion's final budget,
+    read from the split table."""
+
+    def rec(budget, left, bound):
+        if left == 0:
+            yield (), budget
+            return
+        for part, others in _parts_descending(budget):
+            key = part.sort_key()
+            if bound is not None and key > bound:
+                continue
+            for rest, leftover in rec(others, left - 1, key):
+                yield (part,) + rest, leftover
+
+    return rec(chi, parts, None)
+
+
+def _multiset_of_parts(seq):
+    """``Multiset((p, 1) for p in seq)`` for parts in non-increasing sort
+    order: equal parts are adjacent, so the reversed run lengths are
+    already canonical."""
+    items = []
+    for part in reversed(seq):
+        if items and items[-1][0] == part:
+            items[-1] = (part, items[-1][1] + 1)
+        else:
+            items.append((part, 1))
+    return Multiset._canonical(tuple(items), len(seq))
+
+
 def partitions(chi, parts):
     """All ways to write ``chi`` as a sum of exactly ``parts`` multisets,
     counted with multiplicity and emitted as a multiset of parts.
@@ -381,21 +414,9 @@ def partitions(chi, parts):
     """
     if parts < 1:
         raise ValueError("parts must be >= 1")
-
-    def rec(remaining, left, bound):
-        if left == 0:
-            if not remaining:
-                yield ()
-            return
-        for part, others in _parts_descending(remaining):
-            key = part.sort_key()
-            if bound is not None and key > bound:
-                continue
-            for rest in rec(others, left - 1, key):
-                yield (part,) + rest
-
-    for seq in rec(chi, parts, None):
-        yield Multiset((p, 1) for p in seq)
+    for seq, leftover in _part_sequences(chi, parts):
+        if not leftover:
+            yield _multiset_of_parts(seq)
 
 
 def subpartitions(chi, parts):
@@ -403,19 +424,15 @@ def subpartitions(chi, parts):
     contained in ``chi``.  Enumerated directly (not by unioning partition
     sets over sub-multisets), so the two counts can cross-check each other.
     """
+    for psi, _ in subpartition_splits(chi, parts):
+        yield psi
+
+
+def subpartition_splits(chi, parts):
+    """Every ``(psi, leftover)`` with ``psi`` from :func:`subpartitions`, in
+    its order, and ``leftover`` equal to ``chi - psi.weighted_total()``,
+    handed out by the enumeration instead of recomputed."""
     if parts < 0:
         raise ValueError("parts must be >= 0")
-
-    def rec(budget, left, bound):
-        if left == 0:
-            yield ()
-            return
-        for part, others in _parts_descending(budget):
-            key = part.sort_key()
-            if bound is not None and key > bound:
-                continue
-            for rest in rec(others, left - 1, key):
-                yield (part,) + rest
-
-    for seq in rec(chi, parts, None):
-        yield Multiset((p, 1) for p in seq)
+    for seq, leftover in _part_sequences(chi, parts):
+        yield _multiset_of_parts(seq), leftover

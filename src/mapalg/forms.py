@@ -28,7 +28,7 @@ from .combinatorics import (
     partitions,
 )
 from .memo import clear_caches, memoised  # noqa: F401  (clear_caches is re-exported)
-from .pbw import Element, Gen, divided_power, make_preset, omega
+from .pbw import Element, Gen, Sum, divided_power, make_preset, omega
 
 
 def _sl2():
@@ -72,7 +72,7 @@ def cartan_pair(phi, chi):
         return Element.zero(sl2)
     if not phi:
         return Element.one(sl2)
-    acc = Element.zero(sl2)
+    acc = Sum(sl2)
     for psi1, rest1, psi2, rest2 in matched_splits(phi, chi):
         if not psi1:
             continue
@@ -81,10 +81,8 @@ def cartan_pair(phi, chi):
             continue
         lab = fold_label(ALabel.unit(psi1.items()[0][0].nvars), psi1, psi2)
         weight = multinomial(psi1) * multinomial(psi2)
-        acc = acc + weight * (
-            Element.generator(sl2, sl2.cartan_index(0), lab) * rest
-        )
-    return -(acc / phi.size)
+        acc.add_product(-weight, Element.generator(sl2, sl2.cartan_index(0), lab), rest)
+    return acc.element(phi.size)
 
 
 def cartan_single(chi):
@@ -130,17 +128,15 @@ def root_block(sign, psi1, psi2, psi3):
         lab = fold_label(b, psi1, psi2)
         weight = multinomial(psi1) * multinomial(psi2)
         return weight * Element.generator(sl2, sl2.root_index(sign, 0), lab)
-    acc = Element.zero(sl2)
+    acc = Sum(sl2)
     for b in psi3.support():
         single = Multiset.single(b)
         rest3 = psi3 - single
         for phi1, rest1, phi2, rest2 in matched_splits(psi1, psi2):
             left = root_block(sign, phi1, phi2, single)
             right = root_block(sign, rest1, rest2, rest3)
-            if left.is_zero() or right.is_zero():
-                continue
-            acc = acc + left * right
-    return acc / psi3.size
+            acc.add_product(1, left, right)
+    return acc.element(psi3.size)
 
 
 def root_block_expanded(sign, psi, b, k, c):
@@ -154,31 +150,29 @@ def root_block_expanded(sign, psi, b, k, c):
         raise ValueError("k must be >= 1")
     sl2 = _sl2()
     index = sl2.root_index(sign, 0)
-    acc = Element.zero(sl2)
+    acc = Sum(sl2)
     for split in partitions(psi, k):
+        scalar = 1
         term = Element.one(sl2)
         for part, cnt in split.items():
             lab = fold_label(c * b**part.size, part)
-            scalar = Fraction(multinomial(part)) ** cnt
-            term = term * (scalar * divided_power(sl2, Gen(index, lab), cnt))
-        acc = acc + term
-    return acc
+            scalar *= multinomial(part) ** cnt
+            term = term * divided_power(sl2, Gen(index, lab), cnt)
+        acc.add(scalar, term)
+    return acc.element()
 
 
 @memoised
 def dressed_block(psi1, psi2, psi3):
     """Root block dressed with Cartan pairs over all sub-multiset splits
     of its first two arguments."""
-    acc = Element.zero(_sl2())
+    acc = Sum(_sl2())
     for phi1, rest1, phi2, rest2 in matched_splits(psi1, psi2):
         pair = cartan_pair(phi1, phi2)
         if pair.is_zero():
             continue
-        block = root_block(1, rest1, rest2, psi3)
-        if block.is_zero():
-            continue
-        acc = acc + pair * block
-    return acc
+        acc.add_product(1, pair, root_block(1, rest1, rest2, psi3))
+    return acc.element()
 
 
 @dataclass(frozen=True)

@@ -42,7 +42,7 @@ from .combinatorics import (
     multisets_of_size,
     splits,
     sub_multisets,
-    subpartitions,
+    subpartition_splits,
 )
 from .forms import (
     cartan_at_root,
@@ -56,7 +56,7 @@ from .forms import (
     root_monomial,
 )
 from .memo import memoised
-from .pbw import Element, Gen, ad_divided, divided_power, exact_solve, make_preset, omega
+from .pbw import Element, Gen, Sum, ad_divided, divided_power, exact_solve, make_preset, omega
 
 
 @dataclass
@@ -275,7 +275,7 @@ def _instances_straightening(spec):
 @memoised
 def _straightening_sides(phi, chi):
     lhs = root_monomial(1, 0, phi) * root_monomial(-1, 0, chi)
-    rhs = Element.zero(make_preset("sl2"))
+    rhs = Sum(make_preset("sl2"))
     for psi1, chi_left in splits(chi):
         for psi2, rest_chi in splits(chi_left):
             sign = (-1) ** (psi1.size + psi2.size)
@@ -284,11 +284,8 @@ def _straightening_sides(phi, chi):
                 if left.is_zero():
                     continue
                 for phi2, rest_phi in splits(phi_left):
-                    right = dressed_block(phi2, psi2, rest_phi)
-                    if right.is_zero():
-                        continue
-                    rhs = rhs + sign * (left * right)
-    return lhs, rhs
+                    rhs.add_product(sign, left, dressed_block(phi2, psi2, rest_phi))
+    return lhs, rhs.element()
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +431,7 @@ def _xq_sides(preset, alpha, i, b, phi, chi, side):
     weight_base = preset.pairing(alpha, i)
     xgen = Element.generator(preset, preset.root_index(1 if side == "i" else -1, alpha), b)
     lhs = xgen * pair if side == "i" else pair * xgen
-    rhs = Element.zero(preset)
+    rhs = Sum(preset)
     for psi1, rest1, psi2, rest2 in matched_splits(phi, chi):
         coeff = (
             binom_int(weight_base + psi1.size - 1, psi1.size)
@@ -446,8 +443,11 @@ def _xq_sides(preset, alpha, i, b, phi, chi, side):
         gen = Element.generator(
             preset, preset.root_index(1 if side == "i" else -1, alpha), lab
         )
-        rhs = rhs + coeff * (rest * gen if side == "i" else gen * rest)
-    return lhs, rhs
+        if side == "i":
+            rhs.add_product(coeff, rest, gen)
+        else:
+            rhs.add_product(coeff, gen, rest)
+    return lhs, rhs.element()
 
 
 def _xrq_sides(preset, alpha, i, b, chi, r, side):
@@ -457,21 +457,25 @@ def _xrq_sides(preset, alpha, i, b, chi, r, side):
     dp = divided_power(preset, Gen(preset.root_index(sign, alpha), b), r)
     single = cartan_at_root(sri, chi, preset)
     lhs = dp * single if side == "i" else single * dp
-    rhs = Element.zero(preset)
-    for psi in subpartitions(chi, r):
-        rest = cartan_at_root(sri, chi - psi.weighted_total(), preset)
+    rhs = Sum(preset)
+    for psi, leftover in subpartition_splits(chi, r):
+        rest = cartan_at_root(sri, leftover, preset)
+        scalar = 1
+        for part, cnt in psi.items():
+            scalar *= (
+                binom_int(weight_base + part.size - 1, part.size) * multinomial(part)
+            ) ** cnt
+        if not scalar:
+            continue
         prod = Element.one(preset)
         for part, cnt in psi.items():
-            scalar = Fraction(
-                binom_int(weight_base + part.size - 1, part.size) * multinomial(part)
-            )
             lab = fold_label(b, part)
-            prod = prod * (
-                scalar**cnt
-                * divided_power(preset, Gen(preset.root_index(sign, alpha), lab), cnt)
-            )
-        rhs = rhs + (rest * prod if side == "i" else prod * rest)
-    return lhs, rhs
+            prod = prod * divided_power(preset, Gen(preset.root_index(sign, alpha), lab), cnt)
+        if side == "i":
+            rhs.add_product(scalar, rest, prod)
+        else:
+            rhs.add_product(scalar, prod, rest)
+    return lhs, rhs.element()
 
 
 def _qpx_sides(b, phi, chi, literal=False):
@@ -487,12 +491,14 @@ def _qpx_sides(b, phi, chi, literal=False):
     pair = cartan_pair(phi, chi)
     xb = Element.generator(sl2, sl2.pos_index(0), b)
     lhs = pair * xb
-    rhs = xb * pair
+    rhs = Sum(sl2)
+    rhs.add_product(1, xb, pair)
     for c in phi.support():
         for d in chi.support():
-            rhs = rhs - 2 * (
-                Element.generator(sl2, sl2.pos_index(0), b * c * d)
-                * cartan_pair(phi - Multiset.single(c), chi - Multiset.single(d))
+            rhs.add_product(
+                -2,
+                Element.generator(sl2, sl2.pos_index(0), b * c * d),
+                cartan_pair(phi - Multiset.single(c), chi - Multiset.single(d)),
             )
     f1s = list(sub_multisets(phi, 2))
     f2s = list(sub_multisets(chi, 2))
@@ -500,15 +506,12 @@ def _qpx_sides(b, phi, chi, literal=False):
         for f2 in f2s:
             inner = [(f1, f2)] if not literal else [(a, b2) for a in f1s for b2 in f2s]
             for ps1, ps2 in inner:
-                rhs = rhs + (
-                    multinomial(f1)
-                    * multinomial(f2)
-                    * (
-                        Element.generator(sl2, sl2.pos_index(0), fold_label(b, ps1, ps2))
-                        * cartan_pair(phi - ps1, chi - ps2)
-                    )
+                rhs.add_product(
+                    multinomial(f1) * multinomial(f2),
+                    Element.generator(sl2, sl2.pos_index(0), fold_label(b, ps1, ps2)),
+                    cartan_pair(phi - ps1, chi - ps2),
                 )
-    return lhs, rhs
+    return lhs, rhs.element()
 
 
 # ---------------------------------------------------------------------------
@@ -546,8 +549,7 @@ def _idD_sides(sign, b, psi1, psi2, psi3, variant):
         lhs = psi2.count(b) * root_block(sign, psi1, psi2, psi3)
     else:
         lhs = (psi2.size + psi3.size) * root_block(sign, psi1, psi2, psi3)
-    sl2 = make_preset("sl2")
-    rhs = Element.zero(sl2)
+    rhs = Sum(make_preset("sl2"))
     trims = [(single, psi3 - single) for single in map(Multiset.single, psi3.support())]
     for phi1, rest1, phi2, rest2 in matched_splits(psi1, psi2):
         weight = phi2.count(b) if variant == "i" else phi1.size + 1
@@ -556,36 +558,34 @@ def _idD_sides(sign, b, psi1, psi2, psi3, variant):
         for single, rest3 in trims:
             left = root_block(sign, phi1, phi2, single)
             right = root_block(sign, rest1, rest2, rest3)
-            if left.is_zero() or right.is_zero():
-                continue
-            rhs = rhs + weight * (left * right)
-    return lhs, rhs
+            rhs.add_product(weight, left, right)
+    return lhs, rhs.element()
 
 
 def _idbbd_sides(b, varphi, chi):
     sl2 = make_preset("sl2")
     xminus = Element.generator(sl2, sl2.neg_index(0), b)
-    lhs = Element.zero(sl2)
+    lhs = Sum(sl2)
     for phi, rest in splits(varphi):
-        lhs = lhs + dressed_block(phi, chi, rest) * xminus
-    rhs = Element.zero(sl2)
+        lhs.add_product(1, dressed_block(phi, chi, rest), xminus)
+    rhs = Sum(sl2)
     single = Multiset.single(b)
     grown = chi + single
     for phi, rest in splits(varphi):
-        rhs = rhs - (chi.count(b) + 1) * dressed_block(phi, grown, rest)
+        rhs.add(-(chi.count(b) + 1), dressed_block(phi, grown, rest))
     for phi, rest in splits(varphi):
         for phi1, rest1, phi2, rest2 in matched_splits(phi, chi):
             left = root_block(-1, phi1, phi2, single)
             if left.is_zero():
                 continue
-            rhs = rhs + (phi1.size + 1) * (left * dressed_block(rest1, rest2, rest))
-    return lhs, rhs
+            rhs.add_product(phi1.size + 1, left, dressed_block(rest1, rest2, rest))
+    return lhs.element(), rhs.element()
 
 
 def _eqnq_sides(b, varphi, chi):
     sl2 = make_preset("sl2")
     lhs = -(chi.count(b) + 1) * cartan_pair(varphi, chi + Multiset.single(b))
-    rhs = Element.zero(sl2)
+    rhs = Sum(sl2)
     for c in varphi.support():
         trimmed = varphi - Multiset.single(c)
         for phi1, rest1, phi2, rest2 in matched_splits(trimmed, chi):
@@ -593,31 +593,31 @@ def _eqnq_sides(b, varphi, chi):
             if rest.is_zero():
                 continue
             lab = fold_label(b * c, phi1, phi2)
-            rhs = rhs + (
-                multinomial(phi1)
-                * multinomial(phi2)
-                * (Element.generator(sl2, sl2.cartan_index(0), lab) * rest)
+            rhs.add_product(
+                multinomial(phi1) * multinomial(phi2),
+                Element.generator(sl2, sl2.cartan_index(0), lab),
+                rest,
             )
-    return lhs, rhs
+    return lhs, rhs.element()
 
 
 def _eqnbbd_sides(varphi, phi, chi):
     sl2 = make_preset("sl2")
     lhs = (varphi.size - phi.size) * dressed_block(phi, chi, varphi - phi)
-    rhs = Element.zero(sl2)
+    rhs = Sum(sl2)
     for c in (varphi - phi).support():
         shrunk = varphi - phi - Multiset.single(c)
-        rhs = rhs + Element.generator(sl2, sl2.pos_index(0), c) * dressed_block(
-            phi, chi, shrunk
+        rhs.add_product(
+            1, Element.generator(sl2, sl2.pos_index(0), c), dressed_block(phi, chi, shrunk)
         )
         for d in phi.support():
             for d2 in chi.support():
-                rhs = rhs - Element.generator(
-                    sl2, sl2.pos_index(0), c * d * d2
-                ) * dressed_block(
-                    phi - Multiset.single(d), chi - Multiset.single(d2), shrunk
+                rhs.add_product(
+                    -1,
+                    Element.generator(sl2, sl2.pos_index(0), c * d * d2),
+                    dressed_block(phi - Multiset.single(d), chi - Multiset.single(d2), shrunk),
                 )
-    return lhs, rhs
+    return lhs, rhs.element()
 
 
 # ---------------------------------------------------------------------------
@@ -752,10 +752,10 @@ def _a2_signs(sign, aidx, bidx, r, s, a, b):
         return _property_failure(
             args_str, lhs, "signs in {+1, -1}", "coefficients %s" % (eps,)
         )
-    rebuilt = Element.zero(sl3)
+    rebuilt = Sum(sl3)
     for e, cand in zip(eps, cands):
-        rebuilt = rebuilt + int(e) * cand
-    fail = _failure(args_str, lhs, rebuilt)
+        rebuilt.add(int(e), cand)
+    fail = _failure(args_str, lhs, rebuilt.element())
     if fail is not None:
         return fail
     if min(r, s) >= 1:
@@ -813,13 +813,13 @@ def _instances_self_consistency(spec):
 def _build_from_spec(espec):
     """The sum of ``coeff`` times the left-folded product of each word."""
     sl2 = make_preset("sl2")
-    out = Element.zero(sl2)
+    out = Sum(sl2)
     for coeff, word in espec:
         term = Element.one(sl2)
         for g in word:
             term = term * Element.generator(sl2, g.index, g.label)
-        out = out + coeff * term
-    return out
+        out.add(coeff, term)
+    return out.element()
 
 
 def _associativity_sides(n, su, sv, sw):

@@ -14,6 +14,12 @@ factor, with runs ``(g, e)`` kept as exponents.  Each non-trivial
 insertion step is memoised per preset on ``(monomial, generator)`` and
 each non-trivial product on ``(m1, m2)``; both tables join the registry of
 :mod:`mapalg.memo`.
+
+Sums of products, the shape of every identity the engine checks, are
+built in one exact accumulator, :class:`Sum`: ``add_product(k, x, y)``
+straightens ``x * y`` with the same loop as ``*`` straight into one
+integer dict over one running denominator, and ``element()`` reduces once
+at the end.
 """
 
 from __future__ import annotations
@@ -60,31 +66,37 @@ def exact_solve(columns, target):
     inconsistent.  Raises if the columns are linearly dependent, since all
     callers expand against a basis.
     """
+    return exact_solve_all(columns, [target])[0]
+
+
+def exact_solve_all(columns, targets):
+    """:func:`exact_solve` for every target in ``targets`` at once: the
+    columns are row-reduced once, with all targets carried along as extra
+    columns of one augmented matrix.  Returns one coefficient list (or
+    None) per target, in order."""
     ncols = len(columns)
-    nrows = len(target)
+    nrows = len(targets[0])
     aug = [
-        [Fraction(columns[k][r]) for k in range(ncols)] + [Fraction(target[r])]
+        [Fraction(columns[k][r]) for k in range(ncols)] + [Fraction(t[r]) for t in targets]
         for r in range(nrows)
     ]
-    pivots = []
-    row = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(row, nrows) if aug[r][col]), None)
+    for row in range(ncols):
+        pivot = next((r for r in range(row, nrows) if aug[r][row]), None)
         if pivot is None:
             raise ValueError("dependent columns in exact_solve")
         aug[row], aug[pivot] = aug[pivot], aug[row]
-        inv = 1 / aug[row][col]
+        inv = 1 / aug[row][row]
         aug[row] = [x * inv for x in aug[row]]
         for r in range(nrows):
-            if r != row and aug[r][col]:
-                factor = aug[r][col]
+            if r != row and aug[r][row]:
+                factor = aug[r][row]
                 aug[r] = [x - factor * y for x, y in zip(aug[r], aug[row])]
-        pivots.append(col)
-        row += 1
-    for r in range(row, nrows):
-        if aug[r][ncols]:
-            return None
-    return [aug[r][ncols] for r in range(len(pivots))]
+    return [
+        None
+        if any(aug[r][ncols + t] for r in range(ncols, nrows))
+        else [aug[r][ncols + t] for r in range(ncols)]
+        for t in range(len(targets))
+    ]
 
 
 class LiePreset:
@@ -106,24 +118,23 @@ class LiePreset:
             raise ValueError("basis size does not match root data")
 
         mats = list(neg_mats) + list(cartan_mats) + list(pos_mats)
-        flats = [_flat(m) for m in mats]
+        pairs = [(i, j) for i in range(self.dim) for j in range(self.dim) if i != j]
+        comms = [
+            _flat(_matsub(_matmul(mats[i], mats[j]), _matmul(mats[j], mats[i])))
+            for i, j in pairs
+        ]
         brackets = {}
-        for i in range(self.dim):
-            for j in range(self.dim):
-                if i == j:
-                    continue
-                comm = _matsub(_matmul(mats[i], mats[j]), _matmul(mats[j], mats[i]))
-                coeffs = exact_solve(flats, _flat(comm))
-                if coeffs is None:
-                    raise ValueError("bracket leaves the spanned algebra")
-                entry = []
-                for k, c in enumerate(coeffs):
-                    if c:
-                        if c.denominator != 1:
-                            raise ValueError("non-integer structure constant")
-                        entry.append((k, int(c)))
-                if entry:
-                    brackets[(i, j)] = tuple(entry)
+        for pair, coeffs in zip(pairs, exact_solve_all([_flat(m) for m in mats], comms)):
+            if coeffs is None:
+                raise ValueError("bracket leaves the spanned algebra")
+            entry = []
+            for k, c in enumerate(coeffs):
+                if c:
+                    if c.denominator != 1:
+                        raise ValueError("non-integer structure constant")
+                    entry.append((k, int(c)))
+            if entry:
+                brackets[pair] = tuple(entry)
         self._brackets = brackets
         self._validate_table()
 
@@ -364,6 +375,26 @@ def _mono_product(preset, m1, m2):
     return out
 
 
+def _mul_into(preset, num, f, x, y):
+    """Add ``f`` times the product of the numerator dicts ``x`` and ``y``
+    into ``num``, leaving zero entries in place: the one straightening
+    loop behind :meth:`Element.__mul__` and :meth:`Sum.add_product`.  A
+    pair of monomials already in order is concatenated, any other goes
+    through :func:`_mono_product`."""
+    right = y.items()
+    for m1, a in x.items():
+        a *= f
+        for m2, b in right:
+            if not m1 or not m2 or m1[-1][0] < m2[0][0]:
+                # already sorted: the common case, kept inline
+                m = m1 + m2
+                num[m] = num.get(m, 0) + a * b
+                continue
+            c = a * b
+            for m, g in _mono_product(preset, m1, m2).items():
+                num[m] = num.get(m, 0) + c * g
+
+
 class Element:
     """A finite rational combination of PBW-ordered monomials.
 
@@ -379,8 +410,8 @@ class Element:
     are integer dict operations followed by one common-factor reduction,
     and :attr:`terms` is a derived read-only view of the coefficients as
     ``Fraction`` values, built on each access for rendering and export.
-    A product runs over pairs of monomials: a pair already in order is
-    concatenated, any other goes through :func:`_mono_product`.
+    A product runs over pairs of monomials through :func:`_mul_into`.  A
+    sum of many terms is built in one :class:`Sum`, not by chaining ``+``.
     """
 
     __slots__ = ("preset", "num", "den")
@@ -495,21 +526,10 @@ class Element:
     def __mul__(self, other):
         if isinstance(other, Element):
             self._check_same(other)
-            preset = self.preset
-            right = other.num.items()
             out = {}
-            for m1, a in self.num.items():
-                for m2, b in right:
-                    if not m1 or not m2 or m1[-1][0] < m2[0][0]:
-                        # already sorted: the common case, kept inline
-                        m = m1 + m2
-                        out[m] = out.get(m, 0) + a * b
-                        continue
-                    c = a * b
-                    for m, f in _mono_product(preset, m1, m2).items():
-                        out[m] = out.get(m, 0) + c * f
+            _mul_into(self.preset, out, 1, self.num, other.num)
             out = {m: v for m, v in out.items() if v}
-            return Element._reduced(preset, out, self.den * other.den)
+            return Element._reduced(self.preset, out, self.den * other.den)
         if isinstance(other, int):
             if not other:
                 return Element.zero(self.preset)
@@ -611,7 +631,7 @@ class Element:
         and none may be negative unless ``laurent``."""
         if not isinstance(data, list):
             raise ValueError("element must be a JSON array of terms")
-        total = cls.zero(preset)
+        total = Sum(preset)
         for term in data:
             if not isinstance(term, dict) or set(term) != {"monomial", "coeff"}:
                 raise ValueError("element term must have 'monomial' and 'coeff'")
@@ -641,8 +661,71 @@ class Element:
                     )
                 gen = cls.generator(preset, index, label)
                 factor = factor * gen**exp
-            total = total + coeff * factor
-        return total
+            total.add(coeff, factor)
+        return total.element()
+
+
+class Sum:
+    """An exact running sum of scaled elements and products, in place.
+
+    Integer numerators share one running denominator, which is scaled up
+    only when an incoming denominator does not divide it.  Zeros are kept
+    until :meth:`element`, which filters them and reduces once, so a sum
+    of ``n`` products builds one ``Element`` instead of ``3n``.
+    """
+
+    __slots__ = ("preset", "num", "den")
+
+    def __init__(self, preset):
+        self.preset = preset
+        self.num = {}
+        self.den = 1
+
+    def _factor(self, k, d):
+        """Make ``den`` a multiple of ``d`` times ``k``'s denominator, scaling
+        the numerators in place, and return what an incoming numerator over
+        ``d`` is multiplied by: ``k`` over the running denominator."""
+        if isinstance(k, Fraction):
+            d *= k.denominator
+            k = k.numerator
+        den = self.den
+        if den % d:
+            s = d // math.gcd(den, d)
+            num = self.num
+            for m in num:
+                num[m] *= s
+            self.den = den = den * s
+        return k * (den // d)
+
+    _check_same = Element._check_same
+
+    def add(self, k, x):
+        """``self += k * x`` for an int or Fraction ``k``."""
+        self._check_same(x)
+        if not k or not x.num:
+            return
+        f = self._factor(k, x.den)
+        num = self.num
+        for m, c in x.num.items():
+            num[m] = num.get(m, 0) + f * c
+
+    def add_product(self, k, x, y):
+        """``self += k * x * y`` for an int or Fraction ``k``, straightened by
+        the same loop as ``x * y``."""
+        self._check_same(x)
+        self._check_same(y)
+        if not k or not x.num or not y.num:
+            return
+        f = self._factor(k, x.den * y.den)
+        _mul_into(self.preset, self.num, f, x.num, y.num)
+
+    def element(self, div=1):
+        """The sum divided by the positive integer ``div``, as a canonical
+        Element."""
+        num = {m: c for m, c in self.num.items() if c}
+        if not num:
+            return Element.zero(self.preset)
+        return Element._reduced(self.preset, num, self.den * div)
 
 
 def divided_power(preset, gen, r):
@@ -685,22 +768,20 @@ def omega(alpha, u, target):
             elif cls == "pos":
                 img = Element.generator(target, target.pos_index(alpha), gen.label)
             else:
-                img = Element.zero(target)
+                acc = Sum(target)
                 for i, c in enumerate(target.coroot_expansion(alpha)):
-                    if c:
-                        img = img + c * Element.generator(
-                            target, target.cartan_index(i), gen.label
-                        )
+                    acc.add(c, Element.generator(target, target.cartan_index(i), gen.label))
+                img = acc.element()
             images[gen] = img
         return img
 
-    out = Element.zero(target)
+    out = Sum(target)
     for mono, c in u.num.items():
         prod = Element.one(target)
         for g, e in mono:
             prod = prod * image(g) ** e
-        out = out + c * prod
-    return Element._reduced(target, out.num, out.den * u.den)
+        out.add(c, prod)
+    return out.element(u.den)
 
 
 def ad_divided(preset, x, r, v):

@@ -13,6 +13,7 @@ from mapalg.combinatorics import (
     partitions,
     splits,
     sub_multisets,
+    subpartition_splits,
     subpartitions,
 )
 
@@ -340,3 +341,53 @@ class TestSubpartitions:
             for psi in subpartitions(chi, k):
                 assert psi.size == k
                 assert psi.weighted_total() <= chi
+
+
+def _reference_sequences(chi, parts, exact):
+    """Reference enumeration of the part sequences: non-increasing parts
+    from freshly sorted sub-multisets, each complement by subtraction."""
+
+    def rec(budget, left, bound):
+        if left == 0:
+            if not exact or not budget:
+                yield ()
+            return
+        for part in sorted(sub_multisets(budget), key=Multiset.sort_key, reverse=True):
+            key = part.sort_key()
+            if bound is not None and key > bound:
+                continue
+            for rest in rec(budget - part, left - 1, key):
+                yield (part,) + rest
+
+    return list(rec(chi, parts, None))
+
+
+# every multiset of size <= 4 over two labels
+SMALL_CHIS = [Multiset(((U, a), (T, total - a))) for total in range(5) for a in range(total + 1)]
+
+
+class TestPartitionOrder:
+    def test_same_sequence_and_storage_as_the_validating_constructor(self):
+        for chi in SMALL_CHIS:
+            for k in range(4):
+                for enum, exact in ((partitions, True), (subpartitions, False)):
+                    if enum is partitions and k == 0:
+                        continue
+                    got = list(enum(chi, k))
+                    want = [Multiset((p, 1) for p in seq) for seq in _reference_sequences(chi, k, exact)]
+                    assert got == want
+                    for psi, ref in zip(got, want):
+                        assert psi.items() == ref.items() and psi.size == ref.size
+
+    def test_leftover_is_the_unused_budget(self):
+        assert len(SMALL_CHIS) == 15
+        for chi in SMALL_CHIS:
+            for k in range(4):
+                pairs = list(subpartition_splits(chi, k))
+                assert [psi for psi, _ in pairs] == list(subpartitions(chi, k))
+                for psi, leftover in pairs:
+                    assert leftover == chi - psi.weighted_total()
+
+    def test_negative_parts_refused(self):
+        with pytest.raises(ValueError):
+            list(subpartition_splits(ms((T, 1)), -1))

@@ -8,11 +8,16 @@ import pytest
 
 from mapalg.combinatorics import ALabel, binom_int
 from mapalg.pbw import (
+    _SL2_MATS,
     Element,
     Gen,
+    LiePreset,
+    Sum,
     ad_divided,
     binom_element,
     divided_power,
+    exact_solve,
+    exact_solve_all,
     make_preset,
     omega,
 )
@@ -63,6 +68,74 @@ class TestPresets:
         assert SL2.gen_name(0) == "x-_a1"
         assert SL2.gen_name(1) == "h_1"
         assert SL3.gen_name(7) == "x+_a12"
+
+
+E12 = ((0, 1), (0, 0))
+E21 = ((0, 0), (1, 0))
+H2 = ((1, 0), (0, -1))
+
+
+def _fresh_sl2():
+    return LiePreset("sl2", 1, ((1,),), **_SL2_MATS)
+
+
+class TestPresetBuildFailures:
+    """Each failure of the preset build, with the brackets solved in one
+    elimination."""
+
+    def test_sl2_table_written_out(self):
+        assert _fresh_sl2()._brackets == {
+            (H, XP): ((XP, 2),),
+            (XP, H): ((XP, -2),),
+            (H, XM): ((XM, -2),),
+            (XM, H): ((XM, 2),),
+            (XP, XM): ((H, 1),),
+            (XM, XP): ((H, -1),),
+        }
+
+    def test_dependent_basis(self):
+        with pytest.raises(ValueError, match="dependent columns"):
+            LiePreset("bad", 1, ((1,),), (E21,), (H2,), (E21,))
+
+    def test_bracket_outside_the_span(self):
+        # diag(1, 0) is not traceless, so [E12, E21] = diag(1, -1) escapes
+        with pytest.raises(ValueError, match="leaves the spanned algebra"):
+            LiePreset("bad", 1, ((1,),), (E21,), (((1, 0), (0, 0)),), (E12,))
+
+    def test_non_integer_structure_constant(self):
+        # [E12, E21] = H = (1/2) * (2H)
+        twice_h = ((2, 0), (0, -2))
+        with pytest.raises(ValueError, match="non-integer structure constant"):
+            LiePreset("bad", 1, ((1,),), (E21,), (twice_h,), (E12,))
+
+    def test_antisymmetry_is_checked(self):
+        preset = _fresh_sl2()
+        preset._brackets[(XP, XM)] = ((H, 2),)
+        with pytest.raises(ValueError, match="not antisymmetric"):
+            preset._validate_table()
+
+    def test_jacobi_is_checked(self):
+        # [x+, x-] = x+ stays antisymmetric but breaks Jacobi on (h, x+, x-)
+        preset = _fresh_sl2()
+        preset._brackets[(XP, XM)] = ((XP, 1),)
+        preset._brackets[(XM, XP)] = ((XP, -1),)
+        with pytest.raises(ValueError, match="Jacobi identity fails"):
+            preset._validate_table()
+
+    def test_solve_all_solves_each_target_on_its_own(self):
+        rng = random.Random(3)
+        columns = [(1, 0, 2, 1), (0, 1, 1, 0), (3, 1, 0, 2)]
+        targets, want = [], []
+        for n in range(20):
+            coeffs = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in columns]
+            target = [sum(c * col[r] for c, col in zip(coeffs, columns)) for r in range(4)]
+            if n % 3 == 0:
+                target[3] += 1  # (0, 0, 0, 1) is off the span of the columns
+                coeffs = None
+            targets.append(tuple(target))
+            want.append(coeffs)
+        assert exact_solve_all(columns, targets) == want
+        assert [exact_solve(columns, t) for t in targets] == want
 
 
 class TestMul:
@@ -261,6 +334,98 @@ class TestNormalization:
         ((mono, coeff),) = comm.terms.items()
         assert mono == ((Gen(SL3.pos_index(2), T2), 1),)
         assert coeff in (1, -1)
+
+
+def _chained(terms, preset):
+    """The sum of ``k * x * y`` (or ``k * x`` when ``y`` is None) by
+    chained ``+`` and ``*``."""
+    out = Element.zero(preset)
+    for k, x, y in terms:
+        out = out + k * (x if y is None else x * y)
+    return out
+
+
+def _summed(terms, preset, div=1):
+    acc = Sum(preset)
+    for k, x, y in terms:
+        if y is None:
+            acc.add(k, x)
+        else:
+            acc.add_product(k, x, y)
+    return acc.element(div)
+
+
+def _assert_canonical(elem):
+    assert type(elem.den) is int and elem.den > 0
+    assert math.gcd(elem.den, *elem.num.values()) == 1
+    assert all(type(c) is int and c for c in elem.num.values())
+
+
+class TestSum:
+    @pytest.mark.parametrize("preset", [SL2, SL3], ids=["sl2", "sl3"])
+    def test_matches_chained_arithmetic_and_the_oracle(self, preset):
+        rng = random.Random(29)
+        memo = {}
+        scalars = [1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 6)]
+        for _ in range(8 if preset is SL2 else 4):
+            terms = []
+            for _ in range(rng.randint(1, 4)):
+                x = _run_element(rng, preset, (U, T), 2, 2, rng.randint(1, 2))
+                y = _run_element(rng, preset, (U, T), 2, 2, rng.randint(1, 2))
+                terms.append((rng.choice(scalars), x, y if rng.random() < 0.7 else None))
+            got = _summed(terms, preset)
+            _assert_canonical(got)
+            assert got == _chained(terms, preset)
+            oracle = Element.zero(preset)
+            for k, x, y in terms:
+                oracle = oracle + k * (x if y is None else _oracle_product(x, y, memo))
+            assert got == oracle
+
+    def test_rescale_between_products_keeps_earlier_terms(self):
+        # the second product's denominator 3 does not divide the running 2,
+        # so the numerators of the first must be scaled, not dropped
+        a = Fraction(1, 2) * g(SL2, XP, T)
+        b = g(SL2, XM, U)
+        c = Fraction(1, 3) * g(SL2, XP, U)
+        d = g(SL2, XM, T)
+        terms = [(1, a, b), (1, c, d)]
+        got = _summed(terms, SL2)
+        assert got == a * b + c * d
+        assert got.den == 6
+        # and once more with a scalar's denominator forcing the rescale
+        terms = [(Fraction(1, 2), b, a), (Fraction(1, 5), d, c), (3, a, c)]
+        assert _summed(terms, SL2) == _chained(terms, SL2)
+
+    def test_full_cancellation_is_canonical_zero(self):
+        x = Fraction(1, 2) * g(SL2, XP, T) + g(SL2, H, U)
+        y = Fraction(2, 3) * g(SL2, XM, U)
+        for terms in (
+            [(1, x, y), (-1, x, y)],
+            [(Fraction(1, 7), x, y), (3, y, x), (Fraction(-1, 7), x, y), (-3, y, x)],
+            [(Fraction(1, 3), x, None), (Fraction(-1, 3), x, None)],
+        ):
+            for div in (1, 4):
+                zero = _summed(terms, SL2, div)
+                assert zero.num == {} and zero.den == 1
+        assert _summed([], SL2).num == {} and _summed([], SL2).den == 1
+
+    def test_element_divides_into_canonical_storage(self):
+        x = 2 * g(SL2, XP, T) + 4 * g(SL2, H, U)
+        y = Fraction(3, 2) * g(SL2, XM, U)
+        terms = [(3, x, y), (2, x, None)]
+        for div in (1, 2, 3, 6, 12):
+            got = _summed(terms, SL2, div)
+            _assert_canonical(got)
+            assert got == _chained(terms, SL2) / div
+
+    def test_preset_mismatch(self):
+        acc = Sum(SL2)
+        with pytest.raises(ValueError):
+            acc.add(1, g(SL3, 0, U))
+        with pytest.raises(ValueError):
+            acc.add_product(1, g(SL3, 0, U), g(SL2, XP, U))
+        with pytest.raises(ValueError):
+            acc.add_product(1, g(SL2, XP, U), g(SL3, 0, U))
 
 
 class TestDividedPowers:
