@@ -4,7 +4,8 @@ Subcommands: ``eval`` renders one of the named element families, ``reduce``
 decomposes an element file over the integral basis, ``check`` runs identity
 suites and ``basis`` lists basis indices.  Exit codes are a stable
 contract: 0 for success (all checks passing), 1 for a failed check, 2 for
-usage or parse errors.  Every output carries the session configuration.
+usage or parse errors, 141 when standard output was closed by its reader.
+Every output carries the session configuration.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .combinatorics import ALabel, Multiset
 from .forms import (
@@ -33,8 +34,7 @@ class CliError(ValueError):
     """Usage-level error: reported on stderr with exit status 2."""
 
 
-@dataclass
-class SessionConfig:
+class SessionConfig(NamedTuple):
     algebra: str
     variables: int
     mode: str
@@ -377,7 +377,24 @@ def main(argv=None, out=None):
 
 
 def entry():
-    sys.exit(main())
+    """Run :func:`main` as a process and end it once its output is written.
+
+    The process ends through ``os._exit`` rather than interpreter shutdown,
+    so the memo tables are reclaimed by the OS instead of being freed one
+    entry at a time, which grows with the caches (about half a second
+    after a deep ``check all``).  Nothing is lost: both streams are flushed
+    first, and mapalg registers no ``atexit`` handler.  A reader that
+    closes standard output early (``mapalg ... | head``) gives exit status
+    141, 128 + SIGPIPE, with nothing on stderr.  An exception raised out of
+    ``main`` propagates.
+    """
+    try:
+        code = main()
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except BrokenPipeError:
+        os._exit(141)
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -364,8 +364,12 @@ def matched_splits(psi1, psi2):
                 yield phi1, rest1, phi2, rest2
 
 
+@memoised
 def _parts_descending(budget):
-    return sorted(splits(budget), key=lambda split: split[0].sort_key(), reverse=True)
+    """Every ``(sort key, part, budget - part)`` of the split table, parts
+    in descending sort order, sorted once per budget."""
+    keyed = [(part.sort_key(), part, rest) for part, rest in splits(budget)]
+    return tuple(sorted(keyed, key=operator.itemgetter(0), reverse=True))
 
 
 def _part_sequences(chi, parts):
@@ -378,8 +382,7 @@ def _part_sequences(chi, parts):
         if left == 0:
             yield (), budget
             return
-        for part, others in _parts_descending(budget):
-            key = part.sort_key()
+        for key, part, others in _parts_descending(budget):
             if bound is not None and key > bound:
                 continue
             for rest, leftover in rec(others, left - 1, key):

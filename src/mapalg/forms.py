@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .combinatorics import (
     ALabel,
@@ -175,8 +175,7 @@ def dressed_block(psi1, psi2, psi3):
     return acc.element()
 
 
-@dataclass(frozen=True)
-class BasisIndex:
+class BasisIndex(NamedTuple):
     """Index of one basis element: a label multiset per positive root for
     the negative and positive parts, one per simple root for the Cartan
     part."""
@@ -231,8 +230,7 @@ def basis_element(preset, idx):
     return out
 
 
-@dataclass
-class ReductionResult:
+class ReductionResult(NamedTuple):
     """Exact decomposition over the basis: the input equals the sum of
     coeff * basis element over ``terms``, and ``integral`` is true exactly
     when every coefficient is an integer."""

@@ -28,7 +28,6 @@ import itertools
 import math
 import random
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
@@ -59,37 +58,34 @@ from .memo import memoised
 from .pbw import Element, Gen, Sum, ad_divided, divided_power, exact_solve, make_preset, omega
 
 
-@dataclass
-class CheckSpec:
-    """Everything one check run depends on: the identity name, an optional
-    forced algebra, the bound parameters and the seed for sampled parts."""
+class CheckSpec(NamedTuple):
+    """Everything one check run depends on: the identity name, the bound
+    parameters, an optional forced algebra and the seed for sampled parts."""
 
     name: str
+    params: dict
     preset: str | None = None
     profile: str = "desk"
-    params: dict = field(default_factory=dict)
     seed: int = 0
 
 
-@dataclass
-class CheckFailure:
+class CheckFailure(NamedTuple):
     args: str
     lhs: str
     rhs: str
     diff: str
 
     def to_json(self):
-        return {"args": self.args, "lhs": self.lhs, "rhs": self.rhs, "diff": self.diff}
+        return self._asdict()
 
 
-@dataclass
-class CheckReport:
+class CheckReport(NamedTuple):
     name: str
     instances: int
     failures: list
     elapsed_ms: float
     seed: int
-    notes: list = field(default_factory=list)
+    notes: list
 
     @property
     def passed(self):

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -17,6 +18,28 @@ def run_cli(*argv):
     out = io.StringIO()
     code = main(list(argv), out=out)
     return code, out.getvalue()
+
+
+def _process_env():
+    src = os.path.dirname(os.path.dirname(mapalg.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    # keep standard output block-buffered, as it is by default, so that a
+    # child which ends without flushing it loses its output
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+def run_process(*argv, stdout=subprocess.PIPE):
+    """Run ``python -m mapalg.cli argv`` as its own process, through
+    ``entry``, the path of the ``mapalg`` console script."""
+    return subprocess.run(
+        [sys.executable, "-m", "mapalg.cli", *argv],
+        env=_process_env(),
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        text=True,
+        timeout=120,
+    )
 
 
 class TestMultisetSyntax:
@@ -354,14 +377,26 @@ class TestCheck:
         assert config["variables"] == 1 and config["mode"] == "polynomial"
 
     def test_import_loads_no_process_pool(self):
-        src = os.path.dirname(os.path.dirname(mapalg.__file__))
-        env = dict(os.environ, PYTHONPATH=src)
         code = (
             "import sys, mapalg.cli; "
             "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules))"
         )
         done = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+            [sys.executable, "-c", code], env=_process_env(), capture_output=True, text=True, timeout=60
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
+
+    def test_import_loads_no_dataclasses(self):
+        # Modules the interpreter's own start-up (site, .pth files) loaded
+        # already are not charged to mapalg.
+        code = (
+            "import sys; bare = set(sys.modules); import mapalg.cli; "
+            "print(sorted(m for m in ('dataclasses', 'inspect') "
+            "if m in sys.modules and m not in bare))"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=_process_env(), capture_output=True, text=True, timeout=60
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "[]"
@@ -413,3 +448,53 @@ class TestBasis:
         assert out == ""
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "Laurent" in err
+
+
+class TestProcessExit:
+    """The process path: ``entry`` flushes both streams and ends with
+    ``os._exit``, so nothing written may be lost and the exit codes must
+    match those of ``main``."""
+
+    BASIS = ("basis", "--max-degree", "3", "--max-label-degree", "2", "--format", "json")
+
+    def test_check_matches_in_process_main(self):
+        argv = ("check", "divided-powers", "--profile", "smoke", "--format", "json")
+        done = run_process(*argv)
+        assert done.returncode == 0, done.stderr
+        code, out = run_cli(*argv)
+        assert code == 0
+
+        def untimed(text):
+            return re.sub(r'"elapsedMs": [0-9.e+-]+', '"elapsedMs": 0', text)
+
+        assert untimed(done.stdout) == untimed(out)
+
+    def test_large_output_arrives_whole(self, tmp_path):
+        path = tmp_path / "basis.json"
+        with open(path, "w", encoding="utf-8") as fh:
+            done = run_process(*self.BASIS, stdout=fh)
+        assert done.returncode == 0, done.stderr
+        text = path.read_text(encoding="utf-8")
+        assert len(text) > 65536  # more than a pipe's buffer
+        doc = json.loads(text)
+        assert doc["count"] == len(doc["basis"])
+        assert text == run_cli(*self.BASIS)[1]
+
+    def test_usage_error_is_exit_2_with_one_line(self):
+        done = run_process("check", "straightening", "--jobs", "0")
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert done.stderr.count("\n") == 1 and done.stderr.startswith("error: ")
+
+    def test_closed_stdout_is_exit_141_without_traceback(self):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "mapalg.cli", *self.BASIS],
+            env=_process_env(),
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 141
+        assert err == b"", err
