@@ -165,7 +165,7 @@ def build_parser():
     p_check.add_argument(
         "--profile",
         choices=tuple(PROFILES),
-        default=os.environ.get("MAPALG_PROFILE", "desk"),
+        default="desk",
     )
     p_check.add_argument(
         "--override",

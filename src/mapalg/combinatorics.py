@@ -316,8 +316,27 @@ def fold_label(start, *multisets):
     return out
 
 
+def sub_multisets(chi, size=None):
+    """All multisets contained pointwise in ``chi``, each exactly once.
+
+    Without ``size`` the count is the product of (multiplicity + 1) over
+    the support.  With ``size`` only those of that total size are yielded.
+    The order is deterministic (per-key multiplicities counted up in key
+    order, last key fastest).  They are read from the shared table of
+    :func:`splits`, so they are shared between callers too.
+    """
+    if size is not None and size < 0:
+        raise ValueError("size must be >= 0")
+    for psi, _ in splits(chi):
+        if size is None or psi.size == size:
+            yield psi
+
+
 @memoised
-def _all_sub_multisets(chi):
+def splits(chi):
+    """Every pair ``(sub, chi - sub)``, the subs in :func:`sub_multisets`
+    order, built once per ``chi`` and shared: no complement is computed
+    per call."""
     # The subs count up in mixed radix, so the complement of the i-th sub
     # is the i-th from the end: no multiset is built twice.
     keys = [k for k, _ in chi.items()]
@@ -329,35 +348,12 @@ def _all_sub_multisets(chi):
     return tuple(zip(subs, reversed(subs)))
 
 
-def sub_multisets(chi, size=None):
-    """All multisets contained pointwise in ``chi``, each exactly once.
-
-    Without ``size`` the count is the product of (multiplicity + 1) over
-    the support.  With ``size`` only those of that total size are yielded.
-    The order is deterministic (per-key multiplicities counted up in key
-    order, last key fastest).  The table behind it is built once per
-    ``chi`` and shared, so the yielded multisets are shared between
-    callers too; :func:`splits` reads the same table with complements.
-    """
-    if size is not None and size < 0:
-        raise ValueError("size must be >= 0")
-    for psi, _ in _all_sub_multisets(chi):
-        if size is None or psi.size == size:
-            yield psi
-
-
-def splits(chi):
-    """Every pair ``(sub, chi - sub)``, the subs in :func:`sub_multisets`
-    order, from the same shared table: no complement is computed per call."""
-    return _all_sub_multisets(chi)
-
-
 def matched_splits(psi1, psi2):
     """Every ``(phi1, psi1 - phi1, phi2, psi2 - phi2)`` with ``phi1`` and
     ``phi2`` of equal size, in the order of two nested :func:`splits`
     loops, complements included."""
-    splits2 = _all_sub_multisets(psi2)
-    for phi1, rest1 in _all_sub_multisets(psi1):
+    splits2 = splits(psi2)
+    for phi1, rest1 in splits(psi1):
         size = phi1._size
         for phi2, rest2 in splits2:
             if phi2._size == size:

@@ -85,19 +85,22 @@ def cartan_pair(phi, chi):
     return acc.element(phi.size)
 
 
+def _units(chi):
+    """Size-many copies of the unit label (empty for the empty ``chi``)."""
+    if not chi:
+        return chi
+    return Multiset.single(ALabel.unit(chi.items()[0][0].nvars), chi.size)
+
+
 def cartan_single(chi):
     """One-argument form: pair ``chi`` with size-many copies of the unit."""
-    if not chi:
-        return Element.one(_sl2())
-    nvars = chi.items()[0][0].nvars
-    return cartan_pair(chi, Multiset.single(ALabel.unit(nvars), chi.size))
+    return cartan_pair(chi, _units(chi))
 
 
-@memoised
 def cartan_at_root(alpha, chi, target):
-    """:func:`cartan_single` pushed into ``target`` along root ``alpha``;
-    memoized like :func:`cartan_pair_at_root`."""
-    return omega(alpha, cartan_single(chi), target)
+    """:func:`cartan_single` pushed into ``target`` along root ``alpha``,
+    read from the table of :func:`cartan_pair_at_root`."""
+    return cartan_pair_at_root(alpha, chi, _units(chi), target)
 
 
 @memoised
@@ -212,10 +215,10 @@ class BasisIndex(NamedTuple):
         )
 
 
-@memoised
 def basis_element(preset, idx):
     """The basis element for ``idx``: negative root monomials, then the
-    Cartan factors, then positive root monomials, normalized."""
+    Cartan factors, then positive root monomials, normalized.  Not
+    memoised: :func:`_reduction_step` is the one table of basis elements."""
     if len(idx.minus) != preset.m or len(idx.plus) != preset.m:
         raise ValueError("index arity does not match the %d positive roots" % preset.m)
     if len(idx.zero) != preset.rank:
@@ -276,7 +279,7 @@ def _inverse_leading_coeff(idx):
 def _reduction_step(preset, mono):
     """``(index, inverse leading coefficient, tail denominator, tail)`` for
     the basis element whose top term is ``mono``, memoized per preset and
-    monomial; the element is the one stored by :func:`basis_element`.
+    monomial, which names the index one-to-one: each element is built once.
 
     The tail is ``inv_lead * basis - mono``, the correction that
     eliminating ``mono`` leaves behind, as integer numerators over the

@@ -18,8 +18,8 @@ instance reduces over the integral basis with integer coefficients
 (optionally below a degree bound).  Degree claims are equations too: an
 element equals its part in a degree range (:func:`_graded_part`).  A
 reduction whose basis premise fails is reported as a failed instance.
-Only the Cartan product, the adjoint integrality and the A2 sign
-extraction keep an evaluator of their own.
+Only the Cartan product and the A2 sign extraction keep an evaluator of
+their own.
 """
 
 from __future__ import annotations
@@ -60,12 +60,11 @@ from .pbw import Element, Gen, Sum, ad_divided, divided_power, exact_solve, make
 
 class CheckSpec(NamedTuple):
     """Everything one check run depends on: the identity name, the bound
-    parameters, an optional forced algebra and the seed for sampled parts."""
+    parameters (a forced algebra among them, as ``presets``) and the seed
+    for sampled parts."""
 
     name: str
     params: dict
-    preset: str | None = None
-    profile: str = "desk"
     seed: int = 0
 
 
@@ -679,19 +678,13 @@ def _instances_integrality(spec):
                 yield ("bracket-px", a, chi, r)
 
 
-def _ad_integral(preset_name, sign, alpha, b, r, z, c):
+def _ad_image(preset_name, sign, alpha, b, r, z, c):
+    """``(ad x)^r / r!`` of ``z`` at ``c``, ``x`` the ``sign`` root vector of
+    ``alpha`` at ``b``.  Basis elements of degree <= 1 are generators up to
+    sign, so it reduces integrally exactly when its coordinates are integers."""
     preset = make_preset(preset_name)
     x = Gen(preset.root_index(sign, alpha), b)
-    w = ad_divided(preset, x, r, Element.generator(preset, z, c))
-    if w.is_integral():
-        return None
-    return _property_failure(
-        "ad %s sign=%+d alpha=%d b=%s r=%d z=%d c=%s"
-        % (preset_name, sign, alpha, b, r, z, c),
-        w,
-        "integer coordinates",
-        "fractional coefficient",
-    )
+    return ad_divided(preset, x, r, Element.generator(preset, z, c))
 
 
 def _divided_product(combo):
@@ -922,7 +915,7 @@ CHECKS = {
                     alpha, root_block(sign, *psis), make_preset("sl3")
                 ),
             ),
-            "ad": _ad_integral,
+            "ad": _integral("ad %s sign=%+d alpha=%d b=%s r=%d z=%d c=%s", _ad_image),
             "product": _integral("product %s", _divided_product),
             "bracket-xx": _integral(
                 "bracket-xx a=%s b=%s r=%d s=%d",
@@ -979,7 +972,7 @@ def make_spec(name, profile="desk", preset=None, seed=0, overrides=None):
     for key, value in (overrides or {}).items():
         if key in params:
             params[key] = value
-    return CheckSpec(name=name, preset=preset, profile=profile, params=params, seed=seed)
+    return CheckSpec(name=name, params=params, seed=seed)
 
 
 def _check_overrides(specs, overrides):

@@ -410,8 +410,9 @@ class Element:
     are integer dict operations followed by one common-factor reduction,
     and :attr:`terms` is a derived read-only view of the coefficients as
     ``Fraction`` values, built on each access for rendering and export.
-    A product runs over pairs of monomials through :func:`_mul_into`.  A
-    sum of many terms is built in one :class:`Sum`, not by chaining ``+``.
+    A product runs over pairs of monomials through :func:`_mul_into`.
+    Sums and scalar multiples go through one :class:`Sum`; a sum of many
+    terms is built in a single one, not by chaining ``+``.
     """
 
     __slots__ = ("preset", "num", "den")
@@ -495,30 +496,20 @@ class Element:
 
     __hash__ = None
 
-    def _combine(self, other, sign):
-        """``self + sign * other`` over the common denominator."""
-        self._check_same(other)
-        d1, d2 = self.den, other.den
-        den = d1 * d2 // math.gcd(d1, d2)
-        s1, s2 = den // d1, sign * (den // d2)
-        out = dict(self.num) if s1 == 1 else {m: c * s1 for m, c in self.num.items()}
-        for m, c in other.num.items():
-            c = out.get(m, 0) + c * s2
-            if c:
-                out[m] = c
-            else:
-                del out[m]
-        return Element._reduced(self.preset, out, den)
+    def _sum(self, k, other):
+        """``self + k * other``, built in one :class:`Sum`."""
+        if not isinstance(other, Element):
+            return NotImplemented
+        acc = Sum(self.preset)
+        acc.add(1, self)
+        acc.add(k, other)
+        return acc.element()
 
     def __add__(self, other):
-        if not isinstance(other, Element):
-            return NotImplemented
-        return self._combine(other, 1)
+        return self._sum(1, other)
 
     def __sub__(self, other):
-        if not isinstance(other, Element):
-            return NotImplemented
-        return self._combine(other, -1)
+        return self._sum(-1, other)
 
     def __neg__(self):
         return Element._trusted(self.preset, {m: -c for m, c in self.num.items()}, self.den)
@@ -530,24 +521,10 @@ class Element:
             _mul_into(self.preset, out, 1, self.num, other.num)
             out = {m: v for m, v in out.items() if v}
             return Element._reduced(self.preset, out, self.den * other.den)
-        if isinstance(other, int):
-            if not other:
-                return Element.zero(self.preset)
-            # gcd(den, nums) == 1 makes gcd(den, k * nums) == gcd(den, k).
-            g = math.gcd(self.den, other)
-            k = other // g
-            return Element._trusted(
-                self.preset, {m: c * k for m, c in self.num.items()}, self.den // g
-            )
-        if isinstance(other, Fraction):
-            if not other:
-                return Element.zero(self.preset)
-            p = other.numerator
-            return Element._reduced(
-                self.preset,
-                {m: c * p for m, c in self.num.items()},
-                self.den * other.denominator,
-            )
+        if isinstance(other, (int, Fraction)):
+            acc = Sum(self.preset)
+            acc.add(other, self)
+            return acc.element()
         return NotImplemented
 
     def __rmul__(self, other):

@@ -1,13 +1,16 @@
+import contextlib
+
 import pytest
 
-from mapalg.forms import basis_element
+from mapalg import forms
 from mapalg.pbw import Element
 
 
 def _assert_reconstructs(result, elem):
     rebuilt = Element.zero(elem.preset)
     for idx, coeff in result.terms:
-        rebuilt = rebuilt + coeff * basis_element(elem.preset, idx)
+        # through the module, so that a patched basis_element is the one read
+        rebuilt = rebuilt + coeff * forms.basis_element(elem.preset, idx)
     assert rebuilt == elem
 
 
@@ -16,3 +19,28 @@ def reconstructs():
     """``reconstructs(result, elem)`` asserts that the terms of a basis
     reduction sum back to the reduced element."""
     return _assert_reconstructs
+
+
+@pytest.fixture
+def corrupted_basis(monkeypatch):
+    """``with corrupted_basis(idx, elem):`` runs its body with
+    ``forms.basis_element`` returning ``elem`` for ``idx`` (and the true
+    element elsewhere), starting from an empty reduction table; every
+    table is emptied when it ends."""
+
+    @contextlib.contextmanager
+    def corrupt(idx, elem):
+        real = forms.basis_element
+        forms._reduction_step.table.clear()
+        try:
+            with monkeypatch.context() as patch:
+                patch.setattr(
+                    forms,
+                    "basis_element",
+                    lambda preset, i: elem if (preset, i) == (elem.preset, idx) else real(preset, i),
+                )
+                yield
+        finally:
+            forms.clear_caches()
+
+    return corrupt

@@ -181,7 +181,7 @@ class TestReduce:
         code, _ = run_cli("reduce", "/nonexistent/e.json")
         assert code == 2
 
-    def test_broken_basis_premise_is_exit_2(self, tmp_path, capsys):
+    def test_broken_basis_premise_is_exit_2(self, tmp_path, capsys, corrupted_basis):
         sl2 = make_preset("sl2")
         t, one = ALabel([1]), ALabel([0])
         idx = forms.BasisIndex((Multiset.single(t),), (Multiset(),), (Multiset.single(one),))
@@ -189,12 +189,8 @@ class TestReduce:
         extra = Element.generator(sl2, 0, one) * Element.generator(sl2, 2, one)
         path = tmp_path / "e.json"
         path.write_text(json.dumps([{"monomial": [[0, [1], 1], [2, [0], 1]], "coeff": ["1", "1"]}]))
-        forms._reduction_step.table.clear()
-        forms.basis_element.table[(sl2, idx)] = good + extra
-        try:
+        with corrupted_basis(idx, good + extra):
             code, out = run_cli("reduce", str(path))
-        finally:
-            forms.clear_caches()
         assert code == 2
         assert out == ""
         err = capsys.readouterr().err
@@ -407,12 +403,14 @@ class TestCheck:
 
 
 class TestCheckEnvDefault:
-    def test_profile_from_environment(self, monkeypatch):
+    def test_profile_ignores_environment(self, monkeypatch):
+        """The profile is chosen by ``--profile`` alone; without it the
+        check runs at desk, whatever the environment holds."""
         monkeypatch.setenv("MAPALG_PROFILE", "smoke")
         code, out = run_cli("check", "divided-powers", "--format", "json")
         assert code == 0
         doc = json.loads(out)
-        assert doc["config"]["profile"] == "smoke"
+        assert doc["config"]["profile"] == "desk"
 
     def test_report_json_schema_via_cli(self):
         code, out = run_cli("check", "divided-powers", "--profile", "smoke", "--format", "json")

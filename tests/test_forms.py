@@ -126,7 +126,7 @@ def _greedy_reduction(elem):
         parts = [Multiset(d) for d in parts]
         m, r = preset.m, preset.rank
         idx = BasisIndex(tuple(parts[:m]), tuple(parts[m : m + r]), tuple(parts[m + r :]))
-        basis = basis_element(preset, idx)
+        basis = forms.basis_element(preset, idx)
         coeff = Fraction(rest.num[mono], rest.den) / Fraction(basis.num[mono], basis.den)
         terms.append((idx, coeff))
         rest = rest - coeff * basis
@@ -403,7 +403,7 @@ class TestReduce:
                 seen["integral" if result.integral else "non-integral"] += 1
         assert all(seen.values()), seen
 
-    def test_fractional_tail_scales_the_residual(self, reconstructs):
+    def test_fractional_tail_scales_the_residual(self, reconstructs, corrupted_basis):
         """A basis element patched with a fractional lower-degree term (top
         term and its coefficient kept) gives its step a tail denominator of
         2; the residual is scaled, so the terms still reconstruct the input,
@@ -412,18 +412,14 @@ class TestReduce:
         (mono,) = (g(XM, T) * g(XP, U)).num
         elem = g(XM, T) * g(XP, U) + 3 * g(XM, U) + g(H, T) + 5 * Element.one(SL2)
         good = basis_element(SL2, idx)
-        forms._reduction_step.table.clear()
-        basis_element.table[(SL2, idx)] = good + Fraction(1, 2) * g(XM, U) + g(H, U)
-        try:
+        with corrupted_basis(idx, good + Fraction(1, 2) * g(XM, U) + g(H, U)):
             assert forms._reduction_step(SL2, mono)[2] == 2
             result = reduce_to_basis(elem)
             reconstructs(result, elem)
             assert result.terms == _greedy_reduction(elem)
             assert not result.integral
-        finally:
-            forms.clear_caches()
 
-    def test_corrupted_basis_element_is_refused(self):
+    def test_corrupted_basis_element_is_refused(self, corrupted_basis):
         """Negative control for the premise check: a basis element of
         x-(t) x+(1) with a second top-degree monomial x-(1) x+(1) must stop
         the reduction, and the integrality check must report it as a failed
@@ -431,30 +427,22 @@ class TestReduce:
         idx = BasisIndex((chi(T),), (ms(),), (chi(U),))
         elem = g(XM, T) * g(XP, U)
         good = basis_element(SL2, idx)
-        forms._reduction_step.table.clear()
-        basis_element.table[(SL2, idx)] = good + g(XM, U) * g(XP, U)
-        try:
+        with corrupted_basis(idx, good + g(XM, U) * g(XP, U)):
             with pytest.raises(ValueError, match=re.escape(idx.render())):
                 reduce_to_basis(elem)
             evaluate = CHECKS["integrality"].kinds["product"]
             failure = evaluate(((-1, T, 1), (1, U, 1)))
             assert isinstance(failure, CheckFailure)
             assert idx.render() in failure.diff
-        finally:
-            forms.clear_caches()
         assert reduce_to_basis(elem).terms == [(idx, 1)]
 
-    def test_wrong_leading_coefficient_is_refused(self):
+    def test_wrong_leading_coefficient_is_refused(self, corrupted_basis):
         idx = BasisIndex((chi(T),), (ms(),), (chi(U),))
         (mono,) = (g(XM, T) * g(XP, U)).num
         good = basis_element(SL2, idx)
-        forms._reduction_step.table.clear()
-        basis_element.table[(SL2, idx)] = 2 * good
-        try:
+        with corrupted_basis(idx, 2 * good):
             with pytest.raises(ValueError, match=re.escape(idx.render())):
                 forms._reduction_step(SL2, mono)
-        finally:
-            forms.clear_caches()
 
 
 class TestMemoisedValues:
@@ -482,6 +470,23 @@ class TestMemoisedValues:
         assert all(a is b for a, b in zip(cold, warm))
         for (a, phi, c), got in zip(self.AT_ROOT_CASES, cold):
             assert got == omega(a, cartan_pair(phi, c), SL3)
+
+    def test_reduction_step_is_the_one_basis_table(self, monkeypatch):
+        """Basis elements are kept only in the reduction step's table: a
+        second reduction of the same element builds none, and neither
+        ``basis_element`` nor ``cartan_at_root`` has a table of its own."""
+        elem = divided_power(SL2, Gen(XP, T), 2) * divided_power(SL2, Gen(XM, U), 3)
+        builds = []
+        real = forms.basis_element
+        monkeypatch.setattr(forms, "basis_element", lambda *a: builds.append(a) or real(*a))
+        forms.clear_caches()
+        first = reduce_to_basis(elem)
+        assert len(builds) == len(first.terms) > 1
+        builds.clear()
+        assert reduce_to_basis(elem) == first
+        assert builds == []
+        assert not hasattr(basis_element, "table")
+        assert not hasattr(cartan_at_root, "table")
 
     def test_reduce_cold_and_warm(self, reconstructs):
         elems = [
@@ -514,7 +519,7 @@ class TestMemoisedValues:
         named = [
             SL2._products,
             SL2._inserts,
-            combinatorics._all_sub_multisets.table,
+            combinatorics.splits.table,
             root_block.table,
             dressed_block.table,
             cartan_pair.table,
