@@ -246,13 +246,13 @@ def _cmd_eval(args, out):
         else:
             p1, p2, p3 = _require(args, ["psi1", "psi2", "psi3"])
             elem = dressed_block(ms(p1), ms(p2), ms(p3))
-        if algebra != "sl2":
-            if args.alpha is None:
-                raise CliError(
-                    "object %s lives over sl2; pass --alpha to map it into %s"
-                    % (args.object, algebra)
-                )
+        if args.alpha is not None:
             elem = omega(args.alpha, elem, make_preset(algebra))
+        elif algebra != "sl2":
+            raise CliError(
+                "object %s lives over sl2; pass --alpha to map it into %s"
+                % (args.object, algebra)
+            )
     _emit(config, {"element": elem.to_json()}, [elem.render()], out)
     return 0
 
@@ -295,6 +295,8 @@ def _cmd_check(args, out):
             "check instances use one-variable polynomial labels; "
             "--variables must be 1 and --mode polynomial"
         )
+    if args.algebra is not None:
+        raise CliError("check takes its algebras from the profile; --algebra is not accepted")
     overrides = {}
     for item in args.override:
         if "=" not in item:
@@ -304,13 +306,7 @@ def _cmd_check(args, out):
             overrides[key.strip()] = int(value.strip())
         except ValueError:
             raise CliError("override value must be an integer: %r" % item)
-    reports = run_suite(
-        args.names,
-        profile=args.profile,
-        preset=args.algebra,
-        seed=args.seed,
-        overrides=overrides,
-    )
+    reports = run_suite(args.names, profile=args.profile, seed=args.seed, overrides=overrides)
     lines = []
     for report in reports:
         status = "PASS" if report.passed else "FAIL"

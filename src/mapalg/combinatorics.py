@@ -175,14 +175,8 @@ class Multiset:
                 return m
         return 0
 
-    def __contains__(self, key):
-        return any(k == key for k, _ in self._items)
-
     def __bool__(self):
         return bool(self._items)
-
-    def __len__(self):
-        return len(self._items)
 
     def __eq__(self, other):
         return isinstance(other, Multiset) and self._items == other._items
@@ -258,7 +252,7 @@ class Multiset:
             if not (isinstance(entry, list) and len(entry) == 2):
                 raise ValueError("multiset entry must be a [key, mult] pair")
             key, mult = entry
-            if not isinstance(mult, int) or mult <= 0:
+            if type(mult) is not int or mult <= 0:
                 raise ValueError("multiset multiplicity must be a positive integer")
             pairs.append((key_from(key), mult))
         return cls(pairs)

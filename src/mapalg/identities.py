@@ -9,17 +9,18 @@ overnight runs, and failures carry the first counterexample with the
 recomputed nonzero difference.
 
 A check is declared as data: one :class:`Check` row in :data:`CHECKS`
-holds an instance generator, whose tuples start with their kind, a kind
-table mapping every kind to its evaluator, and the algebras the check
-accepts.  An evaluator is a function of the instance's fields alone.
-Nearly all are one of two properties: :func:`_equal`, two sides built
-from the instance agree, and :func:`_integral`, an element built from the
-instance reduces over the integral basis with integer coefficients
-(optionally below a degree bound).  Degree claims are equations too: an
-element equals its part in a degree range (:func:`_graded_part`).  A
-reduction whose basis premise fails is reported as a failed instance.
-Only the Cartan product and the A2 sign extraction keep an evaluator of
-their own.
+holds an instance generator, whose tuples start with their kind, and a
+kind table mapping every kind to its evaluator.  The instances come from
+the check's profile alone: its bounds, its label pools, which are tuples
+of labels, and, where it names them, its algebras.  An evaluator is a
+function of the instance's fields alone.  Nearly all are one of two
+properties: :func:`_equal`, two sides built from the instance agree, and
+:func:`_integral`, an element built from the instance reduces over the
+integral basis with integer coefficients (optionally below a degree
+bound).  Degree claims are equations too: an element equals its part in
+a degree range (:func:`_graded_part`).  A reduction whose basis premise
+fails is reported as a failed instance.  Only the Cartan product and the
+A2 sign extraction keep an evaluator of their own.
 """
 
 from __future__ import annotations
@@ -59,9 +60,10 @@ from .pbw import Element, Gen, Sum, ad_divided, divided_power, exact_solve, make
 
 
 class CheckSpec(NamedTuple):
-    """Everything one check run depends on: the identity name, the bound
-    parameters (a forced algebra among them, as ``presets``) and the seed
-    for sampled parts."""
+    """Everything one check run depends on: the identity name, its
+    profile's parameters (integer bounds, label pools as tuples of
+    :class:`ALabel`, and for some checks the algebras as ``presets``) and
+    the seed for sampled parts."""
 
     name: str
     params: dict
@@ -106,39 +108,40 @@ class CheckReport(NamedTuple):
 
 
 def _default_profiles():
+    one, t, t2 = (ALabel((e,)) for e in range(3))
     return {
         "smoke": {
-            "straightening": dict(exh_size=1, exh_labels=(0, 1), rand_size=2, rand_labels=(0, 1), rand_count=5),
-            "D-consistency": dict(max_psi=1, max_k=1, labels=(0, 1), deg_size=1),
-            "p-properties": dict(lead_size=2, lead_labels=(0, 1), prod_size=1, prod_labels=(0, 1), mult_l=2, mult_labels=(0, 1)),
-            "commutation": dict(size=1, labels=(0, 1), max_r=1, presets=("sl2",)),
-            "D-identities": dict(size=1, labels=(0, 1)),
-            "integrality": dict(qinuz_size=1, bbd_size=1, labels=(0, 1), ad_r=2, prod_len=2, prod_r=2, bracket_r=2, bracket_chi=1, sl3_size=1, presets=("sl2",)),
-            "A2": dict(max_r=1, labels=(0, 1)),
-            "divided-powers": dict(max_total=4, labels=(0, 1)),
-            "self-consistency": dict(assoc_count=20, word_len=2, labels=(0, 1)),
+            "straightening": dict(exh_size=1, exh_labels=(one, t), rand_size=2, rand_labels=(one, t), rand_count=5),
+            "D-consistency": dict(max_psi=1, max_k=1, labels=(one, t), deg_size=1),
+            "p-properties": dict(lead_size=2, lead_labels=(one, t), prod_size=1, prod_labels=(one, t), mult_l=2, mult_labels=(one, t)),
+            "commutation": dict(size=1, labels=(one, t), max_r=1, presets=("sl2",)),
+            "D-identities": dict(size=1, labels=(one, t)),
+            "integrality": dict(qinuz_size=1, bbd_size=1, labels=(one, t), ad_r=2, prod_len=2, prod_r=2, bracket_r=2, bracket_chi=1, sl3_size=1, presets=("sl2",)),
+            "A2": dict(max_r=1, labels=(one, t)),
+            "divided-powers": dict(max_total=4, labels=(one, t)),
+            "self-consistency": dict(assoc_count=20, word_len=2, labels=(one, t)),
         },
         "desk": {
-            "straightening": dict(exh_size=2, exh_labels=(0, 1, 2), rand_size=3, rand_labels=(0, 1), rand_count=200),
-            "D-consistency": dict(max_psi=3, max_k=3, labels=(0, 1), deg_size=3),
-            "p-properties": dict(lead_size=4, lead_labels=(0, 1), prod_size=2, prod_labels=(0, 1), mult_l=4, mult_labels=(0, 1, 2)),
-            "commutation": dict(size=2, labels=(0, 1), max_r=2, presets=("sl2", "sl3")),
-            "D-identities": dict(size=2, labels=(0, 1)),
-            "integrality": dict(qinuz_size=3, bbd_size=2, labels=(0, 1), ad_r=4, prod_len=3, prod_r=3, bracket_r=3, bracket_chi=2, sl3_size=2, presets=("sl2", "sl3")),
-            "A2": dict(max_r=3, labels=(0, 1)),
-            "divided-powers": dict(max_total=8, labels=(0, 1)),
-            "self-consistency": dict(assoc_count=500, word_len=4, labels=(0, 1)),
+            "straightening": dict(exh_size=2, exh_labels=(one, t, t2), rand_size=3, rand_labels=(one, t), rand_count=200),
+            "D-consistency": dict(max_psi=3, max_k=3, labels=(one, t), deg_size=3),
+            "p-properties": dict(lead_size=4, lead_labels=(one, t), prod_size=2, prod_labels=(one, t), mult_l=4, mult_labels=(one, t, t2)),
+            "commutation": dict(size=2, labels=(one, t), max_r=2, presets=("sl2", "sl3")),
+            "D-identities": dict(size=2, labels=(one, t)),
+            "integrality": dict(qinuz_size=3, bbd_size=2, labels=(one, t), ad_r=4, prod_len=3, prod_r=3, bracket_r=3, bracket_chi=2, sl3_size=2, presets=("sl2", "sl3")),
+            "A2": dict(max_r=3, labels=(one, t)),
+            "divided-powers": dict(max_total=8, labels=(one, t)),
+            "self-consistency": dict(assoc_count=500, word_len=4, labels=(one, t)),
         },
         "deep": {
-            "straightening": dict(exh_size=3, exh_labels=(0, 1, 2), rand_size=4, rand_labels=(0, 1), rand_count=500),
-            "D-consistency": dict(max_psi=4, max_k=4, labels=(0, 1), deg_size=4),
-            "p-properties": dict(lead_size=5, lead_labels=(0, 1), prod_size=3, prod_labels=(0, 1), mult_l=5, mult_labels=(0, 1, 2)),
-            "commutation": dict(size=3, labels=(0, 1), max_r=3, presets=("sl2", "sl3")),
-            "D-identities": dict(size=3, labels=(0, 1)),
-            "integrality": dict(qinuz_size=4, bbd_size=3, labels=(0, 1), ad_r=6, prod_len=3, prod_r=4, bracket_r=4, bracket_chi=3, sl3_size=3, presets=("sl2", "sl3")),
-            "A2": dict(max_r=4, labels=(0, 1)),
-            "divided-powers": dict(max_total=10, labels=(0, 1)),
-            "self-consistency": dict(assoc_count=1000, word_len=4, labels=(0, 1)),
+            "straightening": dict(exh_size=3, exh_labels=(one, t, t2), rand_size=4, rand_labels=(one, t), rand_count=500),
+            "D-consistency": dict(max_psi=4, max_k=4, labels=(one, t), deg_size=4),
+            "p-properties": dict(lead_size=5, lead_labels=(one, t), prod_size=3, prod_labels=(one, t), mult_l=5, mult_labels=(one, t, t2)),
+            "commutation": dict(size=3, labels=(one, t), max_r=3, presets=("sl2", "sl3")),
+            "D-identities": dict(size=3, labels=(one, t)),
+            "integrality": dict(qinuz_size=4, bbd_size=3, labels=(one, t), ad_r=6, prod_len=3, prod_r=4, bracket_r=4, bracket_chi=3, sl3_size=3, presets=("sl2", "sl3")),
+            "A2": dict(max_r=4, labels=(one, t)),
+            "divided-powers": dict(max_total=10, labels=(one, t)),
+            "self-consistency": dict(assoc_count=1000, word_len=4, labels=(one, t)),
         },
     }
 
@@ -148,10 +151,6 @@ PROFILES = _default_profiles()
 
 # ---------------------------------------------------------------------------
 # shared helpers and the two shared properties
-
-
-def _pool(exps):
-    return tuple(ALabel([e]) for e in exps)
 
 
 def _multisets_up_to(pool, max_size):
@@ -256,13 +255,12 @@ def _at_preset(sides, side):
 
 def _instances_straightening(spec):
     p = spec.params
-    pool = _pool(p["exh_labels"])
+    pool = p["exh_labels"]
     for phi in _multisets_up_to(pool, p["exh_size"]):
         for chi in _multisets_up_to(pool, p["exh_size"]):
             yield ("exh", phi, chi)
     rng = random.Random(spec.seed)
-    rpool = _pool(p["rand_labels"])
-    shapes = list(multisets_of_size(rpool, p["rand_size"]))
+    shapes = list(multisets_of_size(p["rand_labels"], p["rand_size"]))
     for _ in range(p["rand_count"]):
         yield ("rand", rng.choice(shapes), rng.choice(shapes))
 
@@ -289,7 +287,7 @@ def _straightening_sides(phi, chi):
 
 def _instances_D_consistency(spec):
     p = spec.params
-    pool = _pool(p["labels"])
+    pool = p["labels"]
     shapes = _multisets_up_to(pool, p["max_psi"])
     for sign in (1, -1):
         for psi in shapes:
@@ -333,13 +331,13 @@ def _dressed_degree_sides(psi1, psi2, psi3):
 
 def _instances_p_properties(spec):
     p = spec.params
-    for chi in _multisets_up_to(_pool(p["lead_labels"]), p["lead_size"]):
+    for chi in _multisets_up_to(p["lead_labels"], p["lead_size"]):
         yield ("leading", chi)
-    prod_shapes = _multisets_up_to(_pool(p["prod_labels"]), p["prod_size"])
+    prod_shapes = _multisets_up_to(p["prod_labels"], p["prod_size"])
     for chi in prod_shapes:
         for chi2 in prod_shapes:
             yield ("product", chi, chi2)
-    mpool = _pool(p["mult_labels"])
+    mpool = p["mult_labels"]
     for l in range(p["mult_l"] + 1):
         for a in mpool:
             for b in mpool:
@@ -401,7 +399,7 @@ def _root_cartan_pairs(preset):
 
 def _instances_commutation(spec):
     p = spec.params
-    pool = _pool(p["labels"])
+    pool = p["labels"]
     shapes = _multisets_up_to(pool, p["size"])
     for preset_name in p["presets"]:
         preset = make_preset(preset_name)
@@ -515,7 +513,7 @@ def _qpx_sides(b, phi, chi, literal=False):
 
 def _instances_D_identities(spec):
     p = spec.params
-    pool = _pool(p["labels"])
+    pool = p["labels"]
     shapes = _multisets_up_to(pool, p["size"])
     for sign in (1, -1):
         for b in pool:
@@ -621,7 +619,7 @@ def _eqnbbd_sides(varphi, phi, chi):
 
 def _instances_integrality(spec):
     p = spec.params
-    pool = _pool(p["labels"])
+    pool = p["labels"]
     shapes = _multisets_up_to(pool, p["qinuz_size"])
     for sign in (1, -1):
         for phi in shapes:
@@ -700,7 +698,7 @@ def _divided_product(combo):
 
 def _instances_A2(spec):
     p = spec.params
-    pool = _pool(p["labels"])
+    pool = p["labels"]
     for sign in (1, -1):
         for aidx, bidx in ((0, 1), (1, 0)):
             for r in range(p["max_r"] + 1):
@@ -761,7 +759,7 @@ def _a2_signs(sign, aidx, bidx, r, s, a, b):
 
 def _instances_divided_powers(spec):
     p = spec.params
-    pool = _pool(p["labels"])
+    pool = p["labels"]
     sl2 = make_preset("sl2")
     for index in range(sl2.dim):
         for b in pool:
@@ -780,7 +778,7 @@ def _divided_power_law_sides(index, b, r, s):
 
 def _instances_self_consistency(spec):
     p = spec.params
-    gens = [Gen(i, b) for i in range(make_preset("sl2").dim) for b in _pool(p["labels"])]
+    gens = [Gen(i, b) for i in range(make_preset("sl2").dim) for b in p["labels"]]
     rng = random.Random(spec.seed)
 
     def rand_elem_spec():
@@ -834,12 +832,11 @@ class Check(NamedTuple):
     entry is their kind and whose other entries are the instance's fields;
     ``kinds`` maps every kind to an evaluator called with those fields
     alone, returning None on success, a :class:`CheckFailure`, or a note
-    string for the report; ``presets`` are the algebras the check may be
-    forced onto."""
+    string for the report.  Which algebras a check runs on is part of its
+    instances: a profile that names several lists them as ``presets``."""
 
     instances: Callable
     kinds: dict
-    presets: tuple
 
 
 # Rows call traced public functions through a lambda, never store them:
@@ -849,7 +846,6 @@ CHECKS = {
     "straightening": Check(
         _instances_straightening,
         dict.fromkeys(("exh", "rand"), _equal("phi=%s chi=%s", _straightening_sides)),
-        ("sl2",),
     ),
     "D-consistency": Check(
         _instances_D_consistency,
@@ -858,7 +854,6 @@ CHECKS = {
             "homogeneous": _equal("sign=%+d psi1=%s psi2=%s psi3=%s", _homogeneous_sides),
             "dressed-degree": _equal("psi1=%s psi2=%s psi3=%s", _dressed_degree_sides),
         },
-        ("sl2",),
     ),
     "p-properties": Check(
         _instances_p_properties,
@@ -867,7 +862,6 @@ CHECKS = {
             "product": _cartan_product,
             "multiplicative": _equal("l=%d a=%s b=%s", _multiplicative_sides),
         },
-        ("sl2",),
     ),
     "commutation": Check(
         _instances_commutation,
@@ -886,7 +880,6 @@ CHECKS = {
             ),
             "qpx": _equal("qpx b=%s phi=%s chi=%s", _qpx_sides),
         },
-        ("sl2", "sl3"),
     ),
     "D-identities": Check(
         _instances_D_identities,
@@ -901,7 +894,6 @@ CHECKS = {
             "eqnq": _equal("eqnq b=%s varphi=%s chi=%s", _eqnq_sides),
             "eqnbbd": _equal("eqnbbd varphi=%s phi=%s chi=%s", _eqnbbd_sides),
         },
-        ("sl2",),
     ),
     "integrality": Check(
         _instances_integrality,
@@ -933,13 +925,11 @@ CHECKS = {
                 lambda a, chi, r: r + chi.size,
             ),
         },
-        ("sl2", "sl3"),
     ),
-    "A2": Check(_instances_A2, {"a2": _a2_signs}, ("sl3",)),
+    "A2": Check(_instances_A2, {"a2": _a2_signs}),
     "divided-powers": Check(
         _instances_divided_powers,
         {"dp": _equal("gen=%d b=%s r=%d s=%d", _divided_power_law_sides)},
-        ("sl2",),
     ),
     "self-consistency": Check(
         _instances_self_consistency,
@@ -947,7 +937,6 @@ CHECKS = {
             "assoc": _equal("assoc #%d %s %s %s", _associativity_sides),
             "word": _equal("word %s", _fold_order_sides),
         },
-        ("sl2",),
     ),
 }
 
@@ -956,19 +945,12 @@ def check_names():
     return list(CHECKS)
 
 
-def make_spec(name, profile="desk", preset=None, seed=0, overrides=None):
+def make_spec(name, profile="desk", seed=0, overrides=None):
     if name not in CHECKS:
         raise ValueError("unknown check %r (known: %s)" % (name, ", ".join(CHECKS)))
     if profile not in PROFILES:
         raise ValueError("unknown profile %r" % (profile,))
-    allowed = CHECKS[name].presets
-    if preset is not None and preset not in allowed:
-        raise ValueError(
-            "check %r needs one of %s, got %r" % (name, "/".join(allowed), preset)
-        )
     params = dict(PROFILES[profile][name])
-    if preset is not None and "presets" in params:
-        params["presets"] = (preset,)
     for key, value in (overrides or {}).items():
         if key in params:
             params[key] = value
@@ -1037,7 +1019,7 @@ def run_check(spec):
     )
 
 
-def run_suite(names, profile="desk", preset=None, seed=0, overrides=None):
+def run_suite(names, profile="desk", seed=0, overrides=None):
     """Run several checks and return their reports in order.  ``all``
     stands for every check and must be named alone; no check may be named
     twice."""
@@ -1049,9 +1031,6 @@ def run_suite(names, profile="desk", preset=None, seed=0, overrides=None):
     for name in names:
         if names.count(name) > 1:
             raise ValueError("check %r is named more than once" % name)
-    specs = [
-        make_spec(name, profile=profile, preset=preset, seed=seed, overrides=overrides)
-        for name in names
-    ]
+    specs = [make_spec(name, profile=profile, seed=seed, overrides=overrides) for name in names]
     _check_overrides(specs, overrides)
     return [run_check(spec) for spec in specs]

@@ -613,8 +613,8 @@ class Element:
             if not isinstance(term, dict) or set(term) != {"monomial", "coeff"}:
                 raise ValueError("element term must have 'monomial' and 'coeff'")
             num, den = term["coeff"]
-            if isinstance(num, bool) or isinstance(den, bool):
-                raise ValueError("coefficient entries must be integers or strings, not booleans")
+            if not all(type(x) in (int, str) for x in (num, den)):
+                raise ValueError("coefficient %r must hold integers or strings" % [num, den])
             num, den = int(num), int(den)
             if not den:
                 raise ValueError("coefficient denominator must be nonzero")

@@ -11,6 +11,7 @@ import mapalg
 from mapalg import forms
 from mapalg.cli import main, parse_multiset
 from mapalg.combinatorics import ALabel, Multiset
+from mapalg.identities import check_names
 from mapalg.pbw import Element, make_preset
 
 
@@ -114,6 +115,18 @@ class TestEval:
         )
         assert code == 0
         assert out.splitlines()[-1] == "-1 (h_1⊗1) - 1 (h_2⊗1)"
+
+    def test_alpha_over_sl2(self, capsys):
+        code, plain = run_cli("eval", "D", "--psi1", "{[0]:1}", "--psi2", "{[1]:1}", "--psi3", "{}")
+        assert code == 0
+        code, pushed = run_cli(
+            "eval", "D", "--psi1", "{[0]:1}", "--psi2", "{[1]:1}", "--psi3", "{}", "--alpha", "0"
+        )
+        assert code == 0 and pushed == plain
+        code, out = run_cli("eval", "p", "--chi", "{[0]:1}", "--alpha", "7")
+        assert code == 2 and out == ""
+        err = capsys.readouterr().err
+        assert "invalid root index 7 for sl2" in err and err.count("\n") == 1
 
     def test_missing_argument(self):
         code, _ = run_cli("eval", "p")
@@ -234,10 +247,21 @@ class TestReduce:
             ([[1, [1], True]], ["1", "1"]),
             ([[1, [True], 1]], ["1", "1"]),
             ([[1, [1], 1]], [True, "1"]),
+            ([[1.0, [1], 1]], ["1", "1"]),
+            ([[1, [1], 1.0]], ["1", "1"]),
+            ([[1, [1.0], 1]], ["1", "1"]),
+            ([[1, [1], 1]], [1.5, 1]),
+            ([[1, [1], 1]], [3, 2.7]),
         ],
-        ids=["index", "exponent", "label", "coeff"],
+        ids=[
+            "index", "exponent", "label", "coeff",
+            "float-index", "float-exponent", "float-label", "float-numerator",
+            "float-denominator",
+        ],
     )
-    def test_boolean_is_exit_2(self, tmp_path, capsys, monomial, coeff):
+    def test_non_integer_number_is_exit_2(self, tmp_path, capsys, monomial, coeff):
+        """Booleans and floats are JSON numbers but not integers: each is
+        refused instead of truncated."""
         path = tmp_path / "e.json"
         path.write_text(json.dumps([{"monomial": monomial, "coeff": coeff}]), encoding="utf-8")
         code, out = run_cli("reduce", str(path))
@@ -264,6 +288,15 @@ class TestCheck:
     def test_a2_on_sl2_is_config_error(self):
         code, _ = run_cli("check", "A2", "--algebra", "sl2")
         assert code == 2
+
+    @pytest.mark.parametrize("algebra", ["sl2", "sl3"])
+    @pytest.mark.parametrize("name", check_names() + ["all"])
+    def test_algebra_is_refused(self, capsys, name, algebra):
+        code, out = run_cli("check", name, "--profile", "smoke", "--algebra", algebra)
+        assert code == 2
+        assert out == ""
+        err = capsys.readouterr().err
+        assert "--algebra" in err and err.count("\n") == 1
 
     def test_unknown_suite(self):
         code, _ = run_cli("check", "bogus", "--profile", "smoke")

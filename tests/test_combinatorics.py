@@ -139,6 +139,8 @@ class TestMultiset:
         assert Multiset.from_json(chi.to_json()) == chi
         with pytest.raises(ValueError):
             Multiset.from_json([[T.to_json(), 0]])
+        with pytest.raises(ValueError):
+            Multiset.from_json([[T.to_json(), True]])
 
     def test_empty_multiset_is_a_key(self):
         mom = Multiset(((ms(), 2),))

@@ -132,14 +132,6 @@ class TestRunner:
         with pytest.raises(ValueError):
             make_spec("straightening", profile="huge")
 
-    def test_a2_requires_sl3(self):
-        with pytest.raises(ValueError):
-            make_spec("A2", preset="sl2")
-
-    def test_preset_restriction(self):
-        spec = make_spec("commutation", profile="smoke", preset="sl2")
-        assert spec.params["presets"] == ("sl2",)
-
     def test_overrides(self):
         spec = make_spec(
             "straightening", profile="smoke", overrides={"rand_count": 2, "bogus": 9}
@@ -218,8 +210,8 @@ class TestCheckTable:
         for name in check_names():
             check = CHECKS[name]
             yielded = set()
-            for preset in check.presets:
-                spec = make_spec(name, profile="smoke", preset=preset)
+            for profile in PROFILES:
+                spec = make_spec(name, profile=profile)
                 yielded |= {args[0] for args in check.instances(spec)}
             assert yielded == set(check.kinds), name
 
