@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from typing import NamedTuple
 
@@ -60,6 +61,12 @@ class SessionConfig(NamedTuple):
         return "# " + " ".join(parts)
 
 
+# ASCII digits only: int() alone would also take "1_0", "+1" and other
+# scripts' digits
+_EXPONENT = re.compile(r"-?[0-9]+")
+_MULTIPLICITY = re.compile(r"[0-9]+")
+
+
 def parse_multiset(text, nvars, laurent):
     """Parse the inline multiset syntax ``{[e1,e2,...]:mult, ...}``.
 
@@ -91,11 +98,15 @@ def parse_multiset(text, nvars, laurent):
             end = s.find("]", pos)
             if end < 0:
                 fail("unterminated label", pos)
-            body = s[pos + 1 : end].strip()
-            try:
-                exps = [int(x.strip()) for x in body.split(",")] if body else []
-            except ValueError:
-                fail("label entries must be integers", pos + 1)
+            body = s[pos + 1 : end]
+            exps = []
+            at = pos + 1
+            for field in body.split(",") if body.strip() else ():
+                entry = field.strip()
+                if not _EXPONENT.fullmatch(entry):
+                    fail("label entries must be integers", at + len(field) - len(field.lstrip()))
+                exps.append(int(entry))
+                at += len(field) + 1
             if len(exps) != nvars:
                 fail("label has %d entries, session has %d variables" % (len(exps), nvars), pos)
             if not laurent and any(e < 0 for e in exps):
@@ -104,14 +115,13 @@ def parse_multiset(text, nvars, laurent):
             if pos >= len(s) or s[pos] != ":":
                 fail("expected ':'", pos)
             pos = skip_ws(pos + 1)
-            start = pos
-            while pos < len(s) and (s[pos].isdigit() or s[pos] == "-"):
-                pos += 1
-            if start == pos:
+            digits = _MULTIPLICITY.match(s, pos)
+            if digits is None:
                 fail("expected a multiplicity", pos)
-            mult = int(s[start:pos])
+            mult = int(digits.group())
             if mult < 1:
-                fail("multiplicity must be >= 1", start)
+                fail("multiplicity must be >= 1", pos)
+            pos = digits.end()
             entries.append((ALabel(exps), mult))
             pos = skip_ws(pos)
             if pos < len(s) and s[pos] == ",":

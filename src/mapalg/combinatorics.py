@@ -111,6 +111,10 @@ class ALabel(tuple):
         return cls(data)
 
 
+# ``_items`` -> the one Multiset with those items; see Multiset.
+_interned = {}
+
+
 class Multiset:
     """A finite-support multiplicity function with totally ordered keys.
 
@@ -122,14 +126,23 @@ class Multiset:
     ``psi <= chi`` is the pointwise partial order from the math; use
     ``sort_key()`` when a total order is needed for sorting.
 
+    Multisets are hash-consed: there is one object per value, kept in a
+    module table from ``_items`` to that object, so equality is identity
+    and hashing is the identity hash, both done in C by ``object``.
+    ``_items`` is never mutated.  The table only grows (one entry per
+    distinct value ever built); it is not a memo table, and
+    :func:`~mapalg.memo.clear_caches` leaves it alone, because a second
+    object of a live value would break identity equality.
+
     The public constructor validates, merges and sorts its entries; the
     enumerations and ``-`` build results that are already canonical
-    through :meth:`_canonical`, which does none of that.
+    through :meth:`_canonical`, which does none of that.  Both end in the
+    table, and so does unpickling and copying, through ``__reduce__``.
     """
 
     __slots__ = ("_items", "_size")
 
-    def __init__(self, entries=()):
+    def __new__(cls, entries=()):
         acc = {}
         items = entries.items() if isinstance(entries, dict) else entries
         for key, mult in items:
@@ -138,18 +151,24 @@ class Multiset:
                 raise ValueError("negative multiplicity %d for %r" % (mult, key))
             if mult:
                 acc[key] = acc.get(key, 0) + mult
-        self._items = tuple(sorted(acc.items(), key=lambda kv: kv[0].sort_key()))
-        self._size = sum(acc.values())
+        items = tuple(sorted(acc.items(), key=lambda kv: kv[0].sort_key()))
+        return cls._canonical(items, sum(acc.values()))
 
     @classmethod
     def _canonical(cls, items, size):
-        """Wrap a tuple of (key, multiplicity) pairs that is already in
-        canonical form: distinct keys in sort order, positive integer
-        multiplicities summing to ``size``.  Nothing is checked."""
-        self = object.__new__(cls)
-        self._items = items
-        self._size = size
+        """The one multiset with ``items``, a tuple of (key, multiplicity)
+        pairs already in canonical form: distinct keys in sort order,
+        positive integer multiplicities summing to ``size``.  Nothing is
+        checked; the object is built only if the value is new."""
+        self = _interned.get(items)
+        if self is None:
+            self = _interned[items] = object.__new__(cls)
+            self._items = items
+            self._size = size
         return self
+
+    def __reduce__(self):
+        return (Multiset._canonical, (self._items, self._size))
 
     @classmethod
     def single(cls, key, mult=1):
@@ -177,12 +196,6 @@ class Multiset:
 
     def __bool__(self):
         return bool(self._items)
-
-    def __eq__(self, other):
-        return isinstance(other, Multiset) and self._items == other._items
-
-    def __hash__(self):
-        return hash(self._items)
 
     def sort_key(self):
         return (self._size, tuple((k.sort_key(), m) for k, m in self._items))

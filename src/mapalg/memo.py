@@ -4,6 +4,11 @@ Each cache is a plain dict made by :func:`new_table`, either directly (the
 per-preset product tables in :mod:`mapalg.pbw`) or through the
 :func:`memoised` decorator, and :func:`clear_caches` empties them all.
 Cached values are shared between callers and must not be mutated.
+
+The intern table of :class:`mapalg.combinatorics.Multiset` is deliberately
+not registered here: it is what makes equal multisets the same object, so
+emptying it would let a second object of a live value be built, and
+identity equality would then be wrong.
 """
 
 from __future__ import annotations

@@ -612,7 +612,10 @@ class Element:
         for term in data:
             if not isinstance(term, dict) or set(term) != {"monomial", "coeff"}:
                 raise ValueError("element term must have 'monomial' and 'coeff'")
-            num, den = term["coeff"]
+            coeff = term["coeff"]
+            if not (isinstance(coeff, list) and len(coeff) == 2):
+                raise ValueError("coefficient must be a JSON array [numerator, denominator]")
+            num, den = coeff
             if not all(type(x) in (int, str) for x in (num, den)):
                 raise ValueError("coefficient %r must hold integers or strings" % [num, den])
             num, den = int(num), int(den)

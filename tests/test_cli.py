@@ -136,6 +136,27 @@ class TestEval:
         code, _ = run_cli("eval", "p", "--chi", "{[0:1}")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "chi, at",
+        [
+            ("{[1_0]:1}", 2),
+            ("{[+1]:1}", 2),
+            ("{[0, 1.5]:1}", 5),
+            ("{[1]:1-2}", 6),
+            ("{[1]:\u0663}", 5),
+            ("{[\u0661]:1}", 2),
+            ("{[1]:-1}", 5),
+        ],
+        ids=["underscore", "plus", "float", "dash", "arabic-indic-mult", "arabic-indic-exp", "negative-mult"],
+    )
+    def test_only_ascii_integers_are_read(self, capsys, chi, at):
+        """Exponents are ``-?[0-9]+`` and multiplicities ``[0-9]+``; any
+        other spelling that ``int()`` would take is refused at its position."""
+        code, out = run_cli("eval", "p", "--mode", "laurent", "--chi", chi)
+        assert code == 2 and out == ""
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "at position %d:" % at in err
+
     def test_config_echo_in_text(self):
         code, out = run_cli("eval", "p", "--chi", "{}")
         assert out.startswith("# algebra=sl2 variables=1 mode=polynomial")
@@ -264,6 +285,22 @@ class TestReduce:
         refused instead of truncated."""
         path = tmp_path / "e.json"
         path.write_text(json.dumps([{"monomial": monomial, "coeff": coeff}]), encoding="utf-8")
+        code, out = run_cli("reduce", str(path))
+        assert code == 2 and "integral" not in out
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "coeff",
+        [{"3": 0, "2": 1}, "12", ["1"], ["1", "2", "3"]],
+        ids=["object", "string", "one-entry", "three-entries"],
+    )
+    def test_coefficient_must_be_a_pair_array(self, tmp_path, capsys, coeff):
+        """Only a JSON array of length 2 is a coefficient: an object or a
+        string of two characters would otherwise unpack as one."""
+        path = tmp_path / "e.json"
+        data = [{"monomial": [[1, [1], 1]], "coeff": coeff}]
+        path.write_text(json.dumps(data), encoding="utf-8")
         code, out = run_cli("reduce", str(path))
         assert code == 2 and "integral" not in out
         err = capsys.readouterr().err

@@ -1,8 +1,11 @@
+import copy
 import itertools
 import pickle
 
 import pytest
 
+from mapalg import forms
+from mapalg.cli import parse_multiset
 from mapalg.combinatorics import (
     ALabel,
     Multiset,
@@ -16,6 +19,8 @@ from mapalg.combinatorics import (
     subpartition_splits,
     subpartitions,
 )
+from mapalg.memo import clear_caches
+from mapalg.pbw import Element, make_preset
 
 U = ALabel([0])
 T = ALabel([1])
@@ -146,6 +151,70 @@ class TestMultiset:
         mom = Multiset(((ms(), 2),))
         assert mom.size == 2
         assert mom.count(ms()) == 2
+
+
+class TestHashConsing:
+    """One object per value: every way of building a multiset hands back
+    the same object, so the identity equality and hash it inherits from
+    ``object`` are the value's."""
+
+    def test_every_construction_path_gives_the_one_object(self):
+        chi = Multiset(((T, 2), (U, 1)))
+        assert Multiset({U: 1, T: 2}) is chi
+        assert Multiset(((T, 1), (U, 1), (T, 1))) is chi
+        assert Multiset._canonical(((U, 1), (T, 2)), 3) is chi
+        assert Multiset.single(U) + Multiset.single(T, 2) is chi
+        assert ms((U, 2), (T, 3)) - ms((U, 1), (T, 1)) is chi
+        assert ms((U, 1)).scale(0) + ms((T, 1), (U, 1)).scale(1) + Multiset.single(T) is chi
+        assert Multiset.single(T).scale(2) is Multiset.single(T, 2)
+        assert Multiset.from_json(chi.to_json()) is chi
+        assert parse_multiset("{[1]:2, [0]:1}", 1, False) is chi
+        assert ms() is Multiset() is Multiset({}) is ms((T, 0))
+
+    def test_enumerations_hand_out_the_one_object(self):
+        chi = ms((U, 2), (T, 1))
+        for sub, rest in splits(chi):
+            assert Multiset(sub.items()) is sub and Multiset(rest.items()) is rest
+        assert (ms((U, 1)), ms((U, 1), (T, 1))) in splits(chi)
+        for psi in partitions(chi, 2):
+            assert Multiset(psi.items()) is psi
+            for part, _ in psi.items():
+                assert Multiset(part.items()) is part
+        assert Multiset(((ms((U, 1)), 1), (ms((U, 1), (T, 1)), 1))) in list(partitions(chi, 2))
+
+    def test_basis_index_slots_are_the_one_object(self):
+        sl2 = make_preset("sl2")
+        x, h = (Element.generator(sl2, i, T) for i in range(2))
+        (mono,) = (x * x * h * Element.generator(sl2, 2, U)).num
+        idx = forms._index_of_monomial(sl2, mono)
+        assert idx.minus == (ms((T, 2)),) and idx.minus[0] is Multiset.single(T, 2)
+        assert idx.zero[0] is Multiset.single(T)
+        assert idx.plus[0] is Multiset.single(U)
+
+    @pytest.mark.parametrize(
+        "roundtrip",
+        [lambda m: pickle.loads(pickle.dumps(m)), copy.copy, copy.deepcopy],
+        ids=["pickle", "copy", "deepcopy"],
+    )
+    def test_pickle_and_copy_return_the_one_object(self, roundtrip):
+        chi = ms((T, 2))
+        mom = Multiset(((ms(), 1), (chi, 2)))
+        for value in (chi, mom, ms()):
+            assert roundtrip(value) is value
+        assert not Multiset() and Multiset().items() == () and Multiset().size == 0
+        assert chi.items() == ((T, 2),) and chi.size == 2
+
+    def test_clear_caches_keeps_the_intern_table(self):
+        chi = ms((U, 1), (T2, 3))
+        list(splits(chi))
+        clear_caches()
+        assert Multiset(((T2, 3), (U, 1))) is chi
+        assert splits(chi)[-1] == (chi, ms())
+
+    def test_equality_and_hash_are_objects(self):
+        assert Multiset.__hash__ is object.__hash__
+        assert Multiset.__eq__ is object.__eq__
+        assert Multiset.__ne__ is object.__ne__
 
 
 class TestMultinomial:
