@@ -28,7 +28,7 @@ from .forms import (
     root_monomial,
 )
 from .identities import PROFILES, run_suite
-from .pbw import Element, make_preset, omega
+from .pbw import INTEGER_TEXT, Element, make_preset, omega
 
 
 class CliError(ValueError):
@@ -61,9 +61,7 @@ class SessionConfig(NamedTuple):
         return "# " + " ".join(parts)
 
 
-# ASCII digits only: int() alone would also take "1_0", "+1" and other
-# scripts' digits
-_EXPONENT = re.compile(r"-?[0-9]+")
+# ASCII digits only, as INTEGER_TEXT reads exponents
 _MULTIPLICITY = re.compile(r"[0-9]+")
 
 
@@ -73,7 +71,7 @@ def parse_multiset(text, nvars, laurent):
     The bracketed vector is a label exponent vector; ``{}`` is the empty
     multiset.  Errors carry the offending position.
     """
-    s = text.strip()
+    s = text
     pos = 0
 
     def fail(msg, at):
@@ -103,7 +101,7 @@ def parse_multiset(text, nvars, laurent):
             at = pos + 1
             for field in body.split(",") if body.strip() else ():
                 entry = field.strip()
-                if not _EXPONENT.fullmatch(entry):
+                if not INTEGER_TEXT.fullmatch(entry):
                     fail("label entries must be integers", at + len(field) - len(field.lstrip()))
                 exps.append(int(entry))
                 at += len(field) + 1

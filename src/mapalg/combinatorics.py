@@ -13,7 +13,25 @@ import itertools
 import math
 import operator
 
-from .memo import memoised
+from .memo import memoised, new_table
+
+
+# ``exponents`` -> the one ALabel with that exponent vector; see ALabel.
+_labels = {}
+
+# ``(label, label)`` -> their product and ``(k, label)`` -> ``label**k``
+# for an int ``k``.  A power's key starts with the int, so ``label * k``
+# never finds one.  Emptying it is safe: results re-intern in ``_labels``.
+_label_products = new_table()
+
+
+def _label(exps):
+    """The one label with the exponent vector ``exps``, a non-empty tuple
+    of ints; built only if the value is new."""
+    label = _labels.get(exps)
+    if label is None:
+        label = _labels[exps] = tuple.__new__(ALabel, (sum(exps), exps))
+    return label
 
 
 class ALabel(tuple):
@@ -25,21 +43,28 @@ class ALabel(tuple):
     graded-lex: total degree first, then the exponent vector.
 
     A label is stored as the plain tuple ``(degree, exponents)``, so that
-    hashing, equality and the graded-lex order are tuple operations.  The
+    equality and the graded-lex order are tuple comparisons, done in C.
+    Labels are hash-consed like :class:`Multiset`: one object per value,
+    kept in the module table ``_labels`` (which ``clear_caches()`` leaves
+    alone), so the hash is ``object``'s identity hash.  The constructor,
+    :meth:`unit`, :meth:`from_json`, ``*`` and ``**`` (both memoised) and
+    unpickling and copying (``__reduce__``) all end in that table.  The
     tuple arithmetic that would otherwise leak through is closed off:
     ``*`` is the label product and ``+`` is refused.
     """
 
     __slots__ = ()
+    __hash__ = object.__hash__
 
     def __new__(cls, exponents):
         exps = tuple(int(e) for e in exponents)
         if not exps:
             raise ValueError("a label needs at least one variable")
-        return tuple.__new__(cls, (sum(exps), exps))
+        return _label(exps)
 
-    def __getnewargs__(self):
-        return (self[1],)
+    def __reduce__(self):
+        # not __getnewargs__: pickle protocols 0 and 1 would skip __new__
+        return (ALabel, (self[1],))
 
     @classmethod
     def unit(cls, nvars):
@@ -64,12 +89,15 @@ class ALabel(tuple):
         return self
 
     def __mul__(self, other):
-        if not isinstance(other, ALabel):
-            self._no_tuple_arithmetic(other)
-        a, b = self[1], other[1]
-        if len(a) != len(b):
-            raise ValueError("label length mismatch: %d vs %d" % (len(a), len(b)))
-        return tuple.__new__(ALabel, (self[0] + other[0], tuple(map(operator.add, a, b))))
+        hit = _label_products.get((self, other))
+        if hit is None:
+            if not isinstance(other, ALabel):
+                self._no_tuple_arithmetic(other)
+            a, b = self[1], other[1]
+            if len(a) != len(b):
+                raise ValueError("label length mismatch: %d vs %d" % (len(a), len(b)))
+            hit = _label_products[self, other] = _label(tuple(map(operator.add, a, b)))
+        return hit
 
     def _no_tuple_arithmetic(self, other):
         # tuple repetition and concatenation would otherwise answer for a label
@@ -81,7 +109,10 @@ class ALabel(tuple):
 
     def __pow__(self, k):
         k = int(k)
-        return tuple.__new__(ALabel, (self[0] * k, tuple(e * k for e in self[1])))
+        hit = _label_products.get((k, self))
+        if hit is None:
+            hit = _label_products[k, self] = _label(tuple(e * k for e in self[1]))
+        return hit
 
     def render(self):
         if self.is_unit():

@@ -13,7 +13,10 @@ right factor's letters are inserted one at a time into the sorted left
 factor, with runs ``(g, e)`` kept as exponents.  Each non-trivial
 insertion step is memoised per preset on ``(monomial, generator)`` and
 each non-trivial product on ``(m1, m2)``; both tables join the registry of
-:mod:`mapalg.memo`.
+:mod:`mapalg.memo`.  A letter ``(Gen, e)`` of a monomial holds a
+hash-consed :class:`Gen` over a hash-consed label, so hashing a monomial
+for those tables costs one tuple hash and one identity hash per letter,
+and a label product is one lookup in a memo table.
 
 Sums of products, the shape of every identity the engine checks, are
 built in one exact accumulator, :class:`Sum`: ``add_product(k, x, y)``
@@ -25,6 +28,7 @@ at the end.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -32,15 +36,49 @@ from .combinatorics import ALabel
 from .memo import new_table
 
 
-class Gen(NamedTuple):
+class _GenFields(NamedTuple):
+    index: int
+    label: ALabel
+
+
+# ``(index, label)`` -> the one Gen with those fields; see Gen.
+_gens = {}
+
+
+class Gen(_GenFields):
     """One generator ``basis[index] tensor label``.
 
     Tuple comparison gives the PBW order directly because the preset basis
     is stored negative roots first, then Cartan, then positive roots.
+
+    Generators are hash-consed like labels: one object per value, kept in
+    the module table ``_gens`` and left alone by ``clear_caches()``, so
+    the hash is ``object``'s identity hash, while equality and the order
+    stay tuple comparisons.  The constructor, ``_make``, ``_replace`` and
+    unpickling and copying all end in that table.
     """
 
-    index: int
-    label: ALabel
+    __slots__ = ()
+    __hash__ = object.__hash__
+
+    def __new__(cls, index, label):
+        key = (index, label)
+        gen = _gens.get(key)
+        if gen is None:
+            gen = _gens[key] = tuple.__new__(cls, key)
+        return gen
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+    def __reduce__(self):
+        return (Gen, tuple(self))
+
+
+# An integer written in ASCII digits: int() alone would also take "1_0",
+# "+1", blanks and other scripts' digits.
+INTEGER_TEXT = re.compile(r"-?[0-9]+")
 
 
 def _matmul(a, b):
@@ -165,6 +203,9 @@ class LiePreset:
         self._coroots = tuple(coroots)
 
         roots_by_vec = {r: j for j, r in enumerate(self.positive_roots)}
+        self._simple_roots = tuple(
+            roots_by_vec[tuple(int(k == i) for k in range(rank))] for i in range(rank)
+        )
         self._root_sum = {}
         for j1, r1 in enumerate(self.positive_roots):
             for j2, r2 in enumerate(self.positive_roots):
@@ -226,8 +267,9 @@ class LiePreset:
 
     def simple_root_index(self, i):
         """Positive-root index of the i-th simple root."""
-        unit = tuple(1 if k == i else 0 for k in range(self.rank))
-        return self.positive_roots.index(unit)
+        if not 0 <= i < self.rank:
+            raise ValueError("no simple root %r in rank %d" % (i, self.rank))
+        return self._simple_roots[i]
 
     def bracket_pairs(self, i, j):
         return self._brackets.get((i, j), ())
@@ -616,8 +658,13 @@ class Element:
             if not (isinstance(coeff, list) and len(coeff) == 2):
                 raise ValueError("coefficient must be a JSON array [numerator, denominator]")
             num, den = coeff
-            if not all(type(x) in (int, str) for x in (num, den)):
-                raise ValueError("coefficient %r must hold integers or strings" % [num, den])
+            if not all(
+                type(x) is int or type(x) is str and INTEGER_TEXT.fullmatch(x)
+                for x in (num, den)
+            ):
+                raise ValueError(
+                    "coefficient %r must hold integers or ASCII integer strings" % [num, den]
+                )
             num, den = int(num), int(den)
             if not den:
                 raise ValueError("coefficient denominator must be nonzero")

@@ -73,6 +73,11 @@ class TestMultisetSyntax:
         with pytest.raises(ValueError):
             parse_multiset("{[0]:0}", 1, False)
 
+    def test_surrounding_blanks(self):
+        assert parse_multiset(" \t{[1]:2} \n", 1, False) is Multiset.single(ALabel([1]), 2)
+        with pytest.raises(ValueError, match="position 3: expected '{'"):
+            parse_multiset("   ", 1, False)
+
 
 class TestEval:
     def test_p_single(self):
@@ -156,6 +161,13 @@ class TestEval:
         assert code == 2 and out == ""
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "at position %d:" % at in err
+
+    def test_position_counts_leading_blanks(self, capsys):
+        """The position indexes the quoted text, blanks and all."""
+        code, out = run_cli("eval", "p", "--chi", "   {[x]:1}")
+        assert code == 2 and out == ""
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "at position 5:" in err and "'   {[x]:1}'" in err
 
     def test_config_echo_in_text(self):
         code, out = run_cli("eval", "p", "--chi", "{}")
@@ -305,6 +317,29 @@ class TestReduce:
         assert code == 2 and "integral" not in out
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "coeff",
+        [["1_0", "3"], ["+1", "1"], [" 3 ", "1"], ["1", "\u0663"], ["\u0661", "1"], ["", "1"]],
+        ids=["underscore", "plus", "padded", "arabic-indic-den", "arabic-indic-num", "empty"],
+    )
+    def test_coefficient_strings_are_ascii_integers(self, tmp_path, capsys, coeff):
+        """A string entry is read as ``-?[0-9]+``, as label exponents are:
+        ``int()`` would also take each of these."""
+        path = tmp_path / "e.json"
+        data = [{"monomial": [[1, [1], 1]], "coeff": coeff}]
+        path.write_text(json.dumps(data), encoding="utf-8")
+        code, out = run_cli("reduce", str(path))
+        assert code == 2 and out == ""
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_negative_string_coefficient(self, tmp_path):
+        path = tmp_path / "e.json"
+        data = [{"monomial": [[1, [0], 1]], "coeff": ["-4", "2"]}]
+        path.write_text(json.dumps(data), encoding="utf-8")
+        code, out = run_cli("reduce", str(path), "--format", "json")
+        assert code == 0 and json.loads(out)["integral"] is True
 
     def test_json_output_schema(self, tmp_path):
         data = [{"monomial": [[0, [0], 1]], "coeff": ["1", "1"]}]
@@ -536,6 +571,25 @@ class TestProcessExit:
             return re.sub(r'"elapsedMs": [0-9.e+-]+', '"elapsedMs": 0', text)
 
         assert untimed(done.stdout) == untimed(out)
+
+    def test_reports_agree_across_processes(self):
+        """Labels, generators and multisets hash by identity, and string
+        hashes vary with the hash seed, so two processes hash every value
+        differently: a report that iterated a set of them in hash order
+        would differ between them."""
+        argv = ("check", "all", "--profile", "smoke", "--format", "json")
+        reports = []
+        for hash_seed in ("1", "2"):
+            done = subprocess.run(
+                [sys.executable, "-m", "mapalg.cli", *argv],
+                env=dict(_process_env(), PYTHONHASHSEED=hash_seed),
+                capture_output=True,
+                text=True,
+                timeout=120,
+            )
+            assert done.returncode == 0, done.stderr
+            reports.append(re.sub(r'"elapsedMs": [0-9.e+-]+', '"elapsedMs": 0', done.stdout))
+        assert reports[0] == reports[1]
 
     def test_large_output_arrives_whole(self, tmp_path):
         path = tmp_path / "basis.json"

@@ -4,7 +4,7 @@ import pickle
 
 import pytest
 
-from mapalg import forms
+from mapalg import combinatorics, forms
 from mapalg.cli import parse_multiset
 from mapalg.combinatorics import (
     ALabel,
@@ -215,6 +215,67 @@ class TestHashConsing:
         assert Multiset.__hash__ is object.__hash__
         assert Multiset.__eq__ is object.__eq__
         assert Multiset.__ne__ is object.__ne__
+
+
+def _pickle_at(protocol):
+    return lambda value: pickle.loads(pickle.dumps(value, protocol))
+
+
+ROUNDTRIPS = [_pickle_at(p) for p in range(pickle.HIGHEST_PROTOCOL + 1)] + [copy.copy, copy.deepcopy]
+ROUNDTRIP_IDS = ["pickle-%d" % p for p in range(pickle.HIGHEST_PROTOCOL + 1)] + ["copy", "deepcopy"]
+
+
+class TestLabelHashConsing:
+    """One object per exponent vector, as for multisets: every way of
+    building a label hands back the same object, so the identity hash it
+    inherits from ``object`` is the value's.  Label products are memoised
+    in a registered table."""
+
+    def test_every_construction_path_gives_the_one_object(self):
+        lab = ALabel([2, 1])
+        assert ALabel((2, 1)) is lab and ALabel(iter([2, 1])) is lab
+        assert ALabel.from_json([2, 1]) is lab
+        assert ALabel([1, 1]) * ALabel([1, 0]) is lab
+        assert ALabel([1, 0]) ** 2 * ALabel([0, 1]) is lab and lab**1 is lab
+        assert ALabel.unit(2) is ALabel([0, 0]) is lab**0
+        assert T * T is T**2 is T2 and ALabel([-1]) * T is U
+        assert label_product(ms((T, 2))) is T2
+        assert parse_multiset("{[2, 1]:1}", 2, False).items()[0][0] is lab
+        assert Multiset.from_json([[[2, 1], 1]]).items()[0][0] is lab
+
+    @pytest.mark.parametrize("roundtrip", ROUNDTRIPS, ids=ROUNDTRIP_IDS)
+    def test_pickle_and_copy_return_the_one_object(self, roundtrip):
+        for lab in (U, T2, ALabel([3, 0, -1])):
+            assert roundtrip(lab) is lab
+
+    def test_clear_caches_empties_the_products_and_keeps_the_labels(self):
+        lab = ALabel([5, 7])
+        prod = lab * lab
+        assert lab**2 is prod
+        assert combinatorics._label_products[lab, lab] is prod
+        assert combinatorics._label_products[2, lab] is prod
+        clear_caches()
+        assert not combinatorics._label_products
+        assert ALabel([5, 7]) is lab and combinatorics._labels[10, 14] is prod
+        assert lab * lab is prod and lab**2 is prod
+
+    def test_refused_products_store_nothing(self):
+        clear_caches()
+        assert T**2 is T2
+        products, labels = dict(combinatorics._label_products), len(combinatorics._labels)
+        with pytest.raises(ValueError):
+            ALabel([1, 2]) * ALabel([1])
+        # the power T**2 is stored under (2, T), which T * 2 must not find
+        with pytest.raises(TypeError):
+            T * 2
+        with pytest.raises(TypeError):
+            T**T
+        assert combinatorics._label_products == products
+        assert len(combinatorics._labels) == labels
+
+    def test_hash_is_identity_and_comparison_is_tuple(self):
+        assert ALabel.__hash__ is object.__hash__
+        assert ALabel.__eq__ is tuple.__eq__ and ALabel.__lt__ is tuple.__lt__
 
 
 class TestMultinomial:

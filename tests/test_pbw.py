@@ -1,3 +1,4 @@
+import copy
 import itertools
 import math
 import pickle
@@ -6,7 +7,9 @@ from fractions import Fraction
 
 import pytest
 
+from mapalg import pbw
 from mapalg.combinatorics import ALabel, binom_int
+from mapalg.memo import clear_caches
 from mapalg.pbw import (
     _SL2_MATS,
     Element,
@@ -68,6 +71,59 @@ class TestPresets:
         assert SL2.gen_name(0) == "x-_a1"
         assert SL2.gen_name(1) == "h_1"
         assert SL3.gen_name(7) == "x+_a12"
+
+    @pytest.mark.parametrize("preset", [SL2, SL3], ids=["sl2", "sl3"])
+    def test_simple_root_index(self, preset):
+        for i in range(preset.rank):
+            unit = tuple(1 if k == i else 0 for k in range(preset.rank))
+            assert preset.simple_root_index(i) == preset.positive_roots.index(unit)
+        for i in (-1, preset.rank):
+            with pytest.raises(ValueError):
+                preset.simple_root_index(i)
+
+
+class TestGenHashConsing:
+    """One object per generator, as for labels and multisets: every way of
+    building a ``Gen`` hands back the same object, so the identity hash it
+    inherits from ``object`` is the value's."""
+
+    def test_every_construction_path_gives_the_one_object(self):
+        gen = Gen(H, T2)
+        assert Gen(index=H, label=T * T) is gen
+        assert Gen._make([H, T2]) is gen and Gen._make(iter((H, ALabel([2])))) is gen
+        assert Gen(XP, T2)._replace(index=H) is gen and gen._replace(label=T2) is gen
+        assert gen._replace(index=XM) is Gen(XM, T2)
+        (((got, _),),) = g(SL2, H, ALabel([2])).num
+        assert got is gen
+        # [x+(t), x-(t)] = h(t^2): the bracket term is built in _insert_below
+        prod = g(SL2, XP, T) * g(SL2, XM, T)
+        assert gen in {letter for mono in prod.num for letter, _ in mono}
+        (((got, _),),) = ad_divided(SL2, Gen(XP, T), 1, g(SL2, XM, T)).num
+        assert got is gen
+        data = [{"monomial": [[H, [2], 1]], "coeff": ["1", "1"]}]
+        (((got, _),),) = Element.from_json(SL2, data).num
+        assert got is gen
+
+    @pytest.mark.parametrize(
+        "protocol", range(pickle.HIGHEST_PROTOCOL + 1), ids=lambda p: "pickle-%d" % p
+    )
+    def test_pickle_returns_the_one_object(self, protocol):
+        for gen in (Gen(XM, U), Gen(H, ALabel([3]))):
+            assert pickle.loads(pickle.dumps(gen, protocol)) is gen
+
+    def test_copy_returns_the_one_object(self):
+        gen = Gen(XP, T)
+        assert copy.copy(gen) is gen and copy.deepcopy(gen) is gen
+
+    def test_clear_caches_keeps_the_intern_table(self):
+        gen = Gen(XP, ALabel([11]))
+        clear_caches()
+        assert pbw._gens[XP, ALabel([11])] is gen and Gen(XP, ALabel([11])) is gen
+
+    def test_hash_is_identity_and_comparison_is_tuple(self):
+        assert Gen.__hash__ is object.__hash__
+        assert Gen.__eq__ is tuple.__eq__ and Gen.__lt__ is tuple.__lt__
+        assert Gen(XM, T2) < Gen(H, U) and Gen(H, T) < Gen(H, T2)
 
 
 E12 = ((0, 1), (0, 0))
