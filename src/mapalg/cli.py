@@ -135,14 +135,23 @@ def parse_multiset(text, nvars, laurent):
     return Multiset(entries)
 
 
+def _integer(text):
+    """Read an integer option or override value written in ASCII digits
+    (``pbw.INTEGER_TEXT``); ``int`` alone would also take "1_0", "+1",
+    blanks and other scripts' digits."""
+    if not INTEGER_TEXT.fullmatch(text):
+        raise argparse.ArgumentTypeError("%r is not an integer in ASCII digits" % text)
+    return int(text)
+
+
 def _session_parser():
     parent = argparse.ArgumentParser(add_help=False)
     parent.add_argument("--algebra", choices=("sl2", "sl3"), default=None)
-    parent.add_argument("--variables", type=int, default=1)
+    parent.add_argument("--variables", type=_integer, default=1)
     parent.add_argument("--mode", choices=("polynomial", "laurent"), default="polynomial")
     parent.add_argument("--format", choices=("text", "json"), default="text")
-    parent.add_argument("--jobs", type=int, default=1, help="must be 1")
-    parent.add_argument("--seed", type=int, default=0)
+    parent.add_argument("--jobs", type=_integer, default=1, help="must be 1")
+    parent.add_argument("--seed", type=_integer, default=0)
     return parent
 
 
@@ -163,7 +172,7 @@ def build_parser():
     p_eval.add_argument("--psi2")
     p_eval.add_argument("--psi3")
     p_eval.add_argument("--sign", choices=("+", "-"), default="+")
-    p_eval.add_argument("--alpha", type=int, default=None)
+    p_eval.add_argument("--alpha", type=_integer, default=None)
 
     p_reduce = sub.add_parser("reduce", parents=[session], help="reduce an element file over the basis")
     p_reduce.add_argument("file", help="element JSON file, or - for stdin")
@@ -184,8 +193,8 @@ def build_parser():
     )
 
     p_basis = sub.add_parser("basis", parents=[session], help="list basis indices")
-    p_basis.add_argument("--max-degree", type=int, default=2)
-    p_basis.add_argument("--max-label-degree", type=int, default=1)
+    p_basis.add_argument("--max-degree", type=_integer, default=2)
+    p_basis.add_argument("--max-label-degree", type=_integer, default=1)
 
     return parser
 
@@ -311,8 +320,8 @@ def _cmd_check(args, out):
             raise CliError("override must look like KEY=INT: %r" % item)
         key, _, value = item.partition("=")
         try:
-            overrides[key.strip()] = int(value.strip())
-        except ValueError:
+            overrides[key.strip()] = _integer(value.strip())
+        except argparse.ArgumentTypeError:
             raise CliError("override value must be an integer: %r" % item)
     reports = run_suite(args.names, profile=args.profile, seed=args.seed, overrides=overrides)
     lines = []
@@ -391,7 +400,13 @@ def entry():
     closes standard output early (``mapalg ... | head``) gives exit status
     141, 128 + SIGPIPE, with nothing on stderr.  An exception raised out of
     ``main`` propagates.
+
+    Python's limit on the digits of an integer converted to or from a
+    string (4300 by default) is lifted for the process, so that an exact
+    coefficient such as 1600! prints in full.
     """
+    if hasattr(sys, "set_int_max_str_digits"):  # Python 3.10.7 and later
+        sys.set_int_max_str_digits(0)
     try:
         code = main()
         sys.stdout.flush()

@@ -28,7 +28,7 @@ from .combinatorics import (
     partitions,
 )
 from .memo import clear_caches, memoised  # noqa: F401  (clear_caches is re-exported)
-from .pbw import Element, Gen, Sum, divided_power, make_preset, omega
+from .pbw import Element, Gen, Mono, Sum, divided_power, make_preset, omega
 
 
 def _sl2():
@@ -52,7 +52,7 @@ def root_monomial(sign, alpha, psi, preset=None):
     index = preset.root_index(_sign(sign), alpha)
     if not psi:
         return Element.one(preset)
-    mono = tuple((Gen(index, a), m) for a, m in psi.items())
+    mono = Mono((Gen(index, a), m) for a, m in psi.items())
     den = 1
     for _, m in psi.items():
         den *= math.factorial(m)

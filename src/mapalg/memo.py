@@ -5,10 +5,11 @@ per-preset product tables in :mod:`mapalg.pbw`) or through the
 :func:`memoised` decorator, and :func:`clear_caches` empties them all.
 Cached values are shared between callers and must not be mutated.
 
-The three intern tables are deliberately not registered here:
+The four intern tables are deliberately not registered here:
 ``combinatorics._interned`` (:class:`~mapalg.combinatorics.Multiset`),
-``combinatorics._labels`` (:class:`~mapalg.combinatorics.ALabel`) and
-``pbw._gens`` (:class:`~mapalg.pbw.Gen`).  Each is what makes equal values
+``combinatorics._labels`` (:class:`~mapalg.combinatorics.ALabel`),
+``pbw._gens`` (:class:`~mapalg.pbw.Gen`) and ``pbw._monos``
+(:class:`~mapalg.pbw.Mono`).  Each is what makes equal values
 the same object, so emptying one would let a second object of a live value
 be built, and the identity equality or identity hash would then be wrong.
 """

@@ -16,7 +16,11 @@ each non-trivial product on ``(m1, m2)``; both tables join the registry of
 :mod:`mapalg.memo`.  A letter ``(Gen, e)`` of a monomial holds a
 hash-consed :class:`Gen` over a hash-consed label, so hashing a monomial
 for those tables costs one tuple hash and one identity hash per letter,
-and a label product is one lookup in a memo table.
+and a label product is one lookup in a memo table.  Monomials themselves
+are hash-consed as :class:`Mono`: each value is one object, so every
+product-table key, every ``Element.num`` key and every reduction step
+hashes a monomial by identity, and a sorted concatenation ``m1 · m2`` is
+one lookup in a memo table on ``(m1, m2)``.
 
 Sums of products, the shape of every identity the engine checks, are
 built in one exact accumulator, :class:`Sum`: ``add_product(k, x, y)``
@@ -74,6 +78,50 @@ class Gen(_GenFields):
 
     def __reduce__(self):
         return (Gen, tuple(self))
+
+
+# letters -> the one Mono with those letters; see Mono.
+_monos = {}
+
+
+class Mono(tuple):
+    """A PBW monomial: a strictly increasing tuple of ``(Gen, exponent)``
+    letters, the key of every normal-form dict.
+
+    Monomials are hash-consed like generators: one object per value, kept
+    in the module table ``_monos`` and left alone by ``clear_caches()``,
+    so the hash is ``object``'s identity hash, while equality and the
+    order stay tuple comparisons.  A plain tuple is equal to its ``Mono``
+    but hashes differently, so a dict keyed by monomials is looked up with
+    ``Mono(...)`` keys only.  Unpickling and copying end in the table.
+    """
+
+    __slots__ = ()
+    __hash__ = object.__hash__
+
+    def __new__(cls, letters=()):
+        key = tuple(letters)
+        mono = _monos.get(key)
+        if mono is None:
+            mono = _monos[key] = tuple.__new__(cls, key)
+        return mono
+
+    def __reduce__(self):
+        return (Mono, (tuple(self),))
+
+
+ONE = Mono()
+
+# (m1, m2) -> Mono(m1 + m2) for a pair already in PBW order
+_concats = new_table()
+
+
+def _concat(m1, m2):
+    key = (m1, m2)
+    m = _concats.get(key)
+    if m is None:
+        m = _concats[key] = Mono(m1 + m2)
+    return m
 
 
 # An integer written in ASCII digits: int() alone would also take "1_0",
@@ -377,12 +425,12 @@ def _insert(preset, mono, g):
                 hit = preset._inserts[key] = _insert_below(preset, mono, g, x, e)
             return hit
         if g == x:
-            return {mono[:-1] + ((x, e + 1),): 1}
-    return {mono + ((g, 1),): 1}
+            return {Mono(mono[:-1] + ((x, e + 1),)): 1}
+    return {Mono(mono + ((g, 1),)): 1}
 
 
 def _insert_below(preset, mono, g, x, e):
-    prefix = mono[:-1] + ((x, e - 1),) if e > 1 else mono[:-1]
+    prefix = Mono(mono[:-1] + ((x, e - 1),) if e > 1 else mono[:-1])
     out = {}
     for m, c in _insert(preset, prefix, g).items():
         for m2, f in _insert(preset, m, x).items():
@@ -402,13 +450,13 @@ def _mono_product(preset, m1, m2):
     monomial of ``m1`` times the rest.  Products that need rewriting are
     memoised per preset on ``(m1, m2)``; the rest are concatenations."""
     if not m1 or not m2 or m1[-1][0] < m2[0][0]:
-        return {m1 + m2: 1}
+        return {_concat(m1, m2): 1}
     key = (m1, m2)
     hit = preset._products.get(key)
     if hit is not None:
         return hit
     g, e = m2[-1]
-    rest = m2[:-1] + ((g, e - 1),) if e > 1 else m2[:-1]
+    rest = Mono(m2[:-1] + ((g, e - 1),) if e > 1 else m2[:-1])
     out = {}
     for m, c in _mono_product(preset, m1, rest).items():
         for m3, f in _insert(preset, m, g).items():
@@ -423,13 +471,16 @@ def _mul_into(preset, num, f, x, y):
     loop behind :meth:`Element.__mul__` and :meth:`Sum.add_product`.  A
     pair of monomials already in order is concatenated, any other goes
     through :func:`_mono_product`."""
+    concats = _concats
     right = y.items()
     for m1, a in x.items():
         a *= f
         for m2, b in right:
             if not m1 or not m2 or m1[-1][0] < m2[0][0]:
                 # already sorted: the common case, kept inline
-                m = m1 + m2
+                m = concats.get((m1, m2))
+                if m is None:
+                    m = _concat(m1, m2)
                 num[m] = num.get(m, 0) + a * b
                 continue
             c = a * b
@@ -444,7 +495,9 @@ class Element:
     ``den`` is one positive common denominator, reduced so that
     ``gcd(den, *num.values()) == 1``; zero is ``({}, 1)``.  This form is
     canonical, so equality compares the integers directly.  Every monomial
-    is a strictly increasing tuple of (generator, positive exponent) pairs.
+    is a :class:`Mono`, a strictly increasing tuple of (generator, positive
+    exponent) pairs; ``terms`` may be keyed by plain tuples, which are
+    interned on the way in.
     Elements are immutable by convention; all operations return fresh
     instances, so sharing across threads is safe.
 
@@ -467,7 +520,7 @@ class Element:
                 if not isinstance(c, Fraction):
                     c = Fraction(c)
                 if c:
-                    fracs[m] = c
+                    fracs[Mono(m)] = c
         # Over the LCM of reduced denominators the numerators share no
         # factor with it, so the result is already canonical.
         den = math.lcm(*(c.denominator for c in fracs.values())) if fracs else 1
@@ -506,16 +559,16 @@ class Element:
 
     @classmethod
     def one(cls, preset):
-        return cls._trusted(preset, {(): 1}, 1)
+        return cls._trusted(preset, {ONE: 1}, 1)
 
     @classmethod
     def generator(cls, preset, index, label):
         preset.kind(index)
-        return cls._trusted(preset, {((Gen(index, label), 1),): 1}, 1)
+        return cls._trusted(preset, {Mono(((Gen(index, label), 1),)): 1}, 1)
 
     @classmethod
     def monomial(cls, preset, mono, coeff=1):
-        return cls(preset, {tuple(mono): Fraction(coeff)})
+        return cls(preset, {Mono(mono): Fraction(coeff)})
 
     def _check_same(self, other):
         if self.preset is not other.preset:
@@ -762,7 +815,7 @@ def divided_power(preset, gen, r):
         raise ValueError("negative divided power")
     if r == 0:
         return Element.one(preset)
-    return Element._trusted(preset, {((gen, r),): 1}, math.factorial(r))
+    return Element._trusted(preset, {Mono(((gen, r),)): 1}, math.factorial(r))
 
 
 def binom_element(u, r):
@@ -829,7 +882,7 @@ def ad_divided(preset, x, r, v):
                 continue
             ((g, _e),) = mono
             for k, cc in preset.bracket_pairs(x.index, g.index):
-                key = ((Gen(k, x.label * g.label), 1),)
+                key = Mono(((Gen(k, x.label * g.label), 1),))
                 out[key] = out.get(key, 0) + c * cc
         cur = Element._reduced(preset, {m: c for m, c in out.items() if c}, cur.den)
     return cur / math.factorial(r)

@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -341,6 +342,29 @@ class TestReduce:
         code, out = run_cli("reduce", str(path), "--format", "json")
         assert code == 0 and json.loads(out)["integral"] is True
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_coefficient_beyond_the_digit_limit_prints(self, tmp_path, fmt):
+        """x-(t)^1600 is 1600! times one basis element, a coefficient of 4,412
+        digits, more than Python converts to a string by default; the
+        process lifts that limit and prints it in full."""
+        path = tmp_path / "e.json"
+        path.write_text(json.dumps([{"monomial": [[0, [1], 1600]], "coeff": ["1", "1"]}]))
+        done = run_process("reduce", str(path), "--format", fmt)
+        assert done.returncode == 0, done.stderr
+        limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+        try:
+            if limit:
+                sys.set_int_max_str_digits(0)
+            coeff = str(math.factorial(1600))
+        finally:
+            if limit:
+                sys.set_int_max_str_digits(limit)
+        assert len(coeff) > 4300
+        if fmt == "json":
+            assert [c for _, c in json.loads(done.stdout)["terms"]] == [coeff]
+        else:
+            assert done.stdout.splitlines()[1].startswith(coeff + " * (")
+
     def test_json_output_schema(self, tmp_path):
         data = [{"monomial": [[0, [0], 1]], "coeff": ["1", "1"]}]
         path = tmp_path / "e.json"
@@ -551,6 +575,41 @@ class TestBasis:
         assert out == ""
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "Laurent" in err
+
+
+class TestIntegerOptions:
+    """Every integer option and override value is read as ``-?[0-9]+``:
+    ``int`` would take each of the refused values, and read it as 10, 1 or
+    3."""
+
+    ARGV = {
+        "--seed": ["basis", "--max-degree", "0", "--seed", "%s"],
+        "--variables": ["basis", "--max-degree", "0", "--variables", "%s"],
+        "--jobs": ["basis", "--max-degree", "0", "--jobs", "%s"],
+        "--alpha": ["eval", "xpow", "--algebra", "sl3", "--psi", "{}", "--alpha", "%s"],
+        "--max-degree": ["basis", "--max-degree", "%s"],
+        "--max-label-degree": ["basis", "--max-degree", "0", "--max-label-degree", "%s"],
+        "--override": ["check", "divided-powers", "--profile", "smoke", "--override", "max_total=%s"],
+    }
+
+    def argv(self, option, value):
+        return [arg.replace("%s", value) for arg in self.ARGV[option]]
+
+    @pytest.mark.parametrize("option", list(ARGV))
+    @pytest.mark.parametrize(
+        "value",
+        ["1_0", "+1", "\u0661", "\u0663", "\uff11"],
+        ids=["underscore", "plus", "arabic-indic-1", "arabic-indic-3", "fullwidth-1"],
+    )
+    def test_non_ascii_integer_is_exit_2(self, capsys, option, value):
+        code, out = run_cli(*self.argv(option, value))
+        assert code == 2 and out == ""
+        assert value in capsys.readouterr().err
+
+    @pytest.mark.parametrize("option", list(ARGV))
+    def test_ascii_integer_is_read(self, option):
+        code, out = run_cli(*self.argv(option, "1"))
+        assert code == 0 and out
 
 
 class TestProcessExit:

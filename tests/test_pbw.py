@@ -7,14 +7,18 @@ from fractions import Fraction
 
 import pytest
 
-from mapalg import pbw
-from mapalg.combinatorics import ALabel, binom_int
+from mapalg import memo, pbw
+from mapalg.combinatorics import ALabel, Multiset, binom_int
+from mapalg.forms import root_monomial
+from mapalg.identities import run_suite
 from mapalg.memo import clear_caches
 from mapalg.pbw import (
     _SL2_MATS,
+    ONE,
     Element,
     Gen,
     LiePreset,
+    Mono,
     Sum,
     ad_divided,
     binom_element,
@@ -124,6 +128,126 @@ class TestGenHashConsing:
         assert Gen.__hash__ is object.__hash__
         assert Gen.__eq__ is tuple.__eq__ and Gen.__lt__ is tuple.__lt__
         assert Gen(XM, T2) < Gen(H, U) and Gen(H, T) < Gen(H, T2)
+
+
+def _interned(mono):
+    return type(mono) is Mono and pbw._monos[tuple(mono)] is mono
+
+
+def _is_letters(obj):
+    """A non-empty tuple of ``(Gen, exponent)`` letters: monomial-shaped."""
+    return bool(obj) and all(
+        type(x) is tuple and len(x) == 2 and type(x[0]) is Gen and type(x[1]) is int
+        for x in obj
+    )
+
+
+def _memo_monomials(obj, found):
+    """Collect into ``found`` every monomial reachable from ``obj``: each
+    ``Mono``, each monomial-shaped tuple, each key of a dict held inside a
+    memo table (the normal-form results) and each key of an
+    ``Element.num``."""
+    if isinstance(obj, Element):
+        found.extend(obj.num)
+    elif isinstance(obj, dict):
+        found.extend(obj)
+        for m, c in obj.items():
+            assert type(c) is int
+            _memo_monomials(m, found)
+    elif type(obj) is Mono or isinstance(obj, tuple) and _is_letters(obj):
+        found.append(obj)
+    elif isinstance(obj, tuple) and not isinstance(obj, (ALabel, Multiset, Gen)):
+        for item in obj:
+            _memo_monomials(item, found)
+
+
+class TestMonoHashConsing:
+    """One object per monomial, as for generators: every way of building a
+    monomial that can become a dict key hands back the one ``Mono``, so
+    the identity hash it inherits from ``object`` is the value's."""
+
+    def test_every_construction_path_gives_the_one_object(self):
+        x, h = Gen(XP, T), Gen(H, U)
+        assert Mono(((x, 2),)) is Mono([(x, 2)]) is Mono(Mono(((x, 2),)))
+        assert Mono() is ONE and Mono(()) is ONE and pbw._monos[()] is ONE
+        assert all(_interned(m) for m in Element(SL2, {((x, 1),): 1, (): 2}).num)
+        (m,) = Element.monomial(SL2, [(h, 1), (x, 2)]).num
+        assert m is Mono(((h, 1), (x, 2)))
+        assert list(Element.one(SL2).num) == [ONE]
+        (m,) = g(SL2, XP, T).num
+        assert m is Mono(((x, 1),))
+        (m,) = divided_power(SL2, x, 3).num
+        assert m is Mono(((x, 3),))
+        (m,) = ad_divided(SL2, Gen(XP, U), 1, g(SL2, XM, T)).num
+        assert m is Mono(((Gen(H, T), 1),))
+        (m,) = root_monomial(1, 0, Multiset({U: 1, T: 2})).num
+        assert m is Mono(((Gen(XP, U), 1), (x, 2)))
+        data = [{"monomial": [[XP, [1], 1], [H, [0], 1]], "coeff": ["1", "1"]}]
+        assert all(_interned(m) for m in Element.from_json(SL2, data).num)
+
+    def test_products_give_the_one_object(self):
+        xm, h, xp = Gen(XM, T), Gen(H, U), Gen(XP, T)
+        # _insert: a new last letter, a raised exponent, and a rewrite
+        # through _insert_below with its prefix
+        for mono, gen in (((xm, 1),), h), (((h, 1),), h), (((h, 2), (xp, 3)), xm):
+            out = pbw._insert(SL2, Mono(mono), gen)
+            assert out and all(_interned(m) for m in out)
+        assert list(pbw._insert(SL2, Mono(((h, 1),)), h)) == [Mono(((h, 2),))]
+        # _mono_product: the sorted case, and a rewrite with its rest
+        a, b = Mono(((xm, 1),)), Mono(((h, 1), (xp, 2)))
+        assert list(pbw._mono_product(SL2, a, b)) == [Mono(a + b)]
+        assert list(pbw._mono_product(SL2, ONE, a)) == [a]
+        out = pbw._mono_product(SL2, b, Mono(((xm, 2),)))
+        assert len(out) > 1 and all(_interned(m) for m in out)
+        assert all(_interned(m1) and _interned(m2) for m1, m2 in SL2._products)
+        assert all(_interned(m) for m, _ in SL2._inserts)
+        # _mul_into: the inline sorted concatenation, through Element and Sum
+        prod = g(SL2, XM, T) * g(SL2, H, U) * divided_power(SL2, xp, 2)
+        assert list(prod.num) == [Mono(((xm, 1), (h, 1), (xp, 2)))]
+        acc = Sum(SL2)
+        acc.add_product(1, g(SL2, XP, T), g(SL2, XM, T))
+        assert all(_interned(m) for m in acc.element().num)
+
+    @pytest.mark.parametrize(
+        "protocol", range(pickle.HIGHEST_PROTOCOL + 1), ids=lambda p: "pickle-%d" % p
+    )
+    def test_pickle_returns_the_one_object(self, protocol):
+        for mono in (ONE, Mono(((Gen(XM, U), 1),)), Mono(((Gen(H, T), 2), (Gen(XP, T2), 1)))):
+            assert pickle.loads(pickle.dumps(mono, protocol)) is mono
+
+    def test_copy_returns_the_one_object(self):
+        mono = Mono(((Gen(XP, T), 4),))
+        assert copy.copy(mono) is mono and copy.deepcopy(mono) is mono
+        assert list(pickle.loads(pickle.dumps(g(SL2, XP, T))).num) == list(g(SL2, XP, T).num)
+
+    def test_clear_caches_empties_the_concatenations_and_keeps_the_monomials(self):
+        prod = g(SL2, XM, T) * g(SL2, XP, ALabel([13]))
+        (mono,) = prod.num
+        assert pbw._concats
+        clear_caches()
+        assert not pbw._concats
+        assert pbw._monos[tuple(mono)] is mono
+        assert list((g(SL2, XM, T) * g(SL2, XP, ALabel([13]))).num) == [mono]
+
+    def test_hash_is_identity_and_comparison_is_tuple(self):
+        assert Mono.__hash__ is object.__hash__
+        assert Mono.__eq__ is tuple.__eq__ and Mono.__lt__ is tuple.__lt__
+        a, b = Mono(((Gen(XM, T), 1),)), Mono(((Gen(H, U), 1),))
+        assert a < b and ONE < a and a == tuple(a)
+        # equal to its plain tuple, but not found under it
+        assert tuple(a) not in {a: 1}
+
+    def test_every_monomial_in_the_memo_tables_is_interned(self):
+        clear_caches()
+        run_suite(["all"], "smoke")
+        found = []
+        for table in memo._tables:
+            for key, value in table.items():
+                _memo_monomials(key, found)
+                _memo_monomials(value, found)
+        assert len(found) > 1000
+        bad = [m for m in found if not _interned(m)]
+        assert not bad, bad[:3]
 
 
 E12 = ((0, 1), (0, 0))
@@ -487,7 +611,7 @@ class TestSum:
 class TestDividedPowers:
     def test_definition(self):
         dp = divided_power(SL2, Gen(XP, T), 3)
-        assert dp.terms == {((Gen(XP, T), 3),): Fraction(1, 6)}
+        assert dp.terms == {Mono(((Gen(XP, T), 3),)): Fraction(1, 6)}
 
     def test_zero_power(self):
         assert divided_power(SL2, Gen(XP, T), 0) == Element.one(SL2)
@@ -664,7 +788,8 @@ class TestRepresentation:
         h, ht = g(SL2, H, U), g(SL2, H, T)
         results.append((h + ht) * (h - ht))  # the cross terms cancel inside the product
         assert not (x - x).terms and not (x * 0).terms
-        assert not (x + y).terms.get(((Gen(H, U), 1),))
+        assert Mono(((Gen(H, U), 1),)) in x.num and Mono(((Gen(H, U), 1),)) in y.num
+        assert not (x + y).terms.get(Mono(((Gen(H, U), 1),)))
         for elem in results:
             for c in elem.terms.values():
                 assert type(c) is Fraction and c != 0
@@ -682,7 +807,7 @@ class TestRepresentation:
         assert (x / 6) * 3 == x / 2
         zero = x - x
         assert zero.num == {} and zero.den == 1
-        assert x.den == 6 and x.num == {((Gen(XP, T), 1),): 3, ((Gen(H, U), 1),): 4}
+        assert x.den == 6 and x.num == {Mono(((Gen(XP, T), 1),)): 3, Mono(((Gen(H, U), 1),)): 4}
 
     def test_arithmetic_keeps_reduced_storage(self):
         x = Fraction(1, 2) * g(SL2, XP, T) + Fraction(2, 3) * g(SL2, H, U)
