@@ -28,7 +28,7 @@ from .forms import (
     root_monomial,
 )
 from .identities import PROFILES, run_suite
-from .pbw import INTEGER_TEXT, Element, make_preset, omega
+from .pbw import INTEGER_TEXT, PRESETS, Element, make_preset, omega
 
 
 class CliError(ValueError):
@@ -146,7 +146,7 @@ def _integer(text):
 
 def _session_parser():
     parent = argparse.ArgumentParser(add_help=False)
-    parent.add_argument("--algebra", choices=("sl2", "sl3"), default=None)
+    parent.add_argument("--algebra", choices=tuple(PRESETS), default=None)
     parent.add_argument("--variables", type=_integer, default=1)
     parent.add_argument("--mode", choices=("polynomial", "laurent"), default="polynomial")
     parent.add_argument("--format", choices=("text", "json"), default="text")

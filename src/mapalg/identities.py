@@ -56,7 +56,7 @@ from .forms import (
     root_monomial,
 )
 from .memo import memoised
-from .pbw import Element, Gen, Sum, ad_divided, divided_power, exact_solve, make_preset, omega
+from .pbw import Element, Gen, Sum, ad_divided, divided_power, exact_solve_all, make_preset, omega
 
 
 class CheckSpec(NamedTuple):
@@ -728,7 +728,7 @@ def _a2_signs(sign, aidx, bidx, r, s, a, b):
     target = tuple(lhs_terms.get(m, 0) for m in monos)
     args_str = "sign=%+d roots=(%d,%d) r=%d s=%d a=%s b=%s" % (sign, aidx, bidx, r, s, a, b)
     try:
-        eps = exact_solve(columns, target)
+        eps = exact_solve_all(columns, [target])[0]
     except ValueError:
         eps = None
     if eps is None:

@@ -129,37 +129,23 @@ def _concat(m1, m2):
 INTEGER_TEXT = re.compile(r"-?[0-9]+")
 
 
-def _matmul(a, b):
+def _commutator(a, b):
+    """``ab - ba`` for square matrices ``a`` and ``b``, flattened row by row."""
     n = len(a)
     return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
+        sum(a[i][k] * b[k][j] - b[i][k] * a[k][j] for k in range(n))
         for i in range(n)
+        for j in range(n)
     )
 
 
-def _matsub(a, b):
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def _flat(mat):
-    return tuple(x for row in mat for x in row)
-
-
-def exact_solve(columns, target):
-    """Solve ``sum_k c_k * columns[k] = target`` exactly over the rationals.
-
-    Returns the unique coefficient list, or None when the system is
-    inconsistent.  Raises if the columns are linearly dependent, since all
-    callers expand against a basis.
-    """
-    return exact_solve_all(columns, [target])[0]
-
-
 def exact_solve_all(columns, targets):
-    """:func:`exact_solve` for every target in ``targets`` at once: the
-    columns are row-reduced once, with all targets carried along as extra
-    columns of one augmented matrix.  Returns one coefficient list (or
-    None) per target, in order."""
+    """Solve ``sum_k c_k * columns[k] = target`` exactly over the rationals
+    for every target in ``targets`` at once: the columns are row-reduced
+    once, with all targets carried along as extra columns of one augmented
+    matrix.  Returns one coefficient list per target, in order, or None
+    for a target off the span.  Raises if the columns are linearly
+    dependent, since all callers expand against a basis."""
     ncols = len(columns)
     nrows = len(targets[0])
     aug = [
@@ -169,7 +155,7 @@ def exact_solve_all(columns, targets):
     for row in range(ncols):
         pivot = next((r for r in range(row, nrows) if aug[r][row]), None)
         if pivot is None:
-            raise ValueError("dependent columns in exact_solve")
+            raise ValueError("dependent columns in exact_solve_all")
         aug[row], aug[pivot] = aug[pivot], aug[row]
         inv = 1 / aug[row][row]
         aug[row] = [x * inv for x in aug[row]]
@@ -194,23 +180,21 @@ class LiePreset:
     on the finished table; a failure there is a build-stopping defect.
     """
 
-    def __init__(self, name, rank, positive_roots, neg_mats, cartan_mats, pos_mats):
+    def __init__(self, name, positive_roots, neg_mats, cartan_mats, pos_mats):
         self.name = name
-        self.rank = rank
+        self.rank = rank = len(cartan_mats)
         self.positive_roots = tuple(tuple(r) for r in positive_roots)
         self.m = len(self.positive_roots)
         self.dim = 2 * self.m + rank
-        if len(neg_mats) != self.m or len(pos_mats) != self.m or len(cartan_mats) != rank:
+        if len(neg_mats) != self.m or len(pos_mats) != self.m:
             raise ValueError("basis size does not match root data")
 
         mats = list(neg_mats) + list(cartan_mats) + list(pos_mats)
         pairs = [(i, j) for i in range(self.dim) for j in range(self.dim) if i != j]
-        comms = [
-            _flat(_matsub(_matmul(mats[i], mats[j]), _matmul(mats[j], mats[i])))
-            for i, j in pairs
-        ]
+        comms = [_commutator(mats[i], mats[j]) for i, j in pairs]
+        columns = [tuple(x for row in mat for x in row) for mat in mats]
         brackets = {}
-        for pair, coeffs in zip(pairs, exact_solve_all([_flat(m) for m in mats], comms)):
+        for pair, coeffs in zip(pairs, exact_solve_all(columns, comms)):
             if coeffs is None:
                 raise ValueError("bracket leaves the spanned algebra")
             entry = []
@@ -351,54 +335,45 @@ class LiePreset:
         return (make_preset, (self.name,))
 
 
-_SL2_MATS = {
-    "neg_mats": (((0, 0), (1, 0)),),
-    "cartan_mats": (((1, 0), (0, -1)),),
-    "pos_mats": (((0, 1), (0, 0)),),
-}
+def _sl_matrices(n):
+    """``LiePreset``'s keyword arguments for sl_n in its Chevalley basis
+    (Steinberg 1967, *Lectures on Chevalley groups*): the positive roots
+    e_i - e_j (i < j), by height and then by i, as coefficient vectors over
+    the simple roots e_k - e_{k+1}; E_ji as the negative root vectors,
+    E_ii - E_{i+1,i+1} as the Cartan generators and E_ij as the positive
+    root vectors."""
+    pairs = [(i, i + h) for h in range(1, n) for i in range(n - h)]
+
+    def mat(*entries):
+        d = dict(entries)
+        return tuple(tuple(d.get((r, c), 0) for c in range(n)) for r in range(n))
+
+    return {
+        "positive_roots": [tuple(int(i <= k < j) for k in range(n - 1)) for i, j in pairs],
+        "neg_mats": [mat(((j, i), 1)) for i, j in pairs],
+        "cartan_mats": [mat(((i, i), 1), ((i + 1, i + 1), -1)) for i in range(n - 1)],
+        "pos_mats": [mat(((i, j), 1)) for i, j in pairs],
+    }
 
 
-def _e(i, j):
-    return tuple(
-        tuple(1 if (r, c) == (i, j) else 0 for c in range(3)) for r in range(3)
-    )
-
-
-def _d(i, j):
-    return tuple(
-        tuple(
-            (1 if (r, c) == (i, i) else 0) - (1 if (r, c) == (j, j) else 0)
-            for c in range(3)
-        )
-        for r in range(3)
-    )
-
-
-_SL3_MATS = {
-    "neg_mats": (_e(1, 0), _e(2, 1), _e(2, 0)),
-    "cartan_mats": (_d(0, 1), _d(1, 2)),
-    "pos_mats": (_e(0, 1), _e(1, 2), _e(0, 2)),
-}
+# The accepted preset names, each with the n of its sl_n.
+PRESETS = {"sl2": 2, "sl3": 3}
 
 _PRESET_CACHE = {}
 
 
 def make_preset(name):
-    """Return the validated preset for ``name`` in {sl2, sl3}.
+    """Return the validated preset for a name in :data:`PRESETS`, built
+    from the matrices of :func:`_sl_matrices`.
 
     Presets are cached singletons, so identity comparison is safe and the
     normal-form cache is shared across all elements of one algebra.
     """
     preset = _PRESET_CACHE.get(name)
-    if preset is not None:
-        return preset
-    if name == "sl2":
-        preset = LiePreset("sl2", 1, ((1,),), **_SL2_MATS)
-    elif name == "sl3":
-        preset = LiePreset("sl3", 2, ((1, 0), (0, 1), (1, 1)), **_SL3_MATS)
-    else:
-        raise ValueError("unknown preset %r (expected sl2 or sl3)" % (name,))
-    _PRESET_CACHE[name] = preset
+    if preset is None:
+        if name not in PRESETS:
+            raise ValueError("unknown preset %r (expected %s)" % (name, " or ".join(PRESETS)))
+        preset = _PRESET_CACHE[name] = LiePreset(name, **_sl_matrices(PRESETS[name]))
     return preset
 
 
@@ -497,7 +472,11 @@ class Element:
     canonical, so equality compares the integers directly.  Every monomial
     is a :class:`Mono`, a strictly increasing tuple of (generator, positive
     exponent) pairs; ``terms`` may be keyed by plain tuples, which are
-    interned on the way in.
+    interned on the way in.  The constructor refuses with ``ValueError`` a
+    monomial out of that form (unsorted or repeated generators, an
+    exponent that is not an int >= 1, an index outside the preset); the
+    internal paths (``_trusted``, ``_reduced``, :class:`Sum`) build only
+    normal forms and are not checked.
     Elements are immutable by convention; all operations return fresh
     instances, so sharing across threads is safe.
 
@@ -517,6 +496,12 @@ class Element:
         fracs = {}
         if terms:
             for m, c in terms.items():
+                for k, (g, e) in enumerate(m):
+                    preset.kind(g.index)
+                    if type(e) is not int or e < 1:
+                        raise ValueError("monomial exponent must be an int >= 1: %r" % (e,))
+                    if k and not m[k - 1][0] < g:
+                        raise ValueError("monomial generators must strictly increase: %r" % (m,))
                 if not isinstance(c, Fraction):
                     c = Fraction(c)
                 if c:
@@ -568,7 +553,7 @@ class Element:
 
     @classmethod
     def monomial(cls, preset, mono, coeff=1):
-        return cls(preset, {Mono(mono): Fraction(coeff)})
+        return cls(preset, {tuple(mono): coeff})
 
     def _check_same(self, other):
         if self.preset is not other.preset:

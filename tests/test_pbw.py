@@ -1,4 +1,5 @@
 import copy
+import io
 import itertools
 import math
 import pickle
@@ -8,22 +9,22 @@ from fractions import Fraction
 import pytest
 
 from mapalg import memo, pbw
+from mapalg.cli import main
 from mapalg.combinatorics import ALabel, Multiset, binom_int
 from mapalg.forms import root_monomial
 from mapalg.identities import run_suite
 from mapalg.memo import clear_caches
 from mapalg.pbw import (
-    _SL2_MATS,
     ONE,
     Element,
     Gen,
     LiePreset,
     Mono,
     Sum,
+    _sl_matrices,
     ad_divided,
     binom_element,
     divided_power,
-    exact_solve,
     exact_solve_all,
     make_preset,
     omega,
@@ -256,7 +257,7 @@ H2 = ((1, 0), (0, -1))
 
 
 def _fresh_sl2():
-    return LiePreset("sl2", 1, ((1,),), **_SL2_MATS)
+    return LiePreset("sl2", **_sl_matrices(2))
 
 
 class TestPresetBuildFailures:
@@ -275,18 +276,18 @@ class TestPresetBuildFailures:
 
     def test_dependent_basis(self):
         with pytest.raises(ValueError, match="dependent columns"):
-            LiePreset("bad", 1, ((1,),), (E21,), (H2,), (E21,))
+            LiePreset("bad", ((1,),), (E21,), (H2,), (E21,))
 
     def test_bracket_outside_the_span(self):
         # diag(1, 0) is not traceless, so [E12, E21] = diag(1, -1) escapes
         with pytest.raises(ValueError, match="leaves the spanned algebra"):
-            LiePreset("bad", 1, ((1,),), (E21,), (((1, 0), (0, 0)),), (E12,))
+            LiePreset("bad", ((1,),), (E21,), (((1, 0), (0, 0)),), (E12,))
 
     def test_non_integer_structure_constant(self):
         # [E12, E21] = H = (1/2) * (2H)
         twice_h = ((2, 0), (0, -2))
         with pytest.raises(ValueError, match="non-integer structure constant"):
-            LiePreset("bad", 1, ((1,),), (E21,), (twice_h,), (E12,))
+            LiePreset("bad", ((1,),), (E21,), (twice_h,), (E12,))
 
     def test_antisymmetry_is_checked(self):
         preset = _fresh_sl2()
@@ -315,7 +316,95 @@ class TestPresetBuildFailures:
             targets.append(tuple(target))
             want.append(coeffs)
         assert exact_solve_all(columns, targets) == want
-        assert [exact_solve(columns, t) for t in targets] == want
+
+
+
+def _e3(i, j):
+    return tuple(tuple(int((r, c) == (i, j)) for c in range(3)) for r in range(3))
+
+
+def _d3(i, j):
+    return tuple(
+        tuple(x - y for x, y in zip(ri, rj)) for ri, rj in zip(_e3(i, i), _e3(j, j))
+    )
+
+
+# sl3 as it was written out by hand before the builder
+SL3_BY_HAND = dict(
+    positive_roots=((1, 0), (0, 1), (1, 1)),
+    neg_mats=(_e3(1, 0), _e3(2, 1), _e3(2, 0)),
+    cartan_mats=(_d3(0, 1), _d3(1, 2)),
+    pos_mats=(_e3(0, 1), _e3(1, 2), _e3(0, 2)),
+)
+
+DERIVED = (
+    "rank", "m", "dim", "positive_roots", "_brackets", "_pairing", "_coroots",
+    "_simple_roots", "_root_sum",
+)
+
+
+class TestSlMatrices:
+    """Every preset is sl_n from ``_sl_matrices(n)``; the names accepted
+    are those of ``PRESETS`` alone."""
+
+    def test_sl3_matches_the_hand_written_matrices(self):
+        by_hand = LiePreset("sl3", **SL3_BY_HAND)
+        built = _sl_matrices(3)
+        assert built == {k: list(v) for k, v in SL3_BY_HAND.items()}
+        for attr in DERIVED:
+            assert getattr(SL3, attr) == getattr(by_hand, attr), attr
+
+    def test_sl4_builds_with_roots_by_height(self):
+        sl4 = LiePreset("sl4", **_sl_matrices(4))
+        assert (sl4.rank, sl4.m, sl4.dim) == (3, 6, 15)
+        assert sl4.positive_roots == (
+            (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (0, 1, 1), (1, 1, 1)
+        )
+        assert sl4._simple_roots == (0, 1, 2)
+        cartan = [[sl4.pairing(sl4.simple_root_index(j), i) for i in range(3)] for j in range(3)]
+        assert cartan == [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]
+        assert sl4.root_sum_index(3, 2) == 5 and sl4.root_sum_index(0, 2) is None
+
+    def test_only_the_table_names_are_presets(self):
+        assert list(pbw.PRESETS) == ["sl2", "sl3"]
+        with pytest.raises(ValueError, match="'sl4' \\(expected sl2 or sl3\\)"):
+            make_preset("sl4")
+
+    def test_cli_refuses_sl4(self, capsys):
+        out = io.StringIO()
+        assert main(["basis", "--algebra", "sl4"], out=out) == 2
+        assert out.getvalue() == "" and capsys.readouterr().out == ""
+
+
+class TestElementRefusesOffNormalForm:
+    """``Element(preset, terms)`` takes only monomials in normal form: the
+    internal paths never build another, so one that gets in stays unequal
+    to its own value."""
+
+    @pytest.mark.parametrize(
+        "mono",
+        [
+            ((Gen(XP, T), 1), (Gen(XM, T), 1)),
+            ((Gen(XP, T), 1), (Gen(XP, T), 2)),
+            ((Gen(XP, T), 0),),
+            ((Gen(XP, T), -1),),
+            ((Gen(XP, T), 1.0),),
+            ((Gen(XP, T), True),),
+            ((Gen(9, T), 1),),
+            ((Gen(-1, T), 1),),
+        ],
+        ids=[
+            "unsorted", "repeated", "zero-exp", "negative-exp", "float-exp", "bool-exp",
+            "index-past-end", "negative-index",
+        ],
+    )
+    def test_refused(self, mono):
+        interned = len(pbw._monos)
+        with pytest.raises(ValueError):
+            Element(SL2, {mono: 1})
+        with pytest.raises(ValueError):
+            Element.monomial(SL2, mono)
+        assert len(pbw._monos) == interned
 
 
 class TestMul:
