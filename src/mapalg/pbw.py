@@ -13,7 +13,11 @@ right factor's letters are inserted one at a time into the sorted left
 factor, with runs ``(g, e)`` kept as exponents.  Each non-trivial
 insertion step is memoised per preset on ``(monomial, generator)`` and
 each non-trivial product on ``(m1, m2)``; both tables join the registry of
-:mod:`mapalg.memo`.  A letter ``(Gen, e)`` of a monomial holds a
+:mod:`mapalg.memo`.  A memoised normal form is one flat tuple
+``(m1, c1, m2, c2, ...)`` of monomials and nonzero ints, in the order its
+terms were first reached, and is read pair by pair with
+``it = iter(form); zip(it, it)``: a dict of a few terms would take
+several times the memory.  A letter ``(Gen, e)`` of a monomial holds a
 hash-consed :class:`Gen` over a hash-consed label, so hashing a monomial
 for those tables costs one tuple hash and one identity hash per letter,
 and a label product is one lookup in a memo table.  Monomials themselves
@@ -86,7 +90,8 @@ _monos = {}
 
 class Mono(tuple):
     """A PBW monomial: a strictly increasing tuple of ``(Gen, exponent)``
-    letters, the key of every normal-form dict.
+    letters: the key of every ``Element.num`` and each monomial of a
+    memoised normal form.
 
     Monomials are hash-consed like generators: one object per value, kept
     in the module table ``_monos`` and left alone by ``clear_caches()``,
@@ -245,7 +250,8 @@ class LiePreset:
                 if s in roots_by_vec:
                     self._root_sum[(j1, j2)] = roots_by_vec[s]
 
-        # m1 · m2 and mono · g normal forms, see _mono_product and _insert
+        # m1 · m2 and mono · g normal forms as flat (mono, int, ...) tuples,
+        # see _mono_product and _insert
         self._products = new_table()
         self._inserts = new_table()
 
@@ -379,7 +385,8 @@ def make_preset(name):
 
 def _insert(preset, mono, g):
     """Normal form of ``mono · g`` for a sorted monomial and one generator,
-    as monomial -> int.
+    as a flat tuple ``(m1, c1, m2, c2, ...)`` of monomials and nonzero
+    ints.
 
     When ``g`` is not below the last letter the product is already sorted.
     Otherwise write ``mono = prefix · x`` with one copy of its last letter
@@ -400,32 +407,47 @@ def _insert(preset, mono, g):
                 hit = preset._inserts[key] = _insert_below(preset, mono, g, x, e)
             return hit
         if g == x:
-            return {Mono(mono[:-1] + ((x, e + 1),)): 1}
-    return {Mono(mono + ((g, 1),)): 1}
+            return (Mono(mono[:-1] + ((x, e + 1),)), 1)
+    return (Mono(mono + ((g, 1),)), 1)
+
+
+def _flat(out):
+    """The flat normal form of an accumulated dict, zero terms dropped and
+    the dict's order kept.  A plain loop: ``tuple()`` of a generator
+    expression took about twice as long per form."""
+    form = []
+    for m, c in out.items():
+        if c:
+            form += m, c
+    return tuple(form)
 
 
 def _insert_below(preset, mono, g, x, e):
     prefix = Mono(mono[:-1] + ((x, e - 1),) if e > 1 else mono[:-1])
     out = {}
-    for m, c in _insert(preset, prefix, g).items():
-        for m2, f in _insert(preset, m, x).items():
+    it = iter(_insert(preset, prefix, g))
+    for m, c in zip(it, it):
+        it2 = iter(_insert(preset, m, x))
+        for m2, f in zip(it2, it2):
             out[m2] = out.get(m2, 0) + c * f
     table = preset.bracket_pairs(x.index, g.index)
     if table:
         lab = x.label * g.label
         for k, ck in table:
-            for m, f in _insert(preset, prefix, Gen(k, lab)).items():
+            it = iter(_insert(preset, prefix, Gen(k, lab)))
+            for m, f in zip(it, it):
                 out[m] = out.get(m, 0) + ck * f
-    return {m: c for m, c in out.items() if c}
+    return _flat(out)
 
 
 def _mono_product(preset, m1, m2):
-    """Normal form of the product of two sorted monomials, as monomial ->
-    int: the last letter of ``m2`` is peeled off and inserted into every
-    monomial of ``m1`` times the rest.  Products that need rewriting are
-    memoised per preset on ``(m1, m2)``; the rest are concatenations."""
+    """Normal form of the product of two sorted monomials, as a flat tuple
+    ``(m1, c1, m2, c2, ...)`` of monomials and nonzero ints: the last
+    letter of ``m2`` is peeled off and inserted into every monomial of
+    ``m1`` times the rest.  Products that need rewriting are memoised per
+    preset on ``(m1, m2)``; the rest are concatenations."""
     if not m1 or not m2 or m1[-1][0] < m2[0][0]:
-        return {_concat(m1, m2): 1}
+        return (_concat(m1, m2), 1)
     key = (m1, m2)
     hit = preset._products.get(key)
     if hit is not None:
@@ -433,10 +455,12 @@ def _mono_product(preset, m1, m2):
     g, e = m2[-1]
     rest = Mono(m2[:-1] + ((g, e - 1),) if e > 1 else m2[:-1])
     out = {}
-    for m, c in _mono_product(preset, m1, rest).items():
-        for m3, f in _insert(preset, m, g).items():
+    it = iter(_mono_product(preset, m1, rest))
+    for m, c in zip(it, it):
+        it2 = iter(_insert(preset, m, g))
+        for m3, f in zip(it2, it2):
             out[m3] = out.get(m3, 0) + c * f
-    out = preset._products[key] = {m: c for m, c in out.items() if c}
+    out = preset._products[key] = _flat(out)
     return out
 
 
@@ -445,7 +469,8 @@ def _mul_into(preset, num, f, x, y):
     into ``num``, leaving zero entries in place: the one straightening
     loop behind :meth:`Element.__mul__` and :meth:`Sum.add_product`.  A
     pair of monomials already in order is concatenated, any other goes
-    through :func:`_mono_product`."""
+    through :func:`_mono_product`, whose flat normal form is read pair by
+    pair."""
     concats = _concats
     right = y.items()
     for m1, a in x.items():
@@ -459,7 +484,8 @@ def _mul_into(preset, num, f, x, y):
                 num[m] = num.get(m, 0) + a * b
                 continue
             c = a * b
-            for m, g in _mono_product(preset, m1, m2).items():
+            it = iter(_mono_product(preset, m1, m2))
+            for m, g in zip(it, it):
                 num[m] = num.get(m, 0) + c * g
 
 

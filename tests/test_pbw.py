@@ -11,7 +11,7 @@ import pytest
 from mapalg import memo, pbw
 from mapalg.cli import main
 from mapalg.combinatorics import ALabel, Multiset, binom_int
-from mapalg.forms import root_monomial
+from mapalg.forms import basis_element, enumerate_basis, reduce_to_basis, root_monomial
 from mapalg.identities import run_suite
 from mapalg.memo import clear_caches
 from mapalg.pbw import (
@@ -145,9 +145,9 @@ def _is_letters(obj):
 
 def _memo_monomials(obj, found):
     """Collect into ``found`` every monomial reachable from ``obj``: each
-    ``Mono``, each monomial-shaped tuple, each key of a dict held inside a
-    memo table (the normal-form results) and each key of an
-    ``Element.num``."""
+    ``Mono``, each monomial-shaped tuple (so each monomial of a flat
+    normal-form result), each key of a dict held inside a memo table and
+    each key of an ``Element.num``."""
     if isinstance(obj, Element):
         found.extend(obj.num)
     elif isinstance(obj, dict):
@@ -192,14 +192,17 @@ class TestMonoHashConsing:
         # through _insert_below with its prefix
         for mono, gen in (((xm, 1),), h), (((h, 1),), h), (((h, 2), (xp, 3)), xm):
             out = pbw._insert(SL2, Mono(mono), gen)
-            assert out and all(_interned(m) for m in out)
-        assert list(pbw._insert(SL2, Mono(((h, 1),)), h)) == [Mono(((h, 2),))]
+            assert out and all(_interned(m) for m in out[::2])
+        out = pbw._insert(SL2, Mono(((h, 1),)), h)
+        assert out == (Mono(((h, 2),)), 1) and out[0] is Mono(((h, 2),))
         # _mono_product: the sorted case, and a rewrite with its rest
         a, b = Mono(((xm, 1),)), Mono(((h, 1), (xp, 2)))
-        assert list(pbw._mono_product(SL2, a, b)) == [Mono(a + b)]
-        assert list(pbw._mono_product(SL2, ONE, a)) == [a]
+        out = pbw._mono_product(SL2, a, b)
+        assert out == (Mono(a + b), 1) and out[0] is Mono(a + b)
+        out = pbw._mono_product(SL2, ONE, a)
+        assert out == (a, 1) and out[0] is a
         out = pbw._mono_product(SL2, b, Mono(((xm, 2),)))
-        assert len(out) > 1 and all(_interned(m) for m in out)
+        assert len(out) > 2 and all(_interned(m) for m in out[::2])
         assert all(_interned(m1) and _interned(m2) for m1, m2 in SL2._products)
         assert all(_interned(m) for m, _ in SL2._inserts)
         # _mul_into: the inline sorted concatenation, through Element and Sum
@@ -605,6 +608,48 @@ class TestNormalization:
         assert coeff in (1, -1)
 
 
+class TestFlatNormalForms:
+    """Every memoised product or insertion is one flat tuple
+    ``(m1, c1, m2, c2, ...)`` of interned monomials and nonzero ints."""
+
+    def test_layout_of_every_table_entry(self):
+        clear_caches()
+        run_suite(["all"], "smoke")
+        warm = {}
+        for preset in (SL2, SL3):
+            for table in (preset._products, preset._inserts):
+                assert table
+                for form in table.values():
+                    assert type(form) is tuple and len(form) >= 2 and len(form) % 2 == 0
+                    monos, coeffs = form[::2], form[1::2]
+                    assert all(_interned(m) for m in monos)
+                    assert len(set(map(id, monos))) == len(monos)
+                    assert all(type(c) is int and c for c in coeffs)
+            warm[preset] = dict(preset._products), dict(preset._inserts)
+        clear_caches()
+        for preset, (products, inserts) in warm.items():
+            assert not preset._products and not preset._inserts
+            for (m1, m2), form in products.items():
+                assert pbw._mono_product(preset, m1, m2) == form
+            for (mono, gen), form in inserts.items():
+                assert pbw._insert(preset, mono, gen) == form
+
+    @pytest.mark.parametrize(
+        "preset, max_degree, count", [(SL2, 2, 28), (SL3, 1, 17)], ids=["sl2", "sl3"]
+    )
+    def test_basis_products_against_oracle(self, preset, max_degree, count):
+        # every product of two basis elements: long left factors, as in the
+        # closure of the integral form under products
+        basis = [basis_element(preset, idx) for idx in enumerate_basis(preset, max_degree, 1)]
+        assert len(basis) == count
+        words = {}
+        for u in basis:
+            for v in basis:
+                prod = u * v
+                assert prod == _oracle_product(u, v, words)
+                assert reduce_to_basis(prod).integral
+
+
 def _chained(terms, preset):
     """The sum of ``k * x * y`` (or ``k * x`` when ``y`` is None) by
     chained ``+`` and ``*``."""
@@ -867,7 +912,7 @@ class TestRepresentation:
             for table in (preset._products, preset._inserts):
                 assert table
                 for form in table.values():
-                    assert all(type(c) is int and c for c in form.values())
+                    assert all(type(c) is int and c for c in form[1::2])
 
     def test_arithmetic_keeps_nonzero_fractions(self):
         x = Fraction(1, 2) * g(SL2, XP, T) + Fraction(2, 3) * g(SL2, H, U)
