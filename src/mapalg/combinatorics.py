@@ -25,6 +25,14 @@ _labels = {}
 _label_products = new_table()
 
 
+def as_int(k, what):
+    """``k`` itself if it is an int and not a bool, else ``TypeError``:
+    ``int()`` would truncate 1.5 to 1 and read ``True`` as 1."""
+    if type(k) is not int:
+        raise TypeError("%s must be an int, not %r" % (what, k))
+    return k
+
+
 def _label(exps):
     """The one label with the exponent vector ``exps``, a non-empty tuple
     of ints; built only if the value is new."""
@@ -57,7 +65,7 @@ class ALabel(tuple):
     __hash__ = object.__hash__
 
     def __new__(cls, exponents):
-        exps = tuple(int(e) for e in exponents)
+        exps = tuple(as_int(e, "a label exponent") for e in exponents)
         if not exps:
             raise ValueError("a label needs at least one variable")
         return _label(exps)
@@ -108,7 +116,7 @@ class ALabel(tuple):
     __rmul__ = __add__ = __radd__ = _no_tuple_arithmetic
 
     def __pow__(self, k):
-        k = int(k)
+        k = as_int(k, "a label power")
         hit = _label_products.get((k, self))
         if hit is None:
             hit = _label_products[k, self] = _label(tuple(e * k for e in self[1]))
@@ -177,7 +185,7 @@ class Multiset:
         acc = {}
         items = entries.items() if isinstance(entries, dict) else entries
         for key, mult in items:
-            mult = int(mult)
+            mult = as_int(mult, "a multiplicity")
             if mult < 0:
                 raise ValueError("negative multiplicity %d for %r" % (mult, key))
             if mult:
@@ -264,7 +272,7 @@ class Multiset:
         raise ValueError("cannot subtract %r from %r: not contained" % (other, self))
 
     def scale(self, k):
-        k = int(k)
+        k = as_int(k, "a scale")
         if k < 0:
             raise ValueError("negative scale")
         return Multiset((key, m * k) for key, m in self._items) if k else Multiset()

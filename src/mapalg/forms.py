@@ -390,6 +390,8 @@ def enumerate_basis(preset, max_degree, max_label_degree, nvars=1):
     degree and are out of scope here."""
     if max_degree < 0 or max_label_degree < 0:
         raise ValueError("bounds must be >= 0")
+    if nvars < 1:
+        raise ValueError("nvars must be >= 1")
     pool = _labels_up_to(nvars, max_label_degree)
     slots = 2 * preset.m + preset.rank
     for total in range(max_degree + 1):

@@ -1,7 +1,8 @@
 """One registry for every cache of the engine.
 
 Each cache is a plain dict made by :func:`new_table`, either directly (the
-per-preset product tables in :mod:`mapalg.pbw`) or through the
+per-preset normal-form table ``LiePreset._products`` and the ordered-pair
+table ``_concats`` in :mod:`mapalg.pbw`) or through the
 :func:`memoised` decorator, and :func:`clear_caches` empties them all.
 Cached values are shared between callers and must not be mutated.
 

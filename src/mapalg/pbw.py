@@ -8,23 +8,25 @@ combinations of such monomials over generators ``z tensor a`` where ``a``
 is a monomial label; products are straightened exactly with the rewrite
 ``x y = y x + [x, y]`` and never touch floating point.
 
-Monomials are multiplied as monomials, never flattened into words: the
-right factor's letters are inserted one at a time into the sorted left
-factor, with runs ``(g, e)`` kept as exponents.  Each non-trivial
-insertion step is memoised per preset on ``(monomial, generator)`` and
-each non-trivial product on ``(m1, m2)``; both tables join the registry of
-:mod:`mapalg.memo`.  A memoised normal form is one flat tuple
-``(m1, c1, m2, c2, ...)`` of monomials and nonzero ints, in the order its
-terms were first reached, and is read pair by pair with
-``it = iter(form); zip(it, it)``: a dict of a few terms would take
+Monomials are multiplied as monomials, never flattened into words, with
+runs ``(g, e)`` kept as exponents, by one recursion, :func:`_mono_product`:
+a pair already in order is joined into one monomial, a one-letter right
+factor below the last letter takes the rewrite, and a longer right factor
+is peeled letter by letter.  Each product that needs rewriting is memoised
+per preset on ``(m1, m2)`` in ``LiePreset._products``, the one normal-form
+table, which joins the registry of :mod:`mapalg.memo`.  A memoised normal
+form is one flat tuple ``(m1, c1, m2, c2, ...)`` of monomials and nonzero
+ints, in the order its terms were first reached, and is read pair by pair
+with ``it = iter(form); zip(it, it)``: a dict of a few terms would take
 several times the memory.  A letter ``(Gen, e)`` of a monomial holds a
 hash-consed :class:`Gen` over a hash-consed label, so hashing a monomial
-for those tables costs one tuple hash and one identity hash per letter,
-and a label product is one lookup in a memo table.  Monomials themselves
-are hash-consed as :class:`Mono`: each value is one object, so every
+for that table costs one tuple hash and one identity hash per letter, and
+a label product is one lookup in a memo table.  Monomials themselves are
+hash-consed as :class:`Mono`: each value is one object, so every
 product-table key, every ``Element.num`` key and every reduction step
-hashes a monomial by identity, and a sorted concatenation ``m1 · m2`` is
-one lookup in a memo table on ``(m1, m2)``.
+hashes a monomial by identity, and an element product joins each pair of
+monomials already in order with one lookup in a memo table on
+``(m1, m2)``.
 
 Sums of products, the shape of every identity the engine checks, are
 built in one exact accumulator, :class:`Sum`: ``add_product(k, x, y)``
@@ -40,7 +42,7 @@ import re
 from fractions import Fraction
 from typing import NamedTuple
 
-from .combinatorics import ALabel
+from .combinatorics import ALabel, as_int
 from .memo import new_table
 
 
@@ -117,16 +119,21 @@ class Mono(tuple):
 
 ONE = Mono()
 
-# (m1, m2) -> Mono(m1 + m2) for a pair already in PBW order
+# (m1, m2) -> _join(m1, m2) for a pair already in PBW order, filled by
+# _mul_into only
 _concats = new_table()
 
 
-def _concat(m1, m2):
-    key = (m1, m2)
-    m = _concats.get(key)
-    if m is None:
-        m = _concats[key] = Mono(m1 + m2)
-    return m
+def _join(m1, m2):
+    """``m1 · m2`` as one monomial for a pair already in PBW order
+    (``m1[-1][0] <= m2[0][0]``): the two concatenated, with the boundary
+    runs merged when they share a generator."""
+    if m1 and m2:
+        x, e = m1[-1]
+        g, f = m2[0]
+        if x == g:
+            return Mono(m1[:-1] + ((x, e + f),) + m2[1:])
+    return Mono(m1 + m2)
 
 
 # An integer written in ASCII digits: int() alone would also take "1_0",
@@ -250,10 +257,9 @@ class LiePreset:
                 if s in roots_by_vec:
                     self._root_sum[(j1, j2)] = roots_by_vec[s]
 
-        # m1 · m2 and mono · g normal forms as flat (mono, int, ...) tuples,
-        # see _mono_product and _insert
+        # (m1, m2) -> the normal form of m1 · m2 as a flat (mono, int, ...)
+        # tuple, for every pair out of order; see _mono_product
         self._products = new_table()
-        self._inserts = new_table()
 
     def _validate_table(self):
         br = self._brackets
@@ -383,34 +389,6 @@ def make_preset(name):
     return preset
 
 
-def _insert(preset, mono, g):
-    """Normal form of ``mono · g`` for a sorted monomial and one generator,
-    as a flat tuple ``(m1, c1, m2, c2, ...)`` of monomials and nonzero
-    ints.
-
-    When ``g`` is not below the last letter the product is already sorted.
-    Otherwise write ``mono = prefix · x`` with one copy of its last letter
-    ``x`` split off and use the one rewrite ``x g = g x + [x, g]``:
-    ``prefix·x·g = (prefix·g)·x + sum_k c_k prefix·z_k`` for
-    ``[x, g] = sum_k c_k z_k``.  Every letter of ``prefix·g``'s leading
-    term is at most ``x``, and every other term is shorter, so the
-    recursion ends.  The structure constants are integers, so are the
-    coefficients.  Non-trivial results are memoised per preset on
-    ``(mono, g)``.
-    """
-    if mono:
-        x, e = mono[-1]
-        if g < x:
-            key = (mono, g)
-            hit = preset._inserts.get(key)
-            if hit is None:
-                hit = preset._inserts[key] = _insert_below(preset, mono, g, x, e)
-            return hit
-        if g == x:
-            return (Mono(mono[:-1] + ((x, e + 1),)), 1)
-    return (Mono(mono + ((g, 1),)), 1)
-
-
 def _flat(out):
     """The flat normal form of an accumulated dict, zero terms dropped and
     the dict's order kept.  A plain loop: ``tuple()`` of a generator
@@ -422,44 +400,52 @@ def _flat(out):
     return tuple(form)
 
 
-def _insert_below(preset, mono, g, x, e):
-    prefix = Mono(mono[:-1] + ((x, e - 1),) if e > 1 else mono[:-1])
-    out = {}
-    it = iter(_insert(preset, prefix, g))
-    for m, c in zip(it, it):
-        it2 = iter(_insert(preset, m, x))
-        for m2, f in zip(it2, it2):
-            out[m2] = out.get(m2, 0) + c * f
-    table = preset.bracket_pairs(x.index, g.index)
-    if table:
-        lab = x.label * g.label
-        for k, ck in table:
-            it = iter(_insert(preset, prefix, Gen(k, lab)))
-            for m, f in zip(it, it):
-                out[m] = out.get(m, 0) + ck * f
-    return _flat(out)
-
-
 def _mono_product(preset, m1, m2):
     """Normal form of the product of two sorted monomials, as a flat tuple
-    ``(m1, c1, m2, c2, ...)`` of monomials and nonzero ints: the last
-    letter of ``m2`` is peeled off and inserted into every monomial of
-    ``m1`` times the rest.  Products that need rewriting are memoised per
-    preset on ``(m1, m2)``; the rest are concatenations."""
-    if not m1 or not m2 or m1[-1][0] < m2[0][0]:
-        return (_concat(m1, m2), 1)
+    ``(m1, c1, m2, c2, ...)`` of monomials and nonzero ints: the one
+    straightening recursion.
+
+    A pair already in order is one monomial, :func:`_join`.  A right
+    factor of one letter ``g`` below the last letter of ``m1``, written
+    ``m1 = prefix · x`` with one copy of ``x`` split off, takes the one
+    rewrite ``x g = g x + [x, g]``: ``prefix·x·g = (prefix·g)·x + sum_k
+    c_k prefix·z_k`` for ``[x, g] = sum_k c_k z_k``.  Every letter of
+    ``prefix·g``'s leading term is at most ``x``, and every other term is
+    shorter, so the recursion ends.  A longer right factor is peeled: its
+    last letter is multiplied onto every monomial of ``m1`` times the
+    rest.  The structure constants are integers, so are the coefficients.
+    Every product that needs rewriting is memoised per preset on
+    ``(m1, m2)``, in ``preset._products``."""
+    if not m1 or not m2 or m1[-1][0] <= m2[0][0]:
+        return (_join(m1, m2), 1)
     key = (m1, m2)
     hit = preset._products.get(key)
     if hit is not None:
         return hit
     g, e = m2[-1]
-    rest = Mono(m2[:-1] + ((g, e - 1),) if e > 1 else m2[:-1])
+    if e > 1 or len(m2) > 1:
+        # m2 = rest · g: (m1 · rest) · g
+        left, right = m1, Mono(m2[:-1] + ((g, e - 1),) if e > 1 else m2[:-1])
+        last = Mono(((g, 1),))
+        bracket = ()
+    else:
+        # m1 = prefix · x with g < x: (prefix · g) · x + sum_k c_k prefix · z_k
+        x, e = m1[-1]
+        left, right = Mono(m1[:-1] + ((x, e - 1),) if e > 1 else m1[:-1]), m2
+        last = Mono(((x, 1),))
+        bracket = preset.bracket_pairs(x.index, g.index)
     out = {}
-    it = iter(_mono_product(preset, m1, rest))
+    it = iter(_mono_product(preset, left, right))
     for m, c in zip(it, it):
-        it2 = iter(_insert(preset, m, g))
+        it2 = iter(_mono_product(preset, m, last))
         for m3, f in zip(it2, it2):
             out[m3] = out.get(m3, 0) + c * f
+    if bracket:
+        lab = x.label * g.label
+        for k, ck in bracket:
+            it = iter(_mono_product(preset, left, Mono(((Gen(k, lab), 1),))))
+            for m, f in zip(it, it):
+                out[m] = out.get(m, 0) + ck * f
     out = preset._products[key] = _flat(out)
     return out
 
@@ -468,19 +454,19 @@ def _mul_into(preset, num, f, x, y):
     """Add ``f`` times the product of the numerator dicts ``x`` and ``y``
     into ``num``, leaving zero entries in place: the one straightening
     loop behind :meth:`Element.__mul__` and :meth:`Sum.add_product`.  A
-    pair of monomials already in order is concatenated, any other goes
-    through :func:`_mono_product`, whose flat normal form is read pair by
-    pair."""
+    pair of monomials already in order is joined, through the memo table
+    ``_concats``; any other goes through :func:`_mono_product`, whose flat
+    normal form is read pair by pair."""
     concats = _concats
     right = y.items()
     for m1, a in x.items():
         a *= f
         for m2, b in right:
-            if not m1 or not m2 or m1[-1][0] < m2[0][0]:
-                # already sorted: the common case, kept inline
+            if not m1 or not m2 or m1[-1][0] <= m2[0][0]:
+                # already in order: the common case, kept inline
                 m = concats.get((m1, m2))
                 if m is None:
-                    m = _concat(m1, m2)
+                    m = concats[m1, m2] = _join(m1, m2)
                 num[m] = num.get(m, 0) + a * b
                 continue
             c = a * b
@@ -644,7 +630,7 @@ class Element:
         return NotImplemented
 
     def __pow__(self, k):
-        k = int(k)
+        k = as_int(k, "a power")
         if k < 0:
             raise ValueError("negative power")
         out = Element.one(self.preset)
@@ -821,7 +807,7 @@ class Sum:
 
 def divided_power(preset, gen, r):
     """``gen^r / r!`` as a single monomial; r = 0 gives the identity."""
-    r = int(r)
+    r = as_int(r, "a divided power")
     if r < 0:
         raise ValueError("negative divided power")
     if r == 0:
@@ -831,7 +817,7 @@ def divided_power(preset, gen, r):
 
 def binom_element(u, r):
     """``u (u-1) ... (u-r+1) / r!`` expanded and normalized exactly."""
-    r = int(r)
+    r = as_int(r, "a binomial power")
     if r < 0:
         raise ValueError("negative binomial power")
     out = Element.one(u.preset)
@@ -879,7 +865,7 @@ def ad_divided(preset, x, r, v):
     """Apply ``(ad x)^r / r!`` to an element of the underlying Lie algebra
     (constants and single generators only; anything of higher degree is
     outside the adjoint action we need and is rejected)."""
-    r = int(r)
+    r = as_int(r, "a divided power")
     if r < 0:
         raise ValueError("negative divided power")
     deg = v.degree()
@@ -887,13 +873,12 @@ def ad_divided(preset, x, r, v):
         raise ValueError("ad_divided expects an element of degree <= 1")
     cur = v
     for _ in range(r):
-        out = {}
+        acc = Sum(preset)
         for mono, c in cur.num.items():
             if not mono:
                 continue
             ((g, _e),) = mono
             for k, cc in preset.bracket_pairs(x.index, g.index):
-                key = Mono(((Gen(k, x.label * g.label), 1),))
-                out[key] = out.get(key, 0) + c * cc
-        cur = Element._reduced(preset, {m: c for m, c in out.items() if c}, cur.den)
+                acc.add(c * cc, Element.generator(preset, k, x.label * g.label))
+        cur = acc.element(cur.den)
     return cur / math.factorial(r)

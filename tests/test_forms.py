@@ -514,11 +514,11 @@ class TestMemoisedValues:
         ]
 
     def test_clear_caches_empties_every_table(self):
-        from mapalg import combinatorics, memo
+        from mapalg import combinatorics, memo, pbw
 
         named = [
             SL2._products,
-            SL2._inserts,
+            pbw._concats,
             combinatorics.splits.table,
             root_block.table,
             dressed_block.table,
@@ -577,3 +577,8 @@ class TestEnumerateBasis:
     def test_bad_bounds(self):
         with pytest.raises(ValueError):
             list(enumerate_basis(SL2, -1, 0, 1))
+
+    @pytest.mark.parametrize("nvars", [0, -1])
+    def test_no_variables(self, nvars):
+        with pytest.raises(ValueError, match="^nvars must be >= 1$"):
+            list(enumerate_basis(SL2, 1, 1, nvars))

@@ -100,7 +100,7 @@ class TestGenHashConsing:
         assert gen._replace(index=XM) is Gen(XM, T2)
         (((got, _),),) = g(SL2, H, ALabel([2])).num
         assert got is gen
-        # [x+(t), x-(t)] = h(t^2): the bracket term is built in _insert_below
+        # [x+(t), x-(t)] = h(t^2): the bracket term of _mono_product's rewrite
         prod = g(SL2, XP, T) * g(SL2, XM, T)
         assert gen in {letter for mono in prod.num for letter, _ in mono}
         (((got, _),),) = ad_divided(SL2, Gen(XP, T), 1, g(SL2, XM, T)).num
@@ -188,12 +188,12 @@ class TestMonoHashConsing:
 
     def test_products_give_the_one_object(self):
         xm, h, xp = Gen(XM, T), Gen(H, U), Gen(XP, T)
-        # _insert: a new last letter, a raised exponent, and a rewrite
-        # through _insert_below with its prefix
+        # _mono_product by one letter: a new last letter, a raised
+        # exponent, and a rewrite with its prefix
         for mono, gen in (((xm, 1),), h), (((h, 1),), h), (((h, 2), (xp, 3)), xm):
-            out = pbw._insert(SL2, Mono(mono), gen)
+            out = pbw._mono_product(SL2, Mono(mono), Mono(((gen, 1),)))
             assert out and all(_interned(m) for m in out[::2])
-        out = pbw._insert(SL2, Mono(((h, 1),)), h)
+        out = pbw._mono_product(SL2, Mono(((h, 1),)), Mono(((h, 1),)))
         assert out == (Mono(((h, 2),)), 1) and out[0] is Mono(((h, 2),))
         # _mono_product: the sorted case, and a rewrite with its rest
         a, b = Mono(((xm, 1),)), Mono(((h, 1), (xp, 2)))
@@ -204,7 +204,6 @@ class TestMonoHashConsing:
         out = pbw._mono_product(SL2, b, Mono(((xm, 2),)))
         assert len(out) > 2 and all(_interned(m) for m in out[::2])
         assert all(_interned(m1) and _interned(m2) for m1, m2 in SL2._products)
-        assert all(_interned(m) for m, _ in SL2._inserts)
         # _mul_into: the inline sorted concatenation, through Element and Sum
         prod = g(SL2, XM, T) * g(SL2, H, U) * divided_power(SL2, xp, 2)
         assert list(prod.num) == [Mono(((xm, 1), (h, 1), (xp, 2)))]
@@ -410,6 +409,32 @@ class TestElementRefusesOffNormalForm:
         assert len(pbw._monos) == interned
 
 
+# Each entry point that takes an integer count, as a function of that count.
+_INTEGER_ARGUMENTS = {
+    "label-exponent": lambda k: ALabel((k,)),
+    "multiplicity": lambda k: Multiset([(T, k)]),
+    "label-power": lambda k: T**k,
+    "multiset-scale": lambda k: Multiset({T: 1}).scale(k),
+    "element-power": lambda k: g(SL2, XP, T) ** k,
+    "divided-power": lambda k: divided_power(SL2, Gen(XP, T), k),
+    "binom-element": lambda k: binom_element(g(SL2, H, U), k),
+    "ad-divided": lambda k: ad_divided(SL2, Gen(XP, U), k, g(SL2, XM, T)),
+}
+
+
+class TestIntegerArguments:
+    """A count given as a float or a bool is refused, never truncated with
+    ``int()``: 1.5 is not 1 and ``True`` is not 1."""
+
+    @pytest.mark.parametrize("build", _INTEGER_ARGUMENTS.values(), ids=_INTEGER_ARGUMENTS)
+    def test_refused(self, build):
+        build(1)
+        build(2)
+        for bad in (1.5, 2.0, 2.7, True):
+            with pytest.raises(TypeError):
+                build(bad)
+
+
 class TestMul:
     def test_sl2_relation(self):
         lhs = g(SL2, XP, U) * g(SL2, XM, U)
@@ -609,30 +634,46 @@ class TestNormalization:
 
 
 class TestFlatNormalForms:
-    """Every memoised product or insertion is one flat tuple
-    ``(m1, c1, m2, c2, ...)`` of interned monomials and nonzero ints."""
+    """Every memoised product is one flat tuple ``(m1, c1, m2, c2, ...)``
+    of interned monomials and nonzero ints."""
 
     def test_layout_of_every_table_entry(self):
         clear_caches()
         run_suite(["all"], "smoke")
         warm = {}
         for preset in (SL2, SL3):
-            for table in (preset._products, preset._inserts):
-                assert table
-                for form in table.values():
-                    assert type(form) is tuple and len(form) >= 2 and len(form) % 2 == 0
-                    monos, coeffs = form[::2], form[1::2]
-                    assert all(_interned(m) for m in monos)
-                    assert len(set(map(id, monos))) == len(monos)
-                    assert all(type(c) is int and c for c in coeffs)
-            warm[preset] = dict(preset._products), dict(preset._inserts)
+            table = preset._products
+            assert table
+            for form in table.values():
+                assert type(form) is tuple and len(form) >= 2 and len(form) % 2 == 0
+                monos, coeffs = form[::2], form[1::2]
+                assert all(_interned(m) for m in monos)
+                assert len(set(map(id, monos))) == len(monos)
+                assert all(type(c) is int and c for c in coeffs)
+            warm[preset] = dict(table)
         clear_caches()
-        for preset, (products, inserts) in warm.items():
-            assert not preset._products and not preset._inserts
+        for preset, products in warm.items():
+            assert not preset._products
             for (m1, m2), form in products.items():
                 assert pbw._mono_product(preset, m1, m2) == form
-            for (mono, gen), form in inserts.items():
-                assert pbw._insert(preset, mono, gen) == form
+
+    def test_only_pairs_out_of_order_are_stored(self):
+        clear_caches()
+        run_suite(["all"], "smoke")
+        for preset in (SL2, SL3):
+            assert preset._products
+            assert all(m1[-1][0] > m2[0][0] for m1, m2 in preset._products)
+        clear_caches()
+        xp, ht = Gen(XP, T), Gen(H, T)
+        prod = divided_power(SL2, xp, 2) * divided_power(SL2, xp, 3)
+        assert prod == 10 * divided_power(SL2, xp, 5)
+        assert g(SL2, H, T) * g(SL2, H, T) == Element.monomial(SL2, [(ht, 2)])
+        assert pbw._mono_product(SL2, Mono(((xp, 2),)), Mono(((xp, 3),))) == (
+            Mono(((xp, 5),)),
+            1,
+        )
+        assert not SL2._products
+        assert pbw._concats[Mono(((ht, 1),)), Mono(((ht, 1),))] is Mono(((ht, 2),))
 
     @pytest.mark.parametrize(
         "preset, max_degree, count", [(SL2, 2, 28), (SL3, 1, 17)], ids=["sl2", "sl3"]
@@ -909,10 +950,9 @@ class TestRepresentation:
         b = divided_power(SL2, Gen(XP, T), 3) * divided_power(SL2, Gen(XM, U), 3)
         assert a and b
         for preset in (SL2, SL3):
-            for table in (preset._products, preset._inserts):
-                assert table
-                for form in table.values():
-                    assert all(type(c) is int and c for c in form[1::2])
+            assert preset._products
+            for form in preset._products.values():
+                assert all(type(c) is int and c for c in form[1::2])
 
     def test_arithmetic_keeps_nonzero_fractions(self):
         x = Fraction(1, 2) * g(SL2, XP, T) + Fraction(2, 3) * g(SL2, H, U)
