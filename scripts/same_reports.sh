@@ -1,0 +1,50 @@
+#!/usr/bin/env bash
+# Compare the check reports of the working tree with those of a revision.
+#
+# Usage: scripts/same_reports.sh [REV]      (REV defaults to HEAD)
+#
+# Unpacks `git archive REV src` into a temporary directory and runs, on that
+# tree and on the working tree's src/, the standing reference reports:
+#   check all --profile smoke|desk|deep --format json
+#   check integrality --profile deep --format json
+#   check A2 --profile deep --format text
+# Each run is a cold process.  Timings (`elapsedMs` in JSON, `elapsed=` in
+# text) are stripped and the exit status is kept; any other difference is
+# printed and the script exits 1.
+set -euo pipefail
+
+rev=${1:-HEAD}
+root=$(git rev-parse --show-toplevel)
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+mkdir "$tmp/rev"
+git -C "$root" archive "$rev" src | tar -x -C "$tmp/rev"
+
+report() {  # report SRC ARGS...: one check report without its timings
+    local src=$1 status=0
+    shift
+    PYTHONPATH="$src" python3 -m mapalg.cli check "$@" > "$tmp/raw" || status=$?
+    sed -E 's/"elapsedMs": [-+.0-9eE]+/"elapsedMs": _/; s/ elapsed=[0-9]+ms/ elapsed=_/' "$tmp/raw"
+    echo "exit status $status"
+}
+
+differ=0
+for args in \
+    "all --profile smoke --format json" \
+    "all --profile desk --format json" \
+    "all --profile deep --format json" \
+    "integrality --profile deep --format json" \
+    "A2 --profile deep --format text"; do
+    # shellcheck disable=SC2086  # the arguments are split on purpose
+    report "$tmp/rev/src" $args > "$tmp/old"
+    # shellcheck disable=SC2086
+    report "$root/src" $args > "$tmp/new"
+    if cmp -s "$tmp/old" "$tmp/new"; then
+        echo "same      check $args ($(wc -l < "$tmp/new") lines)"
+    else
+        echo "DIFFERENT check $args"
+        diff "$tmp/old" "$tmp/new" | head -20 || true
+        differ=1
+    fi
+done
+exit "$differ"

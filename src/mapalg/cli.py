@@ -240,6 +240,7 @@ def _cmd_eval(args, out):
     nvars = config.variables
     laurent = config.mode == "laurent"
     algebra = config.algebra
+    sign = 1 if args.sign == "+" else -1
 
     def ms(text):
         return parse_multiset(text, nvars, laurent)
@@ -248,7 +249,7 @@ def _cmd_eval(args, out):
         preset = make_preset(algebra)
         alpha = args.alpha if args.alpha is not None else 0
         (psi_text,) = _require(args, ["psi"])
-        elem = root_monomial(args.sign, alpha, ms(psi_text), preset)
+        elem = root_monomial(sign, alpha, ms(psi_text), preset)
     else:
         if args.object == "p":
             (chi_text,) = _require(args, ["chi"])
@@ -259,7 +260,7 @@ def _cmd_eval(args, out):
                 elem = cartan_single(chi)
         elif args.object == "D":
             p1, p2, p3 = _require(args, ["psi1", "psi2", "psi3"])
-            elem = root_block(args.sign, ms(p1), ms(p2), ms(p3))
+            elem = root_block(sign, ms(p1), ms(p2), ms(p3))
         else:
             p1, p2, p3 = _require(args, ["psi1", "psi2", "psi3"])
             elem = dressed_block(ms(p1), ms(p2), ms(p3))

@@ -212,7 +212,7 @@ class Multiset:
     @classmethod
     def single(cls, key, mult=1):
         """The characteristic multiset of one key (scaled by ``mult``)."""
-        if mult == 1:
+        if as_int(mult, "a multiplicity") == 1:
             return cls._canonical(((key, 1),), 1)
         return cls(((key, mult),))
 

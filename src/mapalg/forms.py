@@ -36,11 +36,10 @@ def _sl2():
 
 
 def _sign(sign):
-    if sign in (1, "+", "+1"):
-        return 1
-    if sign in (-1, "-", "-1"):
-        return -1
-    raise ValueError("sign must be + or -")
+    """``sign`` if it is the int 1 or -1, the one spelling of each sign."""
+    if type(sign) is int and sign in (1, -1):
+        return sign
+    raise ValueError("sign must be 1 or -1, not %r" % (sign,))
 
 
 def root_monomial(sign, alpha, psi, preset=None):
@@ -277,47 +276,47 @@ def _inverse_leading_coeff(idx):
 
 @memoised
 def _reduction_step(preset, mono):
-    """``(index, inverse leading coefficient, tail denominator, tail)`` for
-    the basis element whose top term is ``mono``, memoized per preset and
-    monomial, which names the index one-to-one: each element is built once.
+    """``(index, inverse leading coefficient, tail)`` for the basis element
+    whose top term is ``mono``, memoized per preset and monomial, which
+    names the index one-to-one: each element is built once.
 
     The tail is ``inv_lead * basis - mono``, the correction that
-    eliminating ``mono`` leaves behind, as integer numerators over the
-    tail denominator (reduced to lowest terms), grouped by total degree:
-    a tuple of ``(degree, ((monomial, numerator), ...))``.
+    eliminating ``mono`` leaves behind, as integers grouped by total
+    degree: a tuple of ``(degree, ((monomial, coefficient), ...))``.
 
     Raises ValueError unless ``mono`` is that element's only monomial of
-    top degree, with coefficient one over the inverse leading coefficient:
-    the premise that makes greedy elimination exact.
+    top degree, with coefficient one over the inverse leading coefficient,
+    and ``inv_lead * basis`` is integral: the premises that make greedy
+    elimination exact and keep it over the integers.  The paper's basis
+    meets the last one: ``prod(m_a!) * p(chi)`` is an integer polynomial
+    (its coefficients count set partitions, as in Newton's identities for
+    Garland's Lambda_r), a push along a root substitutes integer coroot
+    coefficients, and a divided-power root monomial times its factorials
+    is a plain monomial.
     """
     idx = _index_of_monomial(preset, mono)
     inv_lead = _inverse_leading_coeff(idx)
     basis = basis_element(preset, idx)
+    den = basis.den
     top = sum(e for _, e in mono)
     groups = {}
-    premise = basis.num.get(mono, 0) * inv_lead == basis.den
+    premise = basis.num.get(mono, 0) * inv_lead == den
     for m, c in basis.num.items():
         if m == mono:
             continue
         degree = sum(e for _, e in m)
-        if degree >= top:
+        c *= inv_lead
+        if degree >= top or c % den:
             premise = False
             break
-        groups.setdefault(degree, []).append((m, c * inv_lead))
+        groups.setdefault(degree, []).append((m, c // den))
     if not premise:
         raise ValueError(
-            "basis element %s does not have %s as its only top-degree term "
-            "with coefficient %s" % (
-                idx.render(), Element.monomial(preset, mono).render(), Fraction(1, inv_lead)
-            )
+            "basis element %s does not have %s as its only top-degree term with coefficient %s"
+            " and lower terms integral times %d"
+            % (idx.render(), Element.monomial(preset, mono).render(), Fraction(1, inv_lead), inv_lead)
         )
-    den = basis.den
-    g = math.gcd(den, *(c for group in groups.values() for _, c in group))
-    tail = tuple(
-        (degree, tuple((m, c // g) for m, c in group))
-        for degree, group in groups.items()
-    )
-    return idx, inv_lead, den // g, tail
+    return idx, inv_lead, tuple((degree, tuple(group)) for degree, group in groups.items())
 
 
 def reduce_to_basis(elem):
@@ -332,10 +331,9 @@ def reduce_to_basis(elem):
     terms of lower degree, so each layer of the residual is final once
     the layers above it are done.  Layers are taken from the top degree
     down, each in descending monomial order, and every step subtracts its
-    tail into the residual's integer numerators, which share one
-    denominator (scaled up when a tail's denominator is not 1).  The
-    terms come out in the order of "take the maximal monomial of what is
-    left" and reconstruct the input exactly.
+    integer tail into the residual's integer numerators, over the input's
+    own denominator.  The terms come out in the order of "take the
+    maximal monomial of what is left" and reconstruct the input exactly.
     """
     den = elem.den
     layers = {}
@@ -350,13 +348,8 @@ def reduce_to_basis(elem):
             c = layer[mono]
             if not c:
                 continue
-            idx, inv_lead, tail_den, tail = _reduction_step(elem.preset, mono)
+            idx, inv_lead, tail = _reduction_step(elem.preset, mono)
             terms.append((idx, Fraction(c * inv_lead, den)))
-            if tail_den != 1:
-                den *= tail_den
-                for residual in (layer, *layers.values()):
-                    for m in residual:
-                        residual[m] *= tail_den
             for lower, group in tail:
                 residual = layers.setdefault(lower, {})
                 for m, t in group:

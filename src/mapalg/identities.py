@@ -35,6 +35,7 @@ from typing import Callable, NamedTuple
 from .combinatorics import (
     ALabel,
     Multiset,
+    as_int,
     binom_int,
     fold_label,
     matched_splits,
@@ -946,21 +947,26 @@ def check_names():
 
 
 def make_spec(name, profile="desk", seed=0, overrides=None):
+    """Check ``name`` under ``profile``, ``overrides`` replacing integer
+    bounds of that check; any other key, or a value not an int >= 0, is refused."""
     if name not in CHECKS:
         raise ValueError("unknown check %r (known: %s)" % (name, ", ".join(CHECKS)))
     if profile not in PROFILES:
         raise ValueError("unknown profile %r" % (profile,))
     params = dict(PROFILES[profile][name])
     for key, value in (overrides or {}).items():
-        if key in params:
-            params[key] = value
+        if not isinstance(params.get(key), int):
+            raise ValueError("override key %r is not an integer bound of check %r" % (key, name))
+        if as_int(value, "an override value") < 0:
+            raise ValueError("override %s=%d: a bound must be >= 0" % (key, value))
+        params[key] = value
     return CheckSpec(name=name, params=params, seed=seed)
 
 
 def _check_overrides(specs, overrides):
-    """Refuse an override that no check has as an integer bound, that none
-    of the selected checks has, or that is negative, instead of silently
-    dropping it or running an empty family."""
+    """Refuse an override that no check has as an integer bound, or that
+    none of the selected checks has, instead of silently dropping it, and
+    return each spec's own overrides (:func:`make_spec` refuses the rest)."""
     bounds = {
         key
         for checks in PROFILES.values()
@@ -969,7 +975,7 @@ def _check_overrides(specs, overrides):
         if isinstance(value, int)
     }
     selected = {key for spec in specs for key in spec.params}
-    for key, value in (overrides or {}).items():
+    for key in overrides:
         if key not in bounds:
             raise ValueError(
                 "unknown override key %r: not an integer bound of any check (bounds: %s)"
@@ -980,8 +986,7 @@ def _check_overrides(specs, overrides):
                 "override key %r applies to none of the selected checks (%s)"
                 % (key, ", ".join(spec.name for spec in specs))
             )
-        if value < 0:
-            raise ValueError("override %s=%d: a bound must be >= 0" % (key, value))
+    return [{k: v for k, v in overrides.items() if k in spec.params} for spec in specs]
 
 
 def run_check(spec):
@@ -1031,6 +1036,6 @@ def run_suite(names, profile="desk", seed=0, overrides=None):
     for name in names:
         if names.count(name) > 1:
             raise ValueError("check %r is named more than once" % name)
-    specs = [make_spec(name, profile=profile, seed=seed, overrides=overrides) for name in names]
-    _check_overrides(specs, overrides)
-    return [run_check(spec) for spec in specs]
+    specs = [make_spec(name, profile=profile, seed=seed) for name in names]
+    own = _check_overrides(specs, overrides or {})
+    return [run_check(make_spec(s.name, profile, seed, o)) for s, o in zip(specs, own)]

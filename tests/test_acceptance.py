@@ -63,7 +63,7 @@ def _verdict(number, label, ok):
 
 def test_criterion_01_straightening(desk):
     spec, report = desk["straightening"]
-    lhs = root_monomial("+", 0, Multiset.single(U)) * root_monomial("-", 0, Multiset.single(U))
+    lhs = root_monomial(1, 0, Multiset.single(U)) * root_monomial(-1, 0, Multiset.single(U))
     anchor = (
         Element.generator(SL2, 0, U) * Element.generator(SL2, 2, U)
         + Element.generator(SL2, 1, U)

@@ -206,38 +206,43 @@ class TestCartanPair:
 
 class TestRootMonomial:
     def test_empty(self):
-        assert root_monomial("+", 0, ms()) == Element.one(SL2)
+        assert root_monomial(1, 0, ms()) == Element.one(SL2)
 
     def test_plain_power(self):
-        assert root_monomial("+", 0, chi(T, 3)) == divided_power(SL2, Gen(XP, T), 3)
+        assert root_monomial(1, 0, chi(T, 3)) == divided_power(SL2, Gen(XP, T), 3)
 
     def test_mixed_labels(self):
-        got = root_monomial("-", 0, ms((U, 1), (T, 2)))
+        got = root_monomial(-1, 0, ms((U, 1), (T, 2)))
         want = Element.monomial(
             SL2, ((Gen(XM, U), 1), (Gen(XM, T), 2)), Fraction(1, 2)
         )
         assert got == want
 
     def test_bad_sign(self):
-        with pytest.raises(ValueError):
-            root_monomial("x", 0, ms())
+        for bad in ("x", "+", "-", "+1", 0, True, 1.0):
+            with pytest.raises(ValueError):
+                root_monomial(bad, 0, ms())
+        # not True or 1.0 here: they equal the key 1, which the memo may hold
+        for bad in ("x", "+", "-", "+1", 0):
+            with pytest.raises(ValueError):
+                root_block(bad, ms(), ms(), chi(T))
 
 
 class TestRootBlock:
     def test_empty_base(self):
-        assert root_block("+", ms(), ms(), ms()) == Element.one(SL2)
-        assert root_block("+", chi(T), chi(T), ms()).is_zero()
+        assert root_block(1, ms(), ms(), ms()) == Element.one(SL2)
+        assert root_block(1, chi(T), chi(T), ms()).is_zero()
 
     def test_singleton(self):
-        assert root_block("+", ms(), ms(), chi(T2)) == g(XP, T2)
-        assert root_block("-", ms(), ms(), chi(T2)) == g(XM, T2)
+        assert root_block(1, ms(), ms(), chi(T2)) == g(XP, T2)
+        assert root_block(-1, ms(), ms(), chi(T2)) == g(XM, T2)
 
     def test_size_mismatch_zero(self):
-        assert root_block("+", chi(T), ms(), chi(U)).is_zero()
+        assert root_block(1, chi(T), ms(), chi(U)).is_zero()
 
     def test_pure_third_argument_gives_root_monomial(self):
         for psi in [chi(U, 2), chi(T, 3), ms((U, 1), (T, 2))]:
-            for sign in ("+", "-"):
+            for sign in (1, -1):
                 assert root_block(sign, ms(), ms(), psi) == root_monomial(sign, 0, psi)
 
     def test_singleton_clause_matches_general_clause(self):
@@ -248,13 +253,13 @@ class TestRootBlock:
                 if psi1.size != psi2.size:
                     continue
                 for b in (U, T):
-                    direct = root_block("+", psi1, psi2, chi(b))
+                    direct = root_block(1, psi1, psi2, chi(b))
                     total = Element.zero(SL2)
                     for phi1 in sub_multisets(psi1):
                         for phi2 in sub_multisets(psi2):
-                            left = root_block("+", phi1, phi2, chi(b))
+                            left = root_block(1, phi1, phi2, chi(b))
                             right = root_block(
-                                "+", psi1 - phi1, psi2 - phi2, ms()
+                                1, psi1 - phi1, psi2 - phi2, ms()
                             )
                             if left.is_zero() or right.is_zero():
                                 continue
@@ -262,9 +267,9 @@ class TestRootBlock:
                     assert direct == total
 
     def test_explicit_formula_examples(self):
-        got = root_block_expanded("+", ms(), U, 2, U)
+        got = root_block_expanded(1, ms(), U, 2, U)
         assert got == divided_power(SL2, Gen(XP, U), 2)
-        got = root_block_expanded("+", chi(T, 2), U, 2, U)
+        got = root_block_expanded(1, chi(T, 2), U, 2, U)
         want = divided_power(SL2, Gen(XP, T), 2) + g(XP, T2) * g(XP, U)
         assert got == want
 
@@ -275,7 +280,7 @@ class TestRootBlock:
             Multiset((a, 1) for a in combo)
             for combo in itertools.combinations_with_replacement(pool, 2)
         ]
-        for sign in ("+", "-"):
+        for sign in (1, -1):
             for psi in shapes:
                 for k in (1, 2):
                     for b in pool:
@@ -288,13 +293,13 @@ class TestRootBlock:
 
     def test_explicit_requires_positive_k(self):
         with pytest.raises(ValueError):
-            root_block_expanded("+", ms(), U, 0, U)
+            root_block_expanded(1, ms(), U, 0, U)
 
 
 class TestDressedBlock:
     def test_pure_positive(self):
         phi = ms((U, 1), (T, 1))
-        assert dressed_block(ms(), ms(), phi) == root_monomial("+", 0, phi)
+        assert dressed_block(ms(), ms(), phi) == root_monomial(1, 0, phi)
 
     def test_cartan_only(self):
         assert dressed_block(chi(U), chi(U), ms()) == -g(H, U)
@@ -403,21 +408,32 @@ class TestReduce:
                 seen["integral" if result.integral else "non-integral"] += 1
         assert all(seen.values()), seen
 
-    def test_fractional_tail_scales_the_residual(self, reconstructs, corrupted_basis):
+    def test_fractional_tail_is_refused(self, corrupted_basis):
         """A basis element patched with a fractional lower-degree term (top
-        term and its coefficient kept) gives its step a tail denominator of
-        2; the residual is scaled, so the terms still reconstruct the input,
-        including the lower-degree monomials it already had."""
+        term and its coefficient kept) breaks the integral-tail premise:
+        its step and every reduction through it are refused, naming the
+        index."""
         idx = BasisIndex((chi(T),), (ms(),), (chi(U),))
         (mono,) = (g(XM, T) * g(XP, U)).num
         elem = g(XM, T) * g(XP, U) + 3 * g(XM, U) + g(H, T) + 5 * Element.one(SL2)
         good = basis_element(SL2, idx)
         with corrupted_basis(idx, good + Fraction(1, 2) * g(XM, U) + g(H, U)):
-            assert forms._reduction_step(SL2, mono)[2] == 2
-            result = reduce_to_basis(elem)
-            reconstructs(result, elem)
-            assert result.terms == _greedy_reduction(elem)
-            assert not result.integral
+            with pytest.raises(ValueError, match=re.escape(idx.render())):
+                forms._reduction_step(SL2, mono)
+            with pytest.raises(ValueError, match=re.escape(idx.render())):
+                reduce_to_basis(elem)
+        assert reduce_to_basis(elem).integral
+
+    def test_every_basis_element_reduces_to_itself(self):
+        """Each basis element is its own one-term reduction, over one- and
+        two-variable labels, which runs every premise on each of them."""
+        cases = [(SL2, 4, 2, 1), (SL2, 3, 1, 2), (SL3, 2, 1, 1)]
+        count = 0
+        for preset, d, l, nvars in cases:
+            for idx in enumerate_basis(preset, d, l, nvars=nvars):
+                assert reduce_to_basis(basis_element(preset, idx)).terms == [(idx, 1)], idx
+                count += 1
+        assert count == 1088
 
     def test_corrupted_basis_element_is_refused(self, corrupted_basis):
         """Negative control for the premise check: a basis element of

@@ -133,11 +133,20 @@ class TestRunner:
             make_spec("straightening", profile="huge")
 
     def test_overrides(self):
-        spec = make_spec(
-            "straightening", profile="smoke", overrides={"rand_count": 2, "bogus": 9}
-        )
+        spec = make_spec("straightening", profile="smoke", overrides={"rand_count": 2})
         assert spec.params["rand_count"] == 2
-        assert "bogus" not in spec.params
+        # refused as run_suite refuses them, not dropped: a key that is no
+        # integer bound of this check, a negative bound, a count not an int
+        with pytest.raises(ValueError, match="'bogus' is not an integer bound of check"):
+            make_spec("straightening", profile="smoke", overrides={"rand_count": 2, "bogus": 9})
+        for key in ("labels", "max_total"):
+            with pytest.raises(ValueError, match="not an integer bound of check 'straightening'"):
+                make_spec("straightening", profile="smoke", overrides={key: 3})
+        with pytest.raises(ValueError, match="must be >= 0"):
+            make_spec("straightening", profile="smoke", overrides={"exh_size": -1})
+        for bad in (2.0, True, "2"):
+            with pytest.raises(TypeError):
+                make_spec("straightening", profile="smoke", overrides={"exh_size": bad})
 
     def test_unknown_override_key_rejected(self):
         with pytest.raises(ValueError, match="unknown override key 'exh_szie'"):
@@ -257,7 +266,7 @@ class TestDegreeRowsFire:
 
 class TestDeskSubfamilies:
     def test_block_homogeneity_instance(self):
-        elem = root_block("+", chi(T), chi(U), ms((U, 1), (T, 1)))
+        elem = root_block(1, chi(T), chi(U), ms((U, 1), (T, 1)))
         for mono in elem.terms:
             assert sum(e for _, e in mono) == 2
 

@@ -413,6 +413,7 @@ class TestElementRefusesOffNormalForm:
 _INTEGER_ARGUMENTS = {
     "label-exponent": lambda k: ALabel((k,)),
     "multiplicity": lambda k: Multiset([(T, k)]),
+    "single-multiplicity": lambda k: Multiset.single(T, k),
     "label-power": lambda k: T**k,
     "multiset-scale": lambda k: Multiset({T: 1}).scale(k),
     "element-power": lambda k: g(SL2, XP, T) ** k,
