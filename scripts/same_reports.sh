@@ -10,7 +10,9 @@
 #   check A2 --profile deep --format text
 # Each run is a cold process.  Timings (`elapsedMs` in JSON, `elapsed=` in
 # text) are stripped and the exit status is kept; any other difference is
-# printed and the script exits 1.
+# printed and the script exits 1.  Each line also gives the peak resident
+# set of the two cold runs, old -> new (getrusage of the child process),
+# which does not affect the exit status.
 set -euo pipefail
 
 rev=${1:-HEAD}
@@ -19,11 +21,20 @@ tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 mkdir "$tmp/rev"
 git -C "$root" archive "$rev" src | tar -x -C "$tmp/rev"
+# byte code for both trees up front, so that no run's peak RSS includes
+# compiling the package (which PYTHONDONTWRITEBYTECODE would repeat per run)
+python3 -m compileall -q "$tmp/rev/src" "$root/src" > /dev/null
 
-report() {  # report SRC ARGS...: one check report without its timings
+report() {  # report SRC ARGS...: one check report without its timings;
+            # the run's peak RSS in MiB goes to $tmp/rss
     local src=$1 status=0
     shift
-    PYTHONPATH="$src" python3 -m mapalg.cli check "$@" > "$tmp/raw" || status=$?
+    PYTHONPATH="$src" python3 -c '
+import resource, subprocess, sys
+code = subprocess.call([sys.executable, "-m", "mapalg.cli", "check"] + sys.argv[2:])
+with open(sys.argv[1], "w") as fh:
+    fh.write("%.2f" % (resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024))
+sys.exit(code)' "$tmp/rss" "$@" > "$tmp/raw" || status=$?
     sed -E 's/"elapsedMs": [-+.0-9eE]+/"elapsedMs": _/; s/ elapsed=[0-9]+ms/ elapsed=_/' "$tmp/raw"
     echo "exit status $status"
 }
@@ -37,12 +48,14 @@ for args in \
     "A2 --profile deep --format text"; do
     # shellcheck disable=SC2086  # the arguments are split on purpose
     report "$tmp/rev/src" $args > "$tmp/old"
+    rss="peak RSS $(cat "$tmp/rss") -> "
     # shellcheck disable=SC2086
     report "$root/src" $args > "$tmp/new"
+    rss+="$(cat "$tmp/rss") MiB"
     if cmp -s "$tmp/old" "$tmp/new"; then
-        echo "same      check $args ($(wc -l < "$tmp/new") lines)"
+        echo "same      check $args ($(wc -l < "$tmp/new") lines; $rss)"
     else
-        echo "DIFFERENT check $args"
+        echo "DIFFERENT check $args ($rss)"
         diff "$tmp/old" "$tmp/new" | head -20 || true
         differ=1
     fi

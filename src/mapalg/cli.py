@@ -388,6 +388,10 @@ def main(argv=None, out=None):
     except (CliError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    except RecursionError:
+        # a block or a product that recurses deeper than the interpreter allows
+        print("error: input too large for Python's recursion limit", file=sys.stderr)
+        return 2
 
 
 def entry():

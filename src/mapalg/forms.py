@@ -9,6 +9,13 @@ tuples of label multisets, and arbitrary elements are reduced against it
 by exact leading-term elimination, one degree layer at a time from the
 top, over integer numerators.  Its premise (each basis element has one
 top-degree term) is checked once per monomial.
+
+The four block families vanish when their first two multisets differ in
+size.  Each public function answers that case with the preset's one zero
+before any memo table is read, and otherwise calls its memoised body
+(``_cartan_pair``, ``_cartan_pair_at_root``, ``_root_block``,
+``_dressed_block``), so the tables hold matched sizes only.  The
+recursions call the public names.
 """
 
 from __future__ import annotations
@@ -58,7 +65,6 @@ def root_monomial(sign, alpha, psi, preset=None):
     return Element._trusted(preset, {mono: 1}, den)
 
 
-@memoised
 def cartan_pair(phi, chi):
     """The Cartan-valued element attached to a pair of label multisets.
 
@@ -66,9 +72,15 @@ def cartan_pair(phi, chi):
     whenever the two sizes differ and equals 1 on the empty pair.  Values
     are memoized, shared and must not be mutated.
     """
-    sl2 = _sl2()
     if phi.size != chi.size:
-        return Element.zero(sl2)
+        return Element.zero(_sl2())
+    return _cartan_pair(phi, chi)
+
+
+@memoised
+def _cartan_pair(phi, chi):
+    """The memoised body of :func:`cartan_pair`."""
+    sl2 = _sl2()
     if not phi:
         return Element.one(sl2)
     acc = Sum(sl2)
@@ -76,8 +88,6 @@ def cartan_pair(phi, chi):
         if not psi1:
             continue
         rest = cartan_pair(rest1, rest2)
-        if rest.is_zero():
-            continue
         lab = fold_label(ALabel.unit(psi1.items()[0][0].nvars), psi1, psi2)
         weight = multinomial(psi1) * multinomial(psi2)
         acc.add_product(-weight, Element.generator(sl2, sl2.cartan_index(0), lab), rest)
@@ -102,14 +112,22 @@ def cartan_at_root(alpha, chi, target):
     return cartan_pair_at_root(alpha, chi, _units(chi), target)
 
 
-@memoised
 def cartan_pair_at_root(alpha, phi, chi, target):
-    """:func:`cartan_pair` pushed into ``target`` along root ``alpha``.
-    Values are memoized, shared and must not be mutated."""
+    """:func:`cartan_pair` pushed into ``target`` along root ``alpha``,
+    which is checked first even where the sizes differ.  Values are
+    memoized, shared and must not be mutated."""
+    target.root_index(1, alpha)
+    if phi.size != chi.size:
+        return Element.zero(target)
+    return _cartan_pair_at_root(alpha, phi, chi, target)
+
+
+@memoised
+def _cartan_pair_at_root(alpha, phi, chi, target):
+    """The memoised body of :func:`cartan_pair_at_root`."""
     return omega(alpha, cartan_pair(phi, chi), target)
 
 
-@memoised
 def root_block(sign, psi1, psi2, psi3):
     """The straightening block of root vectors for three label multisets.
 
@@ -117,12 +135,18 @@ def root_block(sign, psi1, psi2, psi3):
     gives one weighted generator, larger sizes average over all splits.
     The singleton closed form agrees with the general clause there (the
     overlap is exercised by the tests).  Zero whenever the first two
-    sizes differ.
+    sizes differ; the sign is checked first.
     """
     sign = _sign(sign)
-    sl2 = _sl2()
     if psi1.size != psi2.size:
-        return Element.zero(sl2)
+        return Element.zero(_sl2())
+    return _root_block(sign, psi1, psi2, psi3)
+
+
+@memoised
+def _root_block(sign, psi1, psi2, psi3):
+    """The memoised body of :func:`root_block`, for a checked sign."""
+    sl2 = _sl2()
     if not psi3:
         return Element.one(sl2) if not psi1 else Element.zero(sl2)
     if psi3.size == 1:
@@ -164,16 +188,22 @@ def root_block_expanded(sign, psi, b, k, c):
     return acc.element()
 
 
-@memoised
 def dressed_block(psi1, psi2, psi3):
     """Root block dressed with Cartan pairs over all sub-multiset splits
-    of its first two arguments."""
+    of its first two arguments.  Zero whenever the first two sizes
+    differ: each split pairs two parts of one size, so the two rests
+    differ in size and their root block is zero."""
+    if psi1.size != psi2.size:
+        return Element.zero(_sl2())
+    return _dressed_block(psi1, psi2, psi3)
+
+
+@memoised
+def _dressed_block(psi1, psi2, psi3):
+    """The memoised body of :func:`dressed_block`."""
     acc = Sum(_sl2())
     for phi1, rest1, phi2, rest2 in matched_splits(psi1, psi2):
-        pair = cartan_pair(phi1, phi2)
-        if pair.is_zero():
-            continue
-        acc.add_product(1, pair, root_block(1, rest1, rest2, psi3))
+        acc.add_product(1, cartan_pair(phi1, phi2), root_block(1, rest1, rest2, psi3))
     return acc.element()
 
 

@@ -260,6 +260,9 @@ class LiePreset:
         # (m1, m2) -> the normal form of m1 · m2 as a flat (mono, int, ...)
         # tuple, for every pair out of order; see _mono_product
         self._products = new_table()
+        # the one zero of this algebra, Element.zero(self); not a memo table,
+        # so clear_caches() leaves it alone
+        self._zero = Element._trusted(self, {}, 1)
 
     def _validate_table(self):
         br = self._brackets
@@ -489,8 +492,9 @@ class Element:
     exponent that is not an int >= 1, an index outside the preset); the
     internal paths (``_trusted``, ``_reduced``, :class:`Sum`) build only
     normal forms and are not checked.
-    Elements are immutable by convention; all operations return fresh
-    instances, so sharing across threads is safe.
+    Elements are immutable by convention, so sharing across threads is
+    safe.  Every operation returns a fresh instance, except that a result
+    with no terms is the preset's one zero, :meth:`zero`.
 
     Rationals live only at the edges: sums, scalar multiples and products
     are integer dict operations followed by one common-factor reduction,
@@ -503,8 +507,7 @@ class Element:
 
     __slots__ = ("preset", "num", "den")
 
-    def __init__(self, preset, terms=None):
-        self.preset = preset
+    def __new__(cls, preset, terms=None):
         fracs = {}
         if terms:
             for m, c in terms.items():
@@ -518,11 +521,13 @@ class Element:
                     c = Fraction(c)
                 if c:
                     fracs[Mono(m)] = c
+        if not fracs:
+            return preset._zero
         # Over the LCM of reduced denominators the numerators share no
         # factor with it, so the result is already canonical.
-        den = math.lcm(*(c.denominator for c in fracs.values())) if fracs else 1
-        self.num = {m: c.numerator * (den // c.denominator) for m, c in fracs.items()}
-        self.den = den
+        den = math.lcm(*(c.denominator for c in fracs.values()))
+        num = {m: c.numerator * (den // c.denominator) for m, c in fracs.items()}
+        return cls._trusted(preset, num, den)
 
     @classmethod
     def _trusted(cls, preset, num, den):
@@ -536,13 +541,19 @@ class Element:
     @classmethod
     def _reduced(cls, preset, num, den):
         """Wrap nonzero integer numerators over ``den > 0``, dividing out
-        their common factor."""
+        their common factor; no numerators give the preset's zero."""
+        if not num:
+            return preset._zero
         if den != 1:
             g = math.gcd(den, *num.values())
             if g != 1:
                 num = {m: c // g for m, c in num.items()}
                 den //= g
         return cls._trusted(preset, num, den)
+
+    def __reduce__(self):
+        # through _reduced, so that an unpickled zero is its preset's one zero
+        return (Element._reduced, (self.preset, self.num, self.den))
 
     @property
     def terms(self):
@@ -552,7 +563,9 @@ class Element:
 
     @classmethod
     def zero(cls, preset):
-        return cls._trusted(preset, {}, 1)
+        """The preset's one zero, built with the preset and shared by every
+        caller: its ``num`` must stay empty."""
+        return preset._zero
 
     @classmethod
     def one(cls, preset):
@@ -604,6 +617,8 @@ class Element:
         return self._sum(-1, other)
 
     def __neg__(self):
+        if not self.num:
+            return self
         return Element._trusted(self.preset, {m: -c for m, c in self.num.items()}, self.den)
 
     def __mul__(self, other):
@@ -800,8 +815,6 @@ class Sum:
         """The sum divided by the positive integer ``div``, as a canonical
         Element."""
         num = {m: c for m, c in self.num.items() if c}
-        if not num:
-            return Element.zero(self.preset)
         return Element._reduced(self.preset, num, self.den * div)
 
 

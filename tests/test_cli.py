@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 import math
@@ -9,11 +10,11 @@ import sys
 import pytest
 
 import mapalg
-from mapalg import forms
+from mapalg import forms, memo
 from mapalg.cli import main, parse_multiset
 from mapalg.combinatorics import ALabel, Multiset
 from mapalg.identities import check_names
-from mapalg.pbw import Element, make_preset
+from mapalg.pbw import Element, LiePreset, make_preset
 
 
 def run_cli(*argv):
@@ -531,6 +532,65 @@ class TestCheck:
         assert code == 2
 
 
+@pytest.fixture
+def flipped_bracket(monkeypatch):
+    """``with flipped_bracket():`` runs its body with every structure
+    constant of the rewrite negated (``LiePreset.bracket_pairs``) and the
+    memo tables emptied; the patch is undone and the tables are emptied
+    again when it ends."""
+
+    @contextlib.contextmanager
+    def flip():
+        real = LiePreset.bracket_pairs
+        try:
+            with monkeypatch.context() as patch:
+                patch.setattr(
+                    LiePreset,
+                    "bracket_pairs",
+                    lambda self, i, j: tuple((k, -c) for k, c in real(self, i, j)),
+                )
+                memo.clear_caches()
+                yield
+        finally:
+            memo.clear_caches()
+
+    return flip
+
+
+class TestFailurePath:
+    """A broken engine makes a check fail: exit 1, with the first
+    counterexample in both report formats."""
+
+    ARGV = ("check", "straightening", "--profile", "smoke")
+
+    def test_flipped_bracket_fails_straightening(self, flipped_bracket):
+        with flipped_bracket():
+            code, out = run_cli(*self.ARGV, "--format", "json")
+            text_code, text = run_cli(*self.ARGV, "--format", "text")
+        assert code == text_code == 1
+        (report,) = json.loads(out)["reports"]
+        assert report["pass"] is False
+        assert report["instances"] == 14 and len(report["failures"]) == 9
+        first = report["failures"][0]
+        assert first["args"] == "phi={1:1} chi={1:1}"
+        assert first["lhs"] == "1 (x-_a1⊗1) (x+_a1⊗1) - 1 (h_1⊗1)"
+        assert first["rhs"] == "1 (x-_a1⊗1) (x+_a1⊗1) + 1 (h_1⊗1)"
+        assert first["diff"] == "-2 (h_1⊗1)"
+        lines = text.splitlines()
+        at = lines.index("  first counterexample: phi={1:1} chi={1:1}")
+        assert lines[at + 1 : at + 4] == [
+            "    lhs:  " + first["lhs"],
+            "    rhs:  " + first["rhs"],
+            "    diff: " + first["diff"],
+        ]
+        assert lines[1].startswith("check straightening: FAIL  instances=14 ")
+        assert lines[-1] == "summary: 0/1 passed"
+        # the patch is gone and the tables were emptied: the check passes again
+        code, out = run_cli(*self.ARGV, "--format", "json")
+        assert code == 0
+        assert json.loads(out)["reports"][0]["failures"] == []
+
+
 class TestCheckEnvDefault:
     def test_profile_ignores_environment(self, monkeypatch):
         """The profile is chosen by ``--profile`` alone; without it the
@@ -666,6 +726,25 @@ class TestProcessExit:
         assert done.returncode == 2
         assert done.stdout == ""
         assert done.stderr.count("\n") == 1 and done.stderr.startswith("error: ")
+
+    def _assert_recursion_refused(self, done):
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert done.stderr.count("\n") == 1 and done.stderr.startswith("error: ")
+        assert "recursion limit" in done.stderr
+
+    def test_deep_block_is_exit_2_with_one_line(self):
+        """A third argument of 700 labels recurses past the stack."""
+        done = run_process("eval", "D", "--psi1", "{}", "--psi2", "{}", "--psi3", "{[0]:700}")
+        self._assert_recursion_refused(done)
+
+    def test_deep_product_is_exit_2_with_one_line(self, tmp_path):
+        """x+(t^k) for k < 1200, then h(1): moving h past 1,200 letters
+        recurses past the stack."""
+        letters = [[2, [k], 1] for k in range(1200)] + [[1, [1], 1]]
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps([{"monomial": letters, "coeff": ["1", "1"]}]))
+        self._assert_recursion_refused(run_process("reduce", str(path)))
 
     def test_closed_stdout_is_exit_141_without_traceback(self):
         proc = subprocess.Popen(

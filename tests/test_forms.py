@@ -26,8 +26,8 @@ from mapalg.forms import (
     root_monomial,
 )
 from mapalg import forms
-from mapalg.identities import CHECKS, CheckFailure
-from mapalg.pbw import Element, Gen, binom_element, divided_power, make_preset, omega
+from mapalg.identities import CHECKS, CheckFailure, _multisets_up_to, make_spec, run_suite
+from mapalg.pbw import Element, Gen, Sum, binom_element, divided_power, make_preset, omega
 
 U = ALabel([0])
 T = ALabel([1])
@@ -222,10 +222,14 @@ class TestRootMonomial:
         for bad in ("x", "+", "-", "+1", 0, True, 1.0):
             with pytest.raises(ValueError):
                 root_monomial(bad, 0, ms())
-        # not True or 1.0 here: they equal the key 1, which the memo may hold
-        for bad in ("x", "+", "-", "+1", 0):
+        # the sign is checked before the memo table is read, so True and
+        # 1.0 are refused too, with sizes that agree or differ
+        root_block(1, ms(), ms(), chi(T))
+        for bad in ("x", "+", "-", "+1", 0, True, 1.0):
             with pytest.raises(ValueError):
                 root_block(bad, ms(), ms(), chi(T))
+            with pytest.raises(ValueError):
+                root_block(bad, chi(T), ms(), chi(U))
 
 
 class TestRootBlock:
@@ -461,6 +465,83 @@ class TestReduce:
                 forms._reduction_step(SL2, mono)
 
 
+class TestVacuousBlocks:
+    """Blocks whose first two sizes differ are zero, answered with the
+    preset's one shared zero before any memo table is read."""
+
+    # each memoised body with the position of its first size in a key
+    BODIES = [
+        (forms._root_block, 1),
+        (forms._dressed_block, 0),
+        (forms._cartan_pair, 0),
+        (forms._cartan_pair_at_root, 1),
+    ]
+
+    @pytest.mark.parametrize("profile", ["smoke", "desk"])
+    def test_tables_hold_matched_sizes_only(self, profile):
+        forms.clear_caches()
+        assert all(report.passed for report in run_suite(["all"], profile))
+        for body, at in self.BODIES:
+            assert body.table, body.__name__
+            assert all(key[at].size == key[at + 1].size for key in body.table), body.__name__
+
+    def test_mismatched_calls_return_the_shared_zero(self):
+        zero = Element.zero(SL2)
+        assert root_block(1, chi(T), ms(), chi(U)) is zero
+        assert root_block(-1, ms(), chi(T, 2), ms()) is zero
+        assert dressed_block(chi(T), ms(), chi(U)) is zero
+        assert dressed_block(ms(), chi(U), ms()) is zero
+        assert cartan_pair(chi(T), chi(U, 2)) is zero
+        assert cartan_pair_at_root(1, chi(T), ms(), SL3) is Element.zero(SL3)
+        with pytest.raises(ValueError):
+            cartan_pair_at_root(SL3.m, chi(T), ms(), SL3)
+
+    def test_shared_zero_stays_empty_after_a_run(self):
+        zeros = [Element.zero(SL2), Element.zero(SL3)]
+        assert all(report.passed for report in run_suite(["all"], "smoke"))
+        for preset, zero in zip((SL2, SL3), zeros):
+            assert Element.zero(preset) is zero and zero.preset is preset
+            assert zero.num == {} and zero.den == 1
+
+    def test_every_empty_result_is_the_shared_zero(self):
+        import copy
+        import pickle
+
+        zero, x = Element.zero(SL2), g(XP, T)
+        assert Element(SL2, {}) is zero
+        assert Element.monomial(SL2, ((Gen(XP, T), 1),), 0) is zero
+        assert x - x is zero and -zero is zero and 0 * x is zero
+        assert x * zero is zero and zero * x is zero
+        assert Sum(SL2).element() is zero
+        assert pickle.loads(pickle.dumps(zero)) is zero and copy.deepcopy(zero) is zero
+        assert pickle.loads(pickle.dumps(x)) == x and copy.deepcopy(x) == x
+        assert Element.zero(SL3) is not zero
+
+    def test_bodies_compute_zero_on_mismatched_sizes(self):
+        """The memoised bodies, called past the size test on every
+        mismatched triple of the deep D-consistency shapes, compute zero:
+        the test in front of ``dressed_block`` and ``cartan_pair_at_root``
+        only answers what the body would."""
+        params = make_spec("D-consistency", profile="deep").params
+        shapes = _multisets_up_to(params["labels"], params["deg_size"])
+        zero = Element.zero(SL2)
+        try:
+            mismatched = [
+                (psi1, psi2, psi3)
+                for psi1, psi2, psi3 in itertools.product(shapes, repeat=3)
+                if psi1.size != psi2.size
+            ]
+            assert len(mismatched) == 2550
+            for psi1, psi2, psi3 in mismatched:
+                assert forms._dressed_block(psi1, psi2, psi3) is zero
+            for alpha in range(SL3.m):
+                for phi, c in itertools.product(shapes, repeat=2):
+                    if phi.size != c.size:
+                        assert forms._cartan_pair_at_root(alpha, phi, c, SL3).is_zero()
+        finally:
+            forms.clear_caches()
+
+
 class TestMemoisedValues:
     """The memo tables return the same values from a cold and a warm cache."""
 
@@ -472,7 +553,8 @@ class TestMemoisedValues:
     ]
 
     def _at_root_values(self):
-        pairs = [cartan_pair_at_root(a, phi, c, SL3) for a, phi, c in self.AT_ROOT_CASES]
+        """The memoised body on every case, then the one-argument form."""
+        pairs = [forms._cartan_pair_at_root(a, phi, c, SL3) for a, phi, c in self.AT_ROOT_CASES]
         singles = [cartan_at_root(a, c, SL3) for a, _, c in self.AT_ROOT_CASES]
         return pairs + singles
 
@@ -482,10 +564,14 @@ class TestMemoisedValues:
         cold = self._at_root_values()
         warm = self._at_root_values()
         assert cold == warm == before
-        assert all(a is not b for a, b in zip(before, cold))
+        # the fourth pair has sizes 1 and 0: zero, the one shared object
+        zero = Element.zero(SL3)
+        assert before[3] is cold[3] is zero
+        assert all(a is not b for k, (a, b) in enumerate(zip(before, cold)) if k != 3)
         assert all(a is b for a, b in zip(cold, warm))
         for (a, phi, c), got in zip(self.AT_ROOT_CASES, cold):
             assert got == omega(a, cartan_pair(phi, c), SL3)
+            assert cartan_pair_at_root(a, phi, c, SL3) is got
 
     def test_reduction_step_is_the_one_basis_table(self, monkeypatch):
         """Basis elements are kept only in the reduction step's table: a
@@ -536,9 +622,9 @@ class TestMemoisedValues:
             SL2._products,
             pbw._concats,
             combinatorics.splits.table,
-            root_block.table,
-            dressed_block.table,
-            cartan_pair.table,
+            forms._root_block.table,
+            forms._dressed_block.table,
+            forms._cartan_pair.table,
         ]
         warm = self._registry_values()
         assert all(named)

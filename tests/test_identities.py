@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from mapalg import forms
 from mapalg.combinatorics import ALabel, Multiset
 from mapalg.forms import cartan_pair, cartan_single, dressed_block, root_block
 from mapalg.identities import (
@@ -227,7 +228,8 @@ class TestCheckTable:
 
 class TestDegreeRowsFire:
     """Negative controls for the degree rows: one monomial of the wrong
-    degree added to a memoised block must make its row report a failure."""
+    degree added to a memoised block, in the table of its memoised body,
+    must make its row report a failure."""
 
     H = Element.generator(SL2, SL2.cartan_index(0), U)
 
@@ -251,17 +253,17 @@ class TestDegreeRowsFire:
 
     def test_homogeneous(self):
         fields = (1, chi(T), chi(U), ms((U, 1), (T, 1)))
-        self._fires("D-consistency", "homogeneous", fields, root_block.table, fields, self.H)
+        self._fires("D-consistency", "homogeneous", fields, forms._root_block.table, fields, self.H)
 
     def test_dressed_degree(self):
         fields = (chi(U, 2), chi(T, 2), chi(T))
         self._fires(
-            "D-consistency", "dressed-degree", fields, dressed_block.table, fields, self.H**4
+            "D-consistency", "dressed-degree", fields, forms._dressed_block.table, fields, self.H**4
         )
 
     def test_leading(self):
         key = (chi(T, 2), chi(U, 2))
-        self._fires("p-properties", "leading", (chi(T, 2),), cartan_pair.table, key, self.H**3)
+        self._fires("p-properties", "leading", (chi(T, 2),), forms._cartan_pair.table, key, self.H**3)
 
 
 class TestDeskSubfamilies:
