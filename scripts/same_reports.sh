@@ -8,11 +8,15 @@
 #   check all --profile smoke|desk|deep --format json
 #   check integrality --profile deep --format json
 #   check A2 --profile deep --format text
+#   check NAME --profile deep --format json, for each of the eight equality
+#     checks (every check but integrality), one process each: the processes
+#     of the benchmark's equalities-deep workload
 # Each run is a cold process.  Timings (`elapsedMs` in JSON, `elapsed=` in
 # text) are stripped and the exit status is kept; any other difference is
 # printed and the script exits 1.  Each line also gives the peak resident
-# set of the two cold runs, old -> new (getrusage of the child process),
-# which does not affect the exit status.
+# set of the two cold runs, old -> new (getrusage of the child process), and
+# a last line names the equality process with the highest peak on each side,
+# which sets equalities-deep's peak_rss_mb.  Neither affects the exit status.
 set -euo pipefail
 
 rev=${1:-HEAD}
@@ -39,19 +43,30 @@ sys.exit(code)' "$tmp/rss" "$@" > "$tmp/raw" || status=$?
     echo "exit status $status"
 }
 
+# perfbench/run.py's EQUALITY_CHECKS, in its order
+equalities="straightening D-consistency p-properties commutation D-identities A2 divided-powers self-consistency"
+runs=(
+    "all --profile smoke --format json"
+    "all --profile desk --format json"
+    "all --profile deep --format json"
+    "integrality --profile deep --format json"
+    "A2 --profile deep --format text"
+)
+for name in $equalities; do
+    runs+=("$name --profile deep --format json")
+done
+
 differ=0
-for args in \
-    "all --profile smoke --format json" \
-    "all --profile desk --format json" \
-    "all --profile deep --format json" \
-    "integrality --profile deep --format json" \
-    "A2 --profile deep --format text"; do
+top_old="0 -" top_new="0 -"  # highest equality peak so far: MiB and check
+higher() { awk -v a="$1" -v b="$2" 'BEGIN { exit !(a > b) }'; }
+for args in "${runs[@]}"; do
     # shellcheck disable=SC2086  # the arguments are split on purpose
     report "$tmp/rev/src" $args > "$tmp/old"
-    rss="peak RSS $(cat "$tmp/rss") -> "
+    old_rss=$(cat "$tmp/rss")
     # shellcheck disable=SC2086
     report "$root/src" $args > "$tmp/new"
-    rss+="$(cat "$tmp/rss") MiB"
+    new_rss=$(cat "$tmp/rss")
+    rss="peak RSS $old_rss -> $new_rss MiB"
     if cmp -s "$tmp/old" "$tmp/new"; then
         echo "same      check $args ($(wc -l < "$tmp/new") lines; $rss)"
     else
@@ -59,5 +74,11 @@ for args in \
         diff "$tmp/old" "$tmp/new" | head -20 || true
         differ=1
     fi
+    name=${args%% *}
+    if [[ $args == *"--profile deep --format json" && " $equalities " == *" $name "* ]]; then
+        higher "$old_rss" "${top_old% *}" && top_old="$old_rss $name"
+        higher "$new_rss" "${top_new% *}" && top_new="$new_rss $name"
+    fi
 done
+echo "equalities-deep peak RSS: ${top_old% *} MiB (${top_old#* }) -> ${top_new% *} MiB (${top_new#* })"
 exit "$differ"

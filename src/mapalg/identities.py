@@ -266,7 +266,6 @@ def _instances_straightening(spec):
         yield ("rand", rng.choice(shapes), rng.choice(shapes))
 
 
-@memoised
 def _straightening_sides(phi, chi):
     lhs = root_monomial(1, 0, phi) * root_monomial(-1, 0, chi)
     rhs = Sum(make_preset("sl2"))
@@ -846,7 +845,8 @@ class Check(NamedTuple):
 CHECKS = {
     "straightening": Check(
         _instances_straightening,
-        dict.fromkeys(("exh", "rand"), _equal("phi=%s chi=%s", _straightening_sides)),
+        # one verdict table for both kinds: the rand draws repeat pairs
+        dict.fromkeys(("exh", "rand"), memoised(_equal("phi=%s chi=%s", _straightening_sides))),
     ),
     "D-consistency": Check(
         _instances_D_consistency,
@@ -990,35 +990,37 @@ def _check_overrides(specs, overrides):
 
 
 def run_check(spec):
-    """Run one check and collect its report.  Instances are evaluated in
-    their fixed order in this process, so reports are deterministic for a
-    given spec and seed.  A family with no instances is refused: it would
+    """Run one check and collect its report.  Instances stream from the
+    check's generator and are evaluated one at a time, in their fixed order
+    in this process, so reports are deterministic for a given spec and
+    seed.  ``elapsed_ms`` is evaluation time only: the time spent in the
+    generator is left out.  A family with no instances is refused: it would
     pass without testing anything."""
     check = CHECKS[spec.name]
-    instances = list(check.instances(spec))
-    if not instances:
+    count = 0
+    elapsed = 0.0
+    failures = []
+    notes = []
+    for args in check.instances(spec):
+        start = time.perf_counter()
+        res = check.kinds[args[0]](*args[1:])
+        if isinstance(res, str):
+            if res not in notes:
+                notes.append(res)
+        elif res is not None:
+            failures.append(res)
+        elapsed += time.perf_counter() - start
+        count += 1
+    if not count:
         raise ValueError(
             "check %r has no instances under these bounds; an empty family proves nothing"
             % spec.name
         )
-    start = time.perf_counter()
-    failures = []
-    notes = []
-    for args in instances:
-        res = check.kinds[args[0]](*args[1:])
-        if res is None:
-            continue
-        if isinstance(res, str):
-            if res not in notes:
-                notes.append(res)
-        else:
-            failures.append(res)
-    elapsed = (time.perf_counter() - start) * 1000.0
     return CheckReport(
         name=spec.name,
-        instances=len(instances),
+        instances=count,
         failures=failures,
-        elapsed_ms=elapsed,
+        elapsed_ms=elapsed * 1000.0,
         seed=spec.seed,
         notes=notes,
     )

@@ -29,15 +29,19 @@ def new_table():
     return table
 
 
+_MISS = object()
+
+
 def memoised(fn):
     """Cache ``fn`` on its positional arguments, one dict per function
-    (exposed as ``.table``).  A call that raises stores nothing."""
+    (exposed as ``.table``).  A call that raises stores nothing.  A miss is
+    marked by a private sentinel, so a ``None`` result is cached too."""
     table = new_table()
 
     @functools.wraps(fn)
     def wrapper(*args):
-        hit = table.get(args)
-        if hit is None:
+        hit = table.get(args, _MISS)
+        if hit is _MISS:
             hit = table[args] = fn(*args)
         return hit
 

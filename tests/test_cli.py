@@ -564,6 +564,10 @@ class TestFailurePath:
     ARGV = ("check", "straightening", "--profile", "smoke")
 
     def test_flipped_bracket_fails_straightening(self, flipped_bracket):
+        # an unpatched run first, so that the verdict table is full whatever
+        # ran before: the flip must not be answered from stale verdicts
+        code, out = run_cli(*self.ARGV, "--format", "json")
+        assert code == 0
         with flipped_bracket():
             code, out = run_cli(*self.ARGV, "--format", "json")
             text_code, text = run_cli(*self.ARGV, "--format", "text")

@@ -5,13 +5,15 @@ from fractions import Fraction
 
 import pytest
 
-from mapalg import forms
+from mapalg import forms, identities
 from mapalg.combinatorics import ALabel, Multiset
 from mapalg.forms import cartan_pair, cartan_single, dressed_block, root_block
 from mapalg.identities import (
     CHECKS,
     PROFILES,
+    Check,
     CheckFailure,
+    CheckSpec,
     _eqnq_sides,
     _graded_part,
     _idbbd_sides,
@@ -213,6 +215,101 @@ class TestRunner:
     def test_profiles_cover_all_checks(self):
         for profile, table in PROFILES.items():
             assert set(table) == set(check_names()), profile
+
+    def _probe(self, monkeypatch, events, clock=None):
+        """Run a throwaway check of three instances whose generator and
+        evaluator log to ``events``; each moves ``clock`` on, when given,
+        by 10 s and by 0.5 s."""
+
+        def generate(spec):
+            for n in range(3):
+                events.append(("generate", n))
+                if clock is not None:
+                    clock.now += 10.0
+                yield ("probe", n)
+
+        def evaluate(n):
+            events.append(("evaluate", n))
+            if clock is not None:
+                clock.now += 0.5
+            return None
+
+        monkeypatch.setitem(CHECKS, "probe", Check(generate, {"probe": evaluate}))
+        return run_check(CheckSpec("probe", {}))
+
+    def test_instances_stream(self, monkeypatch):
+        """Each instance is evaluated before the next one is generated, so
+        no list of the family is built first."""
+        events = []
+        report = self._probe(monkeypatch, events)
+        assert report.instances == 3 and report.passed
+        assert events == [(step, n) for n in range(3) for step in ("generate", "evaluate")]
+
+    def test_elapsed_leaves_out_generation(self, monkeypatch):
+        class Clock:
+            now = 0.0
+
+            def perf_counter(self):
+                return self.now
+
+        clock = Clock()
+        monkeypatch.setattr(identities, "time", clock)
+        report = self._probe(monkeypatch, [], clock)
+        assert clock.now == 3 * 10.5
+        assert report.elapsed_ms == 3 * 500.0
+
+    def test_straightening_keeps_one_verdict_per_pair(self):
+        """Both kinds share one verdict table, which holds the family's
+        distinct (phi, chi) pairs, each with the verdict None, and no sides."""
+        spec = make_spec("straightening", "desk")
+        check = CHECKS["straightening"]
+        verdict = check.kinds["exh"]
+        assert check.kinds["rand"] is verdict
+        clear_caches()
+        assert verdict.table == {}
+        report = run_check(spec)
+        pairs = {args[1:] for args in check.instances(spec)}
+        assert report.passed and report.instances == 300 and len(pairs) == 116
+        assert set(verdict.table) == pairs
+        assert all(value is None for value in verdict.table.values())
+        clear_caches()
+        assert verdict.table == {}
+
+
+def _dependent(columns, targets):
+    raise ValueError("dependent columns in exact_solve_all")
+
+
+class TestA2Failures:
+    """Each way the sign extraction can go wrong fails the smoke A2 report,
+    at its first instance (r = s = 0, where the one candidate is 1)."""
+
+    NO_SOLUTION = ("combination of divided-power products", "no exact solution")
+
+    @pytest.mark.parametrize(
+        "solve, expectation, finding",
+        [
+            (lambda real: lambda columns, targets: [None], *NO_SOLUTION),
+            (lambda real: _dependent, *NO_SOLUTION),
+            (lambda real: lambda columns, targets: [[2]], "signs in {+1, -1}", "coefficients [2]"),
+            (
+                lambda real: lambda columns, targets: [[-e for e in real(columns, targets)[0]]],
+                "-1",
+                "2",
+            ),
+        ],
+        ids=["off-span", "raises", "not-a-sign", "negated"],
+    )
+    def test_first_failure(self, monkeypatch, solve, expectation, finding):
+        monkeypatch.setattr(identities, "exact_solve_all", solve(identities.exact_solve_all))
+        report = run_check(make_spec("A2", "smoke"))
+        assert not report.passed and not report.notes
+        assert len(report.failures) == report.instances == 64
+        first = report.failures[0]
+        assert first.args == "sign=+1 roots=(0,1) r=0 s=0 a=1 b=1"
+        assert first.lhs == "1"
+        assert first.rhs == expectation
+        assert first.diff == finding
 
 
 class TestCheckTable:
