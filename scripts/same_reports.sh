@@ -11,6 +11,9 @@
 #   check NAME --profile deep --format json, for each of the eight equality
 #     checks (every check but integrality), one process each: the processes
 #     of the benchmark's equalities-deep workload
+#   reduce FILE --format text|json, for three element files written first by
+#     REV's `eval --format json`: a bbD block, an sl3 p(chi) pushed along root
+#     1, and the non-integral x+(1) x+(t) / 2
 # Each run is a cold process.  Timings (`elapsedMs` in JSON, `elapsed=` in
 # text) are stripped and the exit status is kept; any other difference is
 # printed and the script exits 1.  Each line also gives the peak resident
@@ -29,13 +32,13 @@ git -C "$root" archive "$rev" src | tar -x -C "$tmp/rev"
 # compiling the package (which PYTHONDONTWRITEBYTECODE would repeat per run)
 python3 -m compileall -q "$tmp/rev/src" "$root/src" > /dev/null
 
-report() {  # report SRC ARGS...: one check report without its timings;
+report() {  # report SRC ARGS...: one mapalg output without its timings;
             # the run's peak RSS in MiB goes to $tmp/rss
     local src=$1 status=0
     shift
     PYTHONPATH="$src" python3 -c '
 import resource, subprocess, sys
-code = subprocess.call([sys.executable, "-m", "mapalg.cli", "check"] + sys.argv[2:])
+code = subprocess.call([sys.executable, "-m", "mapalg.cli"] + sys.argv[2:])
 with open(sys.argv[1], "w") as fh:
     fh.write("%.2f" % (resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024))
 sys.exit(code)' "$tmp/rss" "$@" > "$tmp/raw" || status=$?
@@ -46,14 +49,28 @@ sys.exit(code)' "$tmp/rss" "$@" > "$tmp/raw" || status=$?
 # perfbench/run.py's EQUALITY_CHECKS, in its order
 equalities="straightening D-consistency p-properties commutation D-identities A2 divided-powers self-consistency"
 runs=(
-    "all --profile smoke --format json"
-    "all --profile desk --format json"
-    "all --profile deep --format json"
-    "integrality --profile deep --format json"
-    "A2 --profile deep --format text"
+    "check all --profile smoke --format json"
+    "check all --profile desk --format json"
+    "check all --profile deep --format json"
+    "check integrality --profile deep --format json"
+    "check A2 --profile deep --format text"
 )
 for name in $equalities; do
-    runs+=("$name --profile deep --format json")
+    runs+=("check $name --profile deep --format json")
+done
+elements() {  # the reduce inputs, written into $tmp by REV's eval
+    local mapalg=(env PYTHONPATH="$tmp/rev/src" python3 -m mapalg.cli)
+    "${mapalg[@]}" eval bbD --psi1 '{[0]:1,[1]:1}' --psi2 '{[1]:1,[2]:1}' \
+        --psi3 '{[0]:2,[1]:1}' --format json > "$tmp/bbD.json"
+    "${mapalg[@]}" eval p --algebra sl3 --alpha 1 --chi '{[0]:1,[1]:2}' \
+        --format json > "$tmp/p-sl3.json"
+    echo '[{"monomial": [[2, [0], 1], [2, [1], 1]], "coeff": ["1", "2"]}]' > "$tmp/half.json"
+}
+elements
+for element in "bbD.json" "p-sl3.json --algebra sl3" "half.json"; do
+    for format in text json; do
+        runs+=("reduce $tmp/$element --format $format")
+    done
 done
 
 differ=0
@@ -67,15 +84,17 @@ for args in "${runs[@]}"; do
     report "$root/src" $args > "$tmp/new"
     new_rss=$(cat "$tmp/rss")
     rss="peak RSS $old_rss -> $new_rss MiB"
+    shown=${args//"$tmp/"/}
     if cmp -s "$tmp/old" "$tmp/new"; then
-        echo "same      check $args ($(wc -l < "$tmp/new") lines; $rss)"
+        echo "same      $shown ($(wc -l < "$tmp/new") lines; $rss)"
     else
-        echo "DIFFERENT check $args ($rss)"
+        echo "DIFFERENT $shown ($rss)"
         diff "$tmp/old" "$tmp/new" | head -20 || true
         differ=1
     fi
-    name=${args%% *}
-    if [[ $args == *"--profile deep --format json" && " $equalities " == *" $name "* ]]; then
+    name=${args#check }
+    name=${name%% *}
+    if [[ $args == "check "*"--profile deep --format json" && " $equalities " == *" $name "* ]]; then
         higher "$old_rss" "${top_old% *}" && top_old="$old_rss $name"
         higher "$new_rss" "${top_new% *}" && top_new="$new_rss $name"
     fi

@@ -204,6 +204,8 @@ def _config_from(args, profile=None):
         raise CliError("--variables must be >= 1")
     if args.jobs != 1:
         raise CliError("--jobs must be 1: instances are evaluated in one process")
+    if args.seed < 0:
+        raise CliError("--seed must be >= 0")
     return SessionConfig(
         algebra=args.algebra or ("auto" if args.command == "check" else "sl2"),
         variables=args.variables,

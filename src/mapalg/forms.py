@@ -262,13 +262,35 @@ def basis_element(preset, idx):
     return out
 
 
-class ReductionResult(NamedTuple):
+class ReductionResult:
     """Exact decomposition over the basis: the input equals the sum of
     coeff * basis element over ``terms``, and ``integral`` is true exactly
-    when every coefficient is an integer."""
+    when every coefficient is an integer.
 
-    terms: list
-    integral: bool
+    Held as ``(monomial, numerator)`` pairs over the input's denominator
+    ``den``, each monomial the top term of its basis element; ``terms``, the
+    ``(BasisIndex, Fraction)`` pairs, is built on each read."""
+
+    __slots__ = ("preset", "pairs", "den", "integral")
+
+    def __init__(self, preset, pairs, den):
+        self.preset = preset
+        self.pairs = pairs
+        self.den = den
+        self.integral = den == 1 or all(n % den == 0 for _, n in pairs)
+
+    @property
+    def terms(self):
+        preset, den = self.preset, self.den
+        return [(_index_of_monomial(preset, m), Fraction(n, den)) for m, n in self.pairs]
+
+    def __eq__(self, other):
+        if not isinstance(other, ReductionResult):
+            return NotImplemented
+        return self.terms == other.terms and self.integral == other.integral
+
+    def __repr__(self):
+        return "ReductionResult(terms=%r, integral=%r)" % (self.terms, self.integral)
 
     def to_json(self):
         return {
@@ -306,9 +328,10 @@ def _inverse_leading_coeff(idx):
 
 @memoised
 def _reduction_step(preset, mono):
-    """``(index, inverse leading coefficient, tail)`` for the basis element
-    whose top term is ``mono``, memoized per preset and monomial, which
-    names the index one-to-one: each element is built once.
+    """``(inverse leading coefficient, tail)`` for the basis element whose
+    top term is ``mono``, memoized per preset and monomial, which names the
+    index one-to-one: each element is built once, and the index is not
+    kept (:class:`ReductionResult` reads it off ``mono`` when asked).
 
     The tail is ``inv_lead * basis - mono``, the correction that
     eliminating ``mono`` leaves behind, as integers grouped by total
@@ -346,7 +369,7 @@ def _reduction_step(preset, mono):
             " and lower terms integral times %d"
             % (idx.render(), Element.monomial(preset, mono).render(), Fraction(1, inv_lead), inv_lead)
         )
-    return idx, inv_lead, tuple((degree, tuple(group)) for degree, group in groups.items())
+    return inv_lead, tuple((degree, tuple(group)) for degree, group in groups.items())
 
 
 def reduce_to_basis(elem):
@@ -365,11 +388,10 @@ def reduce_to_basis(elem):
     own denominator.  The terms come out in the order of "take the
     maximal monomial of what is left" and reconstruct the input exactly.
     """
-    den = elem.den
     layers = {}
     for mono, c in elem.num.items():
         layers.setdefault(sum(e for _, e in mono), {})[mono] = c
-    terms = []
+    pairs = []
     for degree in range(max(layers, default=-1), -1, -1):
         layer = layers.pop(degree, None)
         if not layer:
@@ -378,14 +400,13 @@ def reduce_to_basis(elem):
             c = layer[mono]
             if not c:
                 continue
-            idx, inv_lead, tail = _reduction_step(elem.preset, mono)
-            terms.append((idx, Fraction(c * inv_lead, den)))
+            inv_lead, tail = _reduction_step(elem.preset, mono)
+            pairs.append((mono, c * inv_lead))
             for lower, group in tail:
                 residual = layers.setdefault(lower, {})
                 for m, t in group:
                     residual[m] = residual.get(m, 0) - c * t
-    integral = all(c.denominator == 1 for _, c in terms)
-    return ReductionResult(terms=terms, integral=integral)
+    return ReductionResult(elem.preset, pairs, elem.den)
 
 
 def _labels_up_to(nvars, max_degree):

@@ -57,7 +57,17 @@ from .forms import (
     root_monomial,
 )
 from .memo import memoised
-from .pbw import Element, Gen, Sum, ad_divided, divided_power, exact_solve_all, make_preset, omega
+from .pbw import (
+    Element,
+    Gen,
+    Sum,
+    ad_divided,
+    clear_normal_forms,
+    divided_power,
+    exact_solve_all,
+    make_preset,
+    omega,
+)
 
 
 class CheckSpec(NamedTuple):
@@ -948,7 +958,11 @@ def check_names():
 
 def make_spec(name, profile="desk", seed=0, overrides=None):
     """Check ``name`` under ``profile``, ``overrides`` replacing integer
-    bounds of that check; any other key, or a value not an int >= 0, is refused."""
+    bounds of that check; any other key, or a value not an int >= 0, is
+    refused, and so is a ``seed`` not an int >= 0 (``random.Random`` would
+    draw seed 3's family for -3)."""
+    if as_int(seed, "a seed") < 0:
+        raise ValueError("seed %d: a seed must be >= 0" % seed)
     if name not in CHECKS:
         raise ValueError("unknown check %r (known: %s)" % (name, ", ".join(CHECKS)))
     if profile not in PROFILES:
@@ -995,8 +1009,11 @@ def run_check(spec):
     in this process, so reports are deterministic for a given spec and
     seed.  ``elapsed_ms`` is evaluation time only: the time spent in the
     generator is left out.  A family with no instances is refused: it would
-    pass without testing anything."""
+    pass without testing anything.  The normal-form tables are emptied
+    first, untimed (:func:`~mapalg.pbw.clear_normal_forms`), so a check
+    holds its own forms only; the family tables are kept."""
     check = CHECKS[spec.name]
+    clear_normal_forms()
     count = 0
     elapsed = 0.0
     failures = []

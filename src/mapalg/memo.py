@@ -6,6 +6,14 @@ table ``_concats`` in :mod:`mapalg.pbw`) or through the
 :func:`memoised` decorator, and :func:`clear_caches` empties them all.
 Cached values are shared between callers and must not be mutated.
 
+The two normal-form tables live for one check: ``identities.run_check``
+empties them before its first instance (``pbw.clear_normal_forms``).  Each
+entry is one rewrite step over sub-forms that are memoised too, so a check
+refills what it needs cheaply.  Every other table lives for the process:
+its entries (blocks, Cartan pairs, reduction steps, splits) are costly to
+build and later checks reuse them, so emptying them per check would
+recompute them.
+
 The four intern tables are deliberately not registered here:
 ``combinatorics._interned`` (:class:`~mapalg.combinatorics.Multiset`),
 ``combinatorics._labels`` (:class:`~mapalg.combinatorics.ALabel`),

@@ -14,7 +14,13 @@ a pair already in order is joined into one monomial, a one-letter right
 factor below the last letter takes the rewrite, and a longer right factor
 is peeled letter by letter.  Each product that needs rewriting is memoised
 per preset on ``(m1, m2)`` in ``LiePreset._products``, the one normal-form
-table, which joins the registry of :mod:`mapalg.memo`.  A memoised normal
+table, which joins the registry of :mod:`mapalg.memo`.  That table and the
+join table ``_concats`` live for one check: ``identities.run_check``
+empties both with :func:`clear_normal_forms` before its first instance.
+An entry is one rewrite step over sub-forms that are memoised too, so a
+check rebuilds what it needs cheaply, and the tables never hold more than
+one check's forms; the family tables of :mod:`mapalg.forms`, whose entries
+are costly and shared between checks, live on.  A memoised normal
 form is one flat tuple ``(m1, c1, m2, c2, ...)`` of monomials and nonzero
 ints, in the order its terms were first reached, and is read pair by pair
 with ``it = iter(form); zip(it, it)``: a dict of a few terms would take
@@ -390,6 +396,14 @@ def make_preset(name):
             raise ValueError("unknown preset %r (expected %s)" % (name, " or ".join(PRESETS)))
         preset = _PRESET_CACHE[name] = LiePreset(name, **_sl_matrices(PRESETS[name]))
     return preset
+
+
+def clear_normal_forms():
+    """Empty the normal-form tables: ``_concats`` and the ``_products`` of
+    every preset built so far.  The interned ``Mono`` values stay."""
+    _concats.clear()
+    for preset in _PRESET_CACHE.values():
+        preset._products.clear()
 
 
 def _flat(out):

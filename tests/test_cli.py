@@ -451,6 +451,21 @@ class TestCheck:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "straightening", "--profile", "smoke", "--seed", "-3"],
+            ["basis", "--max-degree", "0", "--seed", "-1"],
+        ],
+        ids=["check", "basis"],
+    )
+    def test_negative_seed_is_exit_2(self, capsys, argv):
+        code, out = run_cli(*argv)
+        assert code == 2
+        assert out == ""
+        err = capsys.readouterr().err
+        assert err == "error: --seed must be >= 0\n"
+
     def test_empty_family_is_exit_2(self, capsys):
         code, out = run_cli(
             "check", "self-consistency", "--profile", "smoke",

@@ -27,7 +27,7 @@ from mapalg.forms import (
 )
 from mapalg import forms
 from mapalg.identities import CHECKS, CheckFailure, _multisets_up_to, make_spec, run_suite
-from mapalg.pbw import Element, Gen, Sum, binom_element, divided_power, make_preset, omega
+from mapalg.pbw import Element, Gen, Mono, Sum, binom_element, divided_power, make_preset, omega
 
 U = ALabel([0])
 T = ALabel([1])
@@ -401,16 +401,43 @@ class TestReduce:
 
     def test_matches_greedy_loop(self):
         """Layered elimination gives the max-scan loop's terms, in its order
-        and with its coefficients, on seeded sl2 and sl3 elements."""
+        and with its coefficients, on seeded sl2 and sl3 elements; its
+        ``integral``, read off numerators over the input's denominator, and
+        its JSON are those of the loop's coefficients."""
         seen = {"den > 1": 0, "non-integral": 0, "zero": 0, "integral": 0}
         for preset, seed in ((SL2, 11), (SL3, 12)):
             for elem in _random_elements(preset, seed, 150):
                 result = reduce_to_basis(elem)
-                assert result.terms == _greedy_reduction(elem)
+                greedy = _greedy_reduction(elem)
+                integral = all(c.denominator == 1 for _, c in greedy)
+                assert result.terms == greedy
+                assert result.integral == all(c.denominator == 1 for _, c in result.terms)
+                assert result.integral == integral
+                assert result.to_json() == {
+                    "terms": [[idx.to_json(), str(c)] for idx, c in greedy],
+                    "integral": integral,
+                }
                 seen["den > 1"] += elem.den > 1
                 seen["zero"] += elem.is_zero()
                 seen["integral" if result.integral else "non-integral"] += 1
         assert all(seen.values()), seen
+
+    def test_steps_keep_no_index(self):
+        """A reduction step holds its inverse leading coefficient and its
+        integer tail, no :class:`BasisIndex`: the result reads each index
+        off its monomial when ``terms`` is read."""
+        forms.clear_caches()
+        for preset, seed in ((SL2, 11), (SL3, 12)):
+            for elem in _random_elements(preset, seed, 40):
+                reduce_to_basis(elem)
+        table = forms._reduction_step.table
+        assert len(table) > 100
+        for (preset, mono), (inv_lead, tail) in table.items():
+            assert type(inv_lead) is int and inv_lead
+            for degree, group in tail:
+                assert type(degree) is int
+                for m, c in group:
+                    assert type(m) is Mono and type(c) is int
 
     def test_fractional_tail_is_refused(self, corrupted_basis):
         """A basis element patched with a fractional lower-degree term (top

@@ -176,6 +176,20 @@ class TestRunner:
                 ["straightening"], profile="smoke", overrides={"exh_size": -1, "rand_count": -3}
             )
 
+    def test_negative_or_non_int_seed_rejected(self):
+        """``random.Random(-3)`` draws seed 3's family, so the report would
+        carry a seed that did not make it."""
+        for seed in (-1, -3):
+            with pytest.raises(ValueError, match="seed must be >= 0"):
+                make_spec("straightening", profile="smoke", seed=seed)
+            with pytest.raises(ValueError, match="seed must be >= 0"):
+                run_suite(["straightening"], profile="smoke", seed=seed)
+        for seed in (1.0, True, "3", None):
+            with pytest.raises(TypeError, match="seed must be an int"):
+                make_spec("straightening", profile="smoke", seed=seed)
+            with pytest.raises(TypeError, match="seed must be an int"):
+                run_suite(["A2"], profile="smoke", seed=seed)
+
     def test_report_json_schema(self):
         spec = make_spec("divided-powers", profile="smoke")
         report = run_check(spec)

@@ -8,11 +8,11 @@ from fractions import Fraction
 
 import pytest
 
-from mapalg import memo, pbw
+from mapalg import forms, memo, pbw
 from mapalg.cli import main
 from mapalg.combinatorics import ALabel, Multiset, binom_int
 from mapalg.forms import basis_element, enumerate_basis, reduce_to_basis, root_monomial
-from mapalg.identities import run_suite
+from mapalg.identities import check_names, make_spec, run_check, run_suite
 from mapalg.memo import clear_caches
 from mapalg.pbw import (
     ONE,
@@ -638,32 +638,46 @@ class TestFlatNormalForms:
     """Every memoised product is one flat tuple ``(m1, c1, m2, c2, ...)``
     of interned monomials and nonzero ints."""
 
+    @staticmethod
+    def _smoke_checks():
+        """Run the smoke checks one at a time, starting from cold caches,
+        and yield after each: the normal-form tables then hold that check's
+        forms only."""
+        clear_caches()
+        for name in check_names():
+            assert run_check(make_spec(name, "smoke")).passed
+            yield name
+
     def test_layout_of_every_table_entry(self):
-        clear_caches()
-        run_suite(["all"], "smoke")
-        warm = {}
-        for preset in (SL2, SL3):
-            table = preset._products
-            assert table
-            for form in table.values():
-                assert type(form) is tuple and len(form) >= 2 and len(form) % 2 == 0
-                monos, coeffs = form[::2], form[1::2]
-                assert all(_interned(m) for m in monos)
-                assert len(set(map(id, monos))) == len(monos)
-                assert all(type(c) is int and c for c in coeffs)
-            warm[preset] = dict(table)
-        clear_caches()
-        for preset, products in warm.items():
-            assert not preset._products
-            for (m1, m2), form in products.items():
-                assert pbw._mono_product(preset, m1, m2) == form
+        filled = set()
+        for name in self._smoke_checks():
+            warm = {}
+            for preset in (SL2, SL3):
+                table = preset._products
+                for form in table.values():
+                    assert type(form) is tuple and len(form) >= 2 and len(form) % 2 == 0
+                    monos, coeffs = form[::2], form[1::2]
+                    assert all(_interned(m) for m in monos)
+                    assert len(set(map(id, monos))) == len(monos)
+                    assert all(type(c) is int and c for c in coeffs)
+                if table:
+                    filled.add(preset)
+                warm[preset] = dict(table)
+            clear_caches()
+            for preset, products in warm.items():
+                assert not preset._products
+                for (m1, m2), form in products.items():
+                    assert pbw._mono_product(preset, m1, m2) == form, name
+        assert filled == {SL2, SL3}
 
     def test_only_pairs_out_of_order_are_stored(self):
-        clear_caches()
-        run_suite(["all"], "smoke")
-        for preset in (SL2, SL3):
-            assert preset._products
-            assert all(m1[-1][0] > m2[0][0] for m1, m2 in preset._products)
+        filled = set()
+        for name in self._smoke_checks():
+            for preset in (SL2, SL3):
+                assert all(m1[-1][0] > m2[0][0] for m1, m2 in preset._products), name
+                if preset._products:
+                    filled.add(preset)
+        assert filled == {SL2, SL3}
         clear_caches()
         xp, ht = Gen(XP, T), Gen(H, T)
         prod = divided_power(SL2, xp, 2) * divided_power(SL2, xp, 3)
@@ -675,6 +689,26 @@ class TestFlatNormalForms:
         )
         assert not SL2._products
         assert pbw._concats[Mono(((ht, 1),)), Mono(((ht, 1),))] is Mono(((ht, 2),))
+
+    def test_normal_forms_live_for_one_check(self):
+        """After straightening then self-consistency the normal-form tables
+        hold what self-consistency alone builds from cold caches, while the
+        block table keeps straightening's entries."""
+
+        def normal_forms():
+            return [dict(SL2._products), dict(SL3._products), dict(pbw._concats)]
+
+        clear_caches()
+        run_suite(["straightening"], "smoke")
+        blocks = dict(forms._root_block.table)
+        clear_caches()
+        run_suite(["self-consistency"], "smoke")
+        cold = normal_forms()
+        assert cold[0] and cold[2] and not forms._root_block.table
+        clear_caches()
+        run_suite(["straightening", "self-consistency"], "smoke")
+        assert normal_forms() == cold
+        assert blocks and blocks.items() <= forms._root_block.table.items()
 
     @pytest.mark.parametrize(
         "preset, max_degree, count", [(SL2, 2, 28), (SL3, 1, 17)], ids=["sl2", "sl3"]
