@@ -171,7 +171,7 @@ def build_parser():
     p_eval.add_argument("--psi1")
     p_eval.add_argument("--psi2")
     p_eval.add_argument("--psi3")
-    p_eval.add_argument("--sign", choices=("+", "-"), default="+")
+    p_eval.add_argument("--sign", choices=("+", "-"), help="default +")
     p_eval.add_argument("--alpha", type=_integer, default=None)
 
     p_reduce = sub.add_parser("reduce", parents=[session], help="reduce an element file over the basis")
@@ -227,45 +227,43 @@ def _emit(config, payload_json, text_lines, out):
             print(line, file=out)
 
 
-def _require(args, names):
-    out = []
-    for n in names:
-        value = getattr(args, n.replace("-", "_"))
-        if value is None:
-            raise CliError("eval %s requires --%s" % (args.object, n))
-        out.append(value)
-    return out
+# The options each eval object requires, and those it may take; it
+# refuses the others.
+_EVAL_OPTIONS = {
+    "p": (("chi",), ("phi", "alpha")),
+    "D": (("psi1", "psi2", "psi3"), ("sign", "alpha")),
+    "bbD": (("psi1", "psi2", "psi3"), ("alpha",)),
+    "xpow": (("psi",), ("sign", "alpha")),
+}
 
 
 def _cmd_eval(args, out):
     config = _config_from(args)
+    required, optional = _EVAL_OPTIONS[args.object]
+    for name in ("phi", "chi", "psi", "psi1", "psi2", "psi3", "sign", "alpha"):
+        given = getattr(args, name) is not None
+        if given and name not in required + optional:
+            raise CliError("eval %s does not read --%s" % (args.object, name))
+        if not given and name in required:
+            raise CliError("eval %s requires --%s" % (args.object, name))
     nvars = config.variables
     laurent = config.mode == "laurent"
     algebra = config.algebra
-    sign = 1 if args.sign == "+" else -1
+    sign = -1 if args.sign == "-" else 1
 
     def ms(text):
         return parse_multiset(text, nvars, laurent)
 
     if args.object == "xpow":
-        preset = make_preset(algebra)
-        alpha = args.alpha if args.alpha is not None else 0
-        (psi_text,) = _require(args, ["psi"])
-        elem = root_monomial(sign, alpha, ms(psi_text), preset)
+        elem = root_monomial(sign, args.alpha or 0, ms(args.psi), make_preset(algebra))
     else:
         if args.object == "p":
-            (chi_text,) = _require(args, ["chi"])
-            chi = ms(chi_text)
-            if args.phi is not None:
-                elem = cartan_pair(ms(args.phi), chi)
-            else:
-                elem = cartan_single(chi)
+            chi = ms(args.chi)
+            elem = cartan_single(chi) if args.phi is None else cartan_pair(ms(args.phi), chi)
         elif args.object == "D":
-            p1, p2, p3 = _require(args, ["psi1", "psi2", "psi3"])
-            elem = root_block(sign, ms(p1), ms(p2), ms(p3))
+            elem = root_block(sign, ms(args.psi1), ms(args.psi2), ms(args.psi3))
         else:
-            p1, p2, p3 = _require(args, ["psi1", "psi2", "psi3"])
-            elem = dressed_block(ms(p1), ms(p2), ms(p3))
+            elem = dressed_block(ms(args.psi1), ms(args.psi2), ms(args.psi3))
         if args.alpha is not None:
             elem = omega(args.alpha, elem, make_preset(algebra))
         elif algebra != "sl2":
@@ -322,8 +320,11 @@ def _cmd_check(args, out):
         if "=" not in item:
             raise CliError("override must look like KEY=INT: %r" % item)
         key, _, value = item.partition("=")
+        key = key.strip()
+        if key in overrides:
+            raise CliError("override %s is given more than once" % key)
         try:
-            overrides[key.strip()] = _integer(value.strip())
+            overrides[key] = _integer(value.strip())
         except argparse.ArgumentTypeError:
             raise CliError("override value must be an integer: %r" % item)
     reports = run_suite(args.names, profile=args.profile, seed=args.seed, overrides=overrides)

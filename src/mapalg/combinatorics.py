@@ -296,7 +296,7 @@ class Multiset:
         return [[k.to_json(), m] for k, m in self._items]
 
     @classmethod
-    def from_json(cls, data, key_from=ALabel.from_json):
+    def from_json(cls, data):
         if not isinstance(data, list):
             raise ValueError("multiset must be a JSON array of [key, mult] pairs")
         pairs = []
@@ -306,7 +306,7 @@ class Multiset:
             key, mult = entry
             if type(mult) is not int or mult <= 0:
                 raise ValueError("multiset multiplicity must be a positive integer")
-            pairs.append((key_from(key), mult))
+            pairs.append((ALabel.from_json(key), mult))
         return cls(pairs)
 
 

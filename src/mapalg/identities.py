@@ -29,7 +29,6 @@ import itertools
 import math
 import random
 import time
-from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from .combinatorics import (
@@ -60,13 +59,14 @@ from .memo import memoised
 from .pbw import (
     Element,
     Gen,
+    Mono,
     Sum,
     ad_divided,
     clear_normal_forms,
     divided_power,
-    exact_solve_all,
     make_preset,
     omega,
+    solve_integers,
 )
 
 
@@ -356,11 +356,9 @@ def _instances_p_properties(spec):
 
 def _leading_term(chi):
     sl2 = make_preset("sl2")
-    mono = tuple((Gen(sl2.cartan_index(0), a), m) for a, m in chi.items())
-    coeff = Fraction((-1) ** chi.size)
-    for _, m in chi.items():
-        coeff /= math.factorial(m)
-    return Element.monomial(sl2, mono, coeff)
+    mono = Mono((Gen(sl2.cartan_index(0), a), m) for a, m in chi.items())
+    den = math.prod(math.factorial(m) for _, m in chi.items())
+    return Element._trusted(sl2, {mono: (-1) ** chi.size}, den)
 
 
 def _leading_sides(chi):
@@ -378,10 +376,8 @@ def _cartan_product(chi, chi2):
     elem = cartan_single(chi) * cartan_single(chi2) - factor * cartan_single(both)
     result, finding = _reduction(elem)
     if finding is None:
-        pure_cartan = all(
-            all(not ms for ms in idx.minus) and all(not ms for ms in idx.plus)
-            for idx, _ in result.terms
-        )
+        cartan = result.preset.cartan_index(0)
+        pure_cartan = all(g.index == cartan for mono, _ in result.pairs for g, _ in mono)
         if result.integral and pure_cartan:
             return None
         finding = "integral=%s pure_cartan=%s" % (result.integral, pure_cartan)
@@ -731,35 +727,32 @@ def _a2_signs(sign, aidx, bidx, r, s, a, b):
         * divided_power(sl3, ga, r - k)
         for k in range(min(r, s) + 1)
     ]
-    cand_terms = [e.terms for e in cands]
-    lhs_terms = lhs.terms
-    monos = sorted({m for t in cand_terms for m in t} | set(lhs_terms))
-    columns = [tuple(t.get(m, 0) for m in monos) for t in cand_terms]
-    target = tuple(lhs_terms.get(m, 0) for m in monos)
+    # the target and the columns as integer vectors over one denominator
+    elems = (lhs, *cands)
+    common = math.lcm(*(e.den for e in elems))
+    monos = dict.fromkeys(m for e in elems for m in e.num)
+    target, *columns = [tuple(e.num.get(m, 0) * (common // e.den) for m in monos) for e in elems]
     args_str = "sign=%+d roots=(%d,%d) r=%d s=%d a=%s b=%s" % (sign, aidx, bidx, r, s, a, b)
     try:
-        eps = exact_solve_all(columns, [target])[0]
+        solution = solve_integers(columns, [target])[0]
     except ValueError:
-        eps = None
-    if eps is None:
+        solution = None
+    if solution is None:
         return _property_failure(
             args_str, lhs, "combination of divided-power products", "no exact solution"
         )
-    if any(e not in (1, -1) for e in eps):
-        return _property_failure(
-            args_str, lhs, "signs in {+1, -1}", "coefficients %s" % (eps,)
-        )
+    eps, den = solution
+    if den != 1 or any(e not in (1, -1) for e in eps):
+        finding = "coefficients %s" % (eps,) + ("/%d" % den if den != 1 else "")
+        return _property_failure(args_str, lhs, "signs in {+1, -1}", finding)
     rebuilt = Sum(sl3)
     for e, cand in zip(eps, cands):
-        rebuilt.add(int(e), cand)
+        rebuilt.add(e, cand)
     fail = _failure(args_str, lhs, rebuilt.element())
     if fail is not None:
         return fail
     if min(r, s) >= 1:
-        return "signs %s: eps=%s" % (
-            "sign=%+d roots=(%d,%d) r=%d s=%d" % (sign, aidx, bidx, r, s),
-            [int(e) for e in eps],
-        )
+        return "signs sign=%+d roots=(%d,%d) r=%d s=%d: eps=%s" % (sign, aidx, bidx, r, s, eps)
     return None
 
 

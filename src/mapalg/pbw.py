@@ -39,6 +39,11 @@ built in one exact accumulator, :class:`Sum`: ``add_product(k, x, y)``
 straightens ``x * y`` with the same loop as ``*`` straight into one
 integer dict over one running denominator, and ``element()`` reduces once
 at the end.
+
+Rationals live only at the edges, the solver included: the one linear
+solver, :func:`solve_integers`, behind a preset's structure constants and
+the A2 signs, eliminates over the integers and returns integers over one
+denominator.
 """
 
 from __future__ import annotations
@@ -157,36 +162,38 @@ def _commutator(a, b):
     )
 
 
-def exact_solve_all(columns, targets):
-    """Solve ``sum_k c_k * columns[k] = target`` exactly over the rationals
-    for every target in ``targets`` at once: the columns are row-reduced
-    once, with all targets carried along as extra columns of one augmented
-    matrix.  Returns one coefficient list per target, in order, or None
-    for a target off the span.  Raises if the columns are linearly
+def solve_integers(columns, targets):
+    """Solve ``sum_k c_k * columns[k] = target`` for every target at once
+    by one Gauss-Jordan elimination over the integers, the targets carried
+    as extra columns: a row step cross-multiplies and divides out the row's
+    content, so no entry is ever a fraction.  Returns, per target, integers
+    ``(coeffs, den)`` in lowest terms with ``den >= 1`` and
+    ``sum_k coeffs[k] * columns[k] == den * target``, or None for a target
+    off the span.  Raises ``ValueError`` if the columns are linearly
     dependent, since all callers expand against a basis."""
     ncols = len(columns)
-    nrows = len(targets[0])
-    aug = [
-        [Fraction(columns[k][r]) for k in range(ncols)] + [Fraction(t[r]) for t in targets]
-        for r in range(nrows)
-    ]
-    for row in range(ncols):
-        pivot = next((r for r in range(row, nrows) if aug[r][row]), None)
+    rows = [list(row) for row in zip(*columns, *targets)]
+    for k in range(ncols):
+        pivot = next((r for r in range(k, len(rows)) if rows[r][k]), None)
         if pivot is None:
-            raise ValueError("dependent columns in exact_solve_all")
-        aug[row], aug[pivot] = aug[pivot], aug[row]
-        inv = 1 / aug[row][row]
-        aug[row] = [x * inv for x in aug[row]]
-        for r in range(nrows):
-            if r != row and aug[r][row]:
-                factor = aug[r][row]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[row])]
-    return [
-        None
-        if any(aug[r][ncols + t] for r in range(ncols, nrows))
-        else [aug[r][ncols + t] for r in range(ncols)]
-        for t in range(len(targets))
-    ]
+            raise ValueError("dependent columns in solve_integers")
+        rows[k], rows[pivot] = rows[pivot], rows[k]
+        top = rows[k]
+        for r, row in enumerate(rows):
+            if r != k and row[k]:
+                g = math.gcd(top[k], row[k])
+                a, b = top[k] // g, row[k] // g
+                row = [a * x - b * y for x, y in zip(row, top)]
+                g = math.gcd(*row)
+                rows[r] = [x // g for x in row] if g > 1 else row
+    # now rows[k][k] * c_k == rows[k][t] for k < ncols and every target t
+    pivots, rest = rows[:ncols], rows[ncols:]
+    out = []
+    for t in range(ncols, ncols + len(targets)):
+        den = math.lcm(*(row[k] // math.gcd(row[k], row[t]) for k, row in enumerate(pivots)))
+        coeffs = [row[t] * den // row[k] for k, row in enumerate(pivots)]
+        out.append(None if any(row[t] for row in rest) else (coeffs, den))
+    return out
 
 
 class LiePreset:
@@ -212,44 +219,35 @@ class LiePreset:
         comms = [_commutator(mats[i], mats[j]) for i, j in pairs]
         columns = [tuple(x for row in mat for x in row) for mat in mats]
         brackets = {}
-        for pair, coeffs in zip(pairs, exact_solve_all(columns, comms)):
-            if coeffs is None:
+        for pair, solution in zip(pairs, solve_integers(columns, comms)):
+            if solution is None:
                 raise ValueError("bracket leaves the spanned algebra")
-            entry = []
-            for k, c in enumerate(coeffs):
-                if c:
-                    if c.denominator != 1:
-                        raise ValueError("non-integer structure constant")
-                    entry.append((k, int(c)))
+            coeffs, den = solution
+            if den != 1:
+                raise ValueError("non-integer structure constant")
+            entry = tuple((k, c) for k, c in enumerate(coeffs) if c)
             if entry:
-                brackets[pair] = tuple(entry)
+                brackets[pair] = entry
         self._brackets = brackets
         self._validate_table()
 
         # beta_j(h_i) read off from [h_i, x^+_j] = beta_j(h_i) x^+_j
         pairing = []
         for j in range(self.m):
-            row = []
-            for i in range(rank):
-                entry = dict(self._brackets.get((self.cartan_index(i), self.pos_index(j)), ()))
-                extra = [k for k in entry if k != self.pos_index(j)]
-                if extra:
-                    raise ValueError("Cartan action is not diagonal on root vectors")
-                row.append(entry.get(self.pos_index(j), 0))
-            pairing.append(tuple(row))
+            x = self.pos_index(j)
+            entries = [dict(self.bracket_pairs(self.cartan_index(i), x)) for i in range(rank)]
+            if any(set(entry) - {x} for entry in entries):
+                raise ValueError("Cartan action is not diagonal on root vectors")
+            pairing.append(tuple(entry.get(x, 0) for entry in entries))
         self._pairing = tuple(pairing)
 
         # h for each positive root: expansion of [x^+_j, x^-_j] in h_1..h_n
         coroots = []
         for j in range(self.m):
-            entry = dict(self._brackets.get((self.pos_index(j), self.neg_index(j)), ()))
-            vec = []
-            for k, c in entry.items():
-                if not (self.m <= k < self.m + rank):
-                    raise ValueError("[x+, x-] is not Cartan")
-            for i in range(rank):
-                vec.append(entry.get(self.cartan_index(i), 0))
-            coroots.append(tuple(vec))
+            entry = dict(self.bracket_pairs(self.pos_index(j), self.neg_index(j)))
+            if any(self.kind(k)[0] != "cartan" for k in entry):
+                raise ValueError("[x+, x-] is not Cartan")
+            coroots.append(tuple(entry.get(self.cartan_index(i), 0) for i in range(rank)))
         self._coroots = tuple(coroots)
 
         roots_by_vec = {r: j for j, r in enumerate(self.positive_roots)}
@@ -271,11 +269,7 @@ class LiePreset:
         self._zero = Element._trusted(self, {}, 1)
 
     def _validate_table(self):
-        br = self._brackets
-
-        def table(i, j):
-            return br.get((i, j), ())
-
+        table = self.bracket_pairs
         for i in range(self.dim):
             for j in range(self.dim):
                 forward = dict(table(i, j))
@@ -748,9 +742,13 @@ class Element:
             if not den:
                 raise ValueError("coefficient denominator must be nonzero")
             coeff = Fraction(num, den)
+            monomial = term["monomial"]
+            if not isinstance(monomial, list) or not all(
+                isinstance(entry, list) and len(entry) == 3 for entry in monomial
+            ):
+                raise ValueError("monomial must be a list of [index, label, exponent] entries")
             factor = cls.one(preset)
-            for entry in term["monomial"]:
-                index, label, exp = entry
+            for index, label, exp in monomial:
                 if not isinstance(index, int) or isinstance(index, bool):
                     raise ValueError("generator index must be an integer")
                 if not isinstance(exp, int) or isinstance(exp, bool) or exp < 1:

@@ -181,6 +181,22 @@ class TestEval:
         assert doc["config"]["algebra"] == "sl2"
         assert doc["element"]
 
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (("p", "--chi", "{[0]:1}", "--sign", "-"), "sign"),
+            (("D", "--psi1", "{[0]:1}", "--psi2", "{[0]:1}", "--psi3", "{}", "--phi", "{[0]:1}"), "phi"),
+            (("bbD", "--psi1", "{}", "--psi2", "{}", "--psi3", "{}", "--sign", "+"), "sign"),
+            (("xpow", "--psi", "{[1]:1}", "--chi", "{[0]:1}"), "chi"),
+        ],
+        ids=["p", "D", "bbD", "xpow"],
+    )
+    def test_option_the_object_does_not_read_is_exit_2(self, capsys, argv, option):
+        code, out = run_cli("eval", *argv)
+        assert code == 2 and out == ""
+        err = capsys.readouterr().err
+        assert err == "error: eval %s does not read --%s\n" % (argv[0], option)
+
 
 class TestReduce:
     def test_round_trip_from_eval(self, tmp_path):
@@ -303,6 +319,22 @@ class TestReduce:
         assert code == 2 and "integral" not in out
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "monomial", [[None], [[2, [0]]], 5], ids=["null-entry", "two-fields", "number"]
+    )
+    def test_malformed_monomial_is_exit_2(self, tmp_path, capsys, monomial):
+        """A monomial is a list of ``[index, label, exponent]`` entries, and
+        the error says so in its own words."""
+        path = tmp_path / "e.json"
+        path.write_text(json.dumps([{"monomial": monomial, "coeff": ["1", "1"]}]), encoding="utf-8")
+        code, out = run_cli("reduce", str(path))
+        assert code == 2 and out == ""
+        err = capsys.readouterr().err
+        assert err == (
+            "error: malformed element: monomial must be a list of"
+            " [index, label, exponent] entries\n"
+        )
 
     @pytest.mark.parametrize(
         "coeff",
@@ -545,6 +577,14 @@ class TestCheck:
     def test_bad_override(self):
         code, _ = run_cli("check", "straightening", "--override", "rand_count=x")
         assert code == 2
+
+    def test_repeated_override_key_is_exit_2(self, capsys):
+        code, out = run_cli(
+            "check", "straightening", "--profile", "smoke",
+            "--override", "exh_size=1", "--override", "exh_size=0",
+        )
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == "error: override exh_size is given more than once\n"
 
 
 @pytest.fixture

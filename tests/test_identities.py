@@ -291,7 +291,15 @@ class TestRunner:
 
 
 def _dependent(columns, targets):
-    raise ValueError("dependent columns in exact_solve_all")
+    raise ValueError("dependent columns in solve_integers")
+
+
+def _negated(real):
+    def solve(columns, targets):
+        ((coeffs, den),) = real(columns, targets)
+        return [([-c for c in coeffs], den)]
+
+    return solve
 
 
 class TestA2Failures:
@@ -305,17 +313,22 @@ class TestA2Failures:
         [
             (lambda real: lambda columns, targets: [None], *NO_SOLUTION),
             (lambda real: _dependent, *NO_SOLUTION),
-            (lambda real: lambda columns, targets: [[2]], "signs in {+1, -1}", "coefficients [2]"),
             (
-                lambda real: lambda columns, targets: [[-e for e in real(columns, targets)[0]]],
-                "-1",
-                "2",
+                lambda real: lambda columns, targets: [([2], 1)],
+                "signs in {+1, -1}",
+                "coefficients [2]",
+            ),
+            (_negated, "-1", "2"),
+            (
+                lambda real: lambda columns, targets: [([1], 2)],
+                "signs in {+1, -1}",
+                "coefficients [1]/2",
             ),
         ],
-        ids=["off-span", "raises", "not-a-sign", "negated"],
+        ids=["off-span", "raises", "not-a-sign", "negated", "not-integral"],
     )
     def test_first_failure(self, monkeypatch, solve, expectation, finding):
-        monkeypatch.setattr(identities, "exact_solve_all", solve(identities.exact_solve_all))
+        monkeypatch.setattr(identities, "solve_integers", solve(identities.solve_integers))
         report = run_check(make_spec("A2", "smoke"))
         assert not report.passed and not report.notes
         assert len(report.failures) == report.instances == 64

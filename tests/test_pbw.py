@@ -25,7 +25,6 @@ from mapalg.pbw import (
     ad_divided,
     binom_element,
     divided_power,
-    exact_solve_all,
     make_preset,
     omega,
 )
@@ -291,6 +290,18 @@ class TestPresetBuildFailures:
         with pytest.raises(ValueError, match="non-integer structure constant"):
             LiePreset("bad", ((1,),), (E21,), (twice_h,), (E12,))
 
+    def test_cartan_must_act_diagonally(self):
+        # E12 in the Cartan slot: [E12, H] = -2 E12 is no multiple of H
+        with pytest.raises(ValueError, match="Cartan action is not diagonal"):
+            LiePreset("bad", ((1,),), (E21,), (E12,), (H2,))
+
+    def test_root_vector_pairs_must_bracket_into_cartan(self):
+        # x-_a1 = E31 against x+_a1 = E12: [E12, E31] = -E32
+        mats = _sl_matrices(3)
+        mats["neg_mats"] = [mats["neg_mats"][k] for k in (2, 1, 0)]
+        with pytest.raises(ValueError, match="is not Cartan"):
+            LiePreset("bad", **mats)
+
     def test_antisymmetry_is_checked(self):
         preset = _fresh_sl2()
         preset._brackets[(XP, XM)] = ((H, 2),)
@@ -305,20 +316,61 @@ class TestPresetBuildFailures:
         with pytest.raises(ValueError, match="Jacobi identity fails"):
             preset._validate_table()
 
-    def test_solve_all_solves_each_target_on_its_own(self):
+    def test_solve_integers_solves_each_target_on_its_own(self):
         rng = random.Random(3)
-        columns = [(1, 0, 2, 1), (0, 1, 1, 0), (3, 1, 0, 2)]
+        # half the first column is an integer target with a denominator
+        columns = [(2, 0, 2, 0), (0, 1, 1, 0), (3, 1, 0, 2)]
         targets, want = [], []
         for n in range(20):
             coeffs = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in columns]
             target = [sum(c * col[r] for c, col in zip(coeffs, columns)) for r in range(4)]
+            scale = math.lcm(*(t.denominator for t in target))
+            target = [int(t * scale) for t in target]
+            coeffs = [c * scale for c in coeffs]
             if n % 3 == 0:
                 target[3] += 1  # (0, 0, 0, 1) is off the span of the columns
                 coeffs = None
             targets.append(tuple(target))
             want.append(coeffs)
-        assert exact_solve_all(columns, targets) == want
+        got = pbw.solve_integers(columns, targets)
+        assert [s is None for s in got] == [w is None for w in want]
+        dens = []
+        for target, solution, coeffs in zip(targets, got, want):
+            if solution is None:
+                continue
+            sums, den = solution
+            assert den >= 1 and math.gcd(den, *sums) == 1
+            assert all(type(c) is int for c in sums)
+            assert [Fraction(c, den) for c in sums] == coeffs
+            rebuilt = [sum(c * col[r] for c, col in zip(sums, columns)) for r in range(4)]
+            assert rebuilt == [den * t for t in target]
+            dens.append(den)
+        assert 1 in dens and max(dens) > 1
 
+    def test_solve_integers_refuses_dependent_columns(self):
+        with pytest.raises(ValueError, match="dependent columns"):
+            pbw.solve_integers([(1, 2, 3), (0, 1, 1), (2, 5, 7)], [(1, 2, 3)])
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_every_bracket_rebuilds_its_commutator(self, n):
+        """Checked on the matrices themselves, without the solver: each
+        table entry, summed over the basis matrices, is ``[a, b]``."""
+        kwargs = _sl_matrices(n)
+        preset = LiePreset("sl%d" % n, **kwargs)
+        mats = kwargs["neg_mats"] + kwargs["cartan_mats"] + kwargs["pos_mats"]
+
+        def product(a, b):
+            return [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+
+        for i, a in enumerate(mats):
+            for j, b in enumerate(mats):
+                ab, ba = product(a, b), product(b, a)
+                want = [[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(ab, ba)]
+                got = [[0] * n for _ in range(n)]
+                for k, c in preset.bracket_pairs(i, j):
+                    assert type(c) is int and c
+                    got = [[x + c * y for x, y in zip(r1, r2)] for r1, r2 in zip(got, mats[k])]
+                assert got == want, (i, j)
 
 
 def _e3(i, j):
