@@ -18,8 +18,10 @@
 # text) are stripped and the exit status is kept; any other difference is
 # printed and the script exits 1.  Each line also gives the peak resident
 # set of the two cold runs, old -> new (getrusage of the child process), and
-# a last line names the equality process with the highest peak on each side,
-# which sets equalities-deep's peak_rss_mb.  Neither affects the exit status.
+# a line names the equality process with the highest peak on each side,
+# which sets equalities-deep's peak_rss_mb, and a last line gives the line
+# count of each src/mapalg/*.py module and their total, old -> new.  None of
+# these affects the exit status.
 set -euo pipefail
 
 rev=${1:-HEAD}
@@ -100,4 +102,13 @@ for args in "${runs[@]}"; do
     fi
 done
 echo "equalities-deep peak RSS: ${top_old% *} MiB (${top_old#* }) -> ${top_new% *} MiB (${top_new#* })"
+sizes() {  # sizes TREE: "module lines" for each TREE/src/mapalg/*.py, sorted
+    local f
+    for f in "$1"/src/mapalg/*.py; do
+        echo "$(basename "$f" .py) $(wc -l < "$f")"
+    done | LC_ALL=C sort
+}
+LC_ALL=C join -a1 -a2 -e 0 -o 0,1.2,2.2 <(sizes "$tmp/rev") <(sizes "$root") | awk '
+    { line = line sprintf(" %s %d -> %d,", $1, $2, $3); old += $2; new += $3 }
+    END { print "src/mapalg lines:" line " total " old " -> " new }'
 exit "$differ"

@@ -290,8 +290,24 @@ def _cmd_reduce(args, out):
         data = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise CliError("malformed JSON: %s" % exc)
-    if isinstance(data, dict) and "element" in data:
-        data = data["element"]
+    if isinstance(data, dict):
+        # an eval --format json document: refuse what it does not hold,
+        # and a config written for another session
+        foreign = sorted(set(data) - {"config", "element"})
+        if foreign:
+            raise CliError("element file: unknown top-level key %s" % json.dumps(foreign)[1:-1])
+        written = data.get("config", {})
+        if not isinstance(written, dict):
+            raise CliError("element file: config must be an object")
+        for key in ("algebra", "variables", "mode"):
+            # compared as JSON text, so that true or 1.0 is not the int 1
+            theirs, ours = json.dumps(written.get(key)), json.dumps(getattr(config, key))
+            if key in written and theirs != ours:
+                raise CliError(
+                    "element file: written with %s=%s, but this session has %s=%s"
+                    % (key, theirs, key, ours)
+                )
+        data = data.get("element")
     try:
         elem = Element.from_json(
             preset, data, nvars=config.variables, laurent=config.mode == "laurent"

@@ -9,18 +9,23 @@ overnight runs, and failures carry the first counterexample with the
 recomputed nonzero difference.
 
 A check is declared as data: one :class:`Check` row in :data:`CHECKS`
-holds an instance generator, whose tuples start with their kind, and a
-kind table mapping every kind to its evaluator.  The instances come from
-the check's profile alone: its bounds, its label pools, which are tuples
-of labels, and, where it names them, its algebras.  An evaluator is a
-function of the instance's fields alone.  Nearly all are one of two
-properties: :func:`_equal`, two sides built from the instance agree, and
-:func:`_integral`, an element built from the instance reduces over the
-integral basis with integer coefficients (optionally below a degree
-bound).  Degree claims are equations too: an element equals its part in
-a degree range (:func:`_graded_part`).  A reduction whose basis premise
-fails is reported as a failed instance.  Only the Cartan product and the
-A2 sign extraction keep an evaluator of their own.
+holds its family and a kind table mapping every kind to its evaluator.  A
+family is a sequence of :func:`_grid` rows: each yields ``(kind,
+*fields)`` over the product of small domains (sign, label pool, multiset
+shapes, ranges), filtered by an optional ``where``.  A plain loop remains
+only where a domain depends on an earlier field, for the seeded random
+draws, and for the word families, which stream instead of being held as a
+domain.  The instances come from the check's profile alone: its bounds,
+its label pools, which are tuples of labels, and, where it names them, its
+algebras.  An evaluator is a function of the instance's fields alone.
+Nearly all are one of two properties: :func:`_equal`, two sides built
+from the instance agree, and :func:`_integral`, an element built from the
+instance reduces over the integral basis with integer coefficients
+(optionally below a degree bound).  Degree claims are equations too: an
+element equals its part in a degree range (:func:`_graded_part`).  A
+reduction whose basis premise fails is reported as a failed instance.
+Only the Cartan product and the A2 sign extraction keep an evaluator of
+their own.  Adding an identity means adding grid rows and a kind row.
 """
 
 from __future__ import annotations
@@ -164,6 +169,23 @@ PROFILES = _default_profiles()
 # shared helpers and the two shared properties
 
 
+SIGNS = (1, -1)
+
+
+def _grid(kinds, *domains, where=None):
+    """One row of a family: ``(kind, *fields)`` for each field tuple of
+    ``itertools.product(*domains)`` that passes ``where(*fields)``, with
+    each kind of ``kinds`` (one kind, or a tuple of kinds) in turn, so that
+    paired kinds interleave.  ``product`` holds each domain as a tuple up
+    front, so a domain is a small list, never a family: a family too large
+    to hold streams from a loop of its own."""
+    heads = [(kind,) for kind in ((kinds,) if isinstance(kinds, str) else kinds)]
+    for fields in itertools.product(*domains):
+        if where is None or where(*fields):
+            for head in heads:
+                yield head + fields
+
+
 def _multisets_up_to(pool, max_size):
     out = []
     for s in range(max_size + 1):
@@ -266,14 +288,12 @@ def _at_preset(sides, side):
 
 def _instances_straightening(spec):
     p = spec.params
-    pool = p["exh_labels"]
-    for phi in _multisets_up_to(pool, p["exh_size"]):
-        for chi in _multisets_up_to(pool, p["exh_size"]):
-            yield ("exh", phi, chi)
+    shapes = _multisets_up_to(p["exh_labels"], p["exh_size"])
+    yield from _grid("exh", shapes, shapes)
     rng = random.Random(spec.seed)
-    shapes = list(multisets_of_size(p["rand_labels"], p["rand_size"]))
+    drawn = list(multisets_of_size(p["rand_labels"], p["rand_size"]))
     for _ in range(p["rand_count"]):
-        yield ("rand", rng.choice(shapes), rng.choice(shapes))
+        yield ("rand", rng.choice(drawn), rng.choice(drawn))
 
 
 def _straightening_sides(phi, chi):
@@ -299,25 +319,13 @@ def _instances_D_consistency(spec):
     p = spec.params
     pool = p["labels"]
     shapes = _multisets_up_to(pool, p["max_psi"])
-    for sign in (1, -1):
-        for psi in shapes:
-            for k in range(1, p["max_k"] + 1):
-                for b in pool:
-                    for c in pool:
-                        yield ("expanded", sign, psi, b, k, c)
+    yield from _grid("expanded", SIGNS, shapes, range(1, p["max_k"] + 1), pool, pool)
     deg_shapes = _multisets_up_to(pool, p["deg_size"])
-    for sign in (1, -1):
-        for psi1 in deg_shapes:
-            for psi2 in deg_shapes:
-                for psi3 in deg_shapes:
-                    yield ("homogeneous", sign, psi1, psi2, psi3)
-    for psi1 in deg_shapes:
-        for psi2 in deg_shapes:
-            for psi3 in deg_shapes:
-                yield ("dressed-degree", psi1, psi2, psi3)
+    yield from _grid("homogeneous", SIGNS, deg_shapes, deg_shapes, deg_shapes)
+    yield from _grid("dressed-degree", deg_shapes, deg_shapes, deg_shapes)
 
 
-def _expanded_sides(sign, psi, b, k, c):
+def _expanded_sides(sign, psi, k, b, c):
     lhs = root_block_expanded(sign, psi, b, k, c)
     rhs = root_block(sign, psi, Multiset.single(b, psi.size), Multiset.single(c, k))
     return lhs, rhs
@@ -341,17 +349,11 @@ def _dressed_degree_sides(psi1, psi2, psi3):
 
 def _instances_p_properties(spec):
     p = spec.params
-    for chi in _multisets_up_to(p["lead_labels"], p["lead_size"]):
-        yield ("leading", chi)
+    yield from _grid("leading", _multisets_up_to(p["lead_labels"], p["lead_size"]))
     prod_shapes = _multisets_up_to(p["prod_labels"], p["prod_size"])
-    for chi in prod_shapes:
-        for chi2 in prod_shapes:
-            yield ("product", chi, chi2)
+    yield from _grid("product", prod_shapes, prod_shapes)
     mpool = p["mult_labels"]
-    for l in range(p["mult_l"] + 1):
-        for a in mpool:
-            for b in mpool:
-                yield ("multiplicative", l, a, b)
+    yield from _grid("multiplicative", range(p["mult_l"] + 1), mpool, mpool)
 
 
 def _leading_term(chi):
@@ -407,22 +409,14 @@ def _instances_commutation(spec):
     p = spec.params
     pool = p["labels"]
     shapes = _multisets_up_to(pool, p["size"])
-    for preset_name in p["presets"]:
-        preset = make_preset(preset_name)
-        for alpha, i in _root_cartan_pairs(preset):
+    rs = range(p["max_r"] + 1)
+    for name in p["presets"]:
+        for alpha, i in _root_cartan_pairs(make_preset(name)):
             for b in pool:
-                for phi in shapes:
-                    for chi in shapes:
-                        yield ("xq-i", preset_name, alpha, i, b, phi, chi)
-                        yield ("xq-ii", preset_name, alpha, i, b, phi, chi)
-                for chi in shapes:
-                    for r in range(p["max_r"] + 1):
-                        yield ("xrq-i", preset_name, alpha, i, b, chi, r)
-                        yield ("xrq-ii", preset_name, alpha, i, b, chi, r)
-    for b in pool:
-        for phi in shapes:
-            for chi in shapes:
-                yield ("qpx", b, phi, chi)
+                head = ([name], [alpha], [i], [b])
+                yield from _grid(("xq-i", "xq-ii"), *head, shapes, shapes)
+                yield from _grid(("xrq-i", "xrq-ii"), *head, shapes, rs)
+    yield from _grid("qpx", pool, shapes, shapes)
 
 
 def _xq_sides(preset, alpha, i, b, phi, chi, side):
@@ -521,26 +515,13 @@ def _instances_D_identities(spec):
     p = spec.params
     pool = p["labels"]
     shapes = _multisets_up_to(pool, p["size"])
-    for sign in (1, -1):
-        for b in pool:
-            for psi1 in shapes:
-                for psi2 in shapes:
-                    if psi1.size != psi2.size:
-                        continue
-                    for psi3 in shapes:
-                        if not psi3:
-                            continue
-                        yield ("idD-i", sign, b, psi1, psi2, psi3)
-                        yield ("idD-ii", sign, b, psi1, psi2, psi3)
-    for b in pool:
-        for varphi in shapes:
-            for chi in shapes:
-                yield ("idbbd", b, varphi, chi)
-                yield ("eqnq", b, varphi, chi)
+    yield from _grid(
+        ("idD-i", "idD-ii"), SIGNS, pool, shapes, shapes, shapes[1:],  # psi3 nonempty
+        where=lambda sign, b, psi1, psi2, psi3: psi1.size == psi2.size,
+    )
+    yield from _grid(("idbbd", "eqnq"), pool, shapes, shapes)
     for varphi in shapes:
-        for phi in sub_multisets(varphi):
-            for chi in shapes:
-                yield ("eqnbbd", varphi, phi, chi)
+        yield from _grid("eqnbbd", [varphi], sub_multisets(varphi), shapes)
 
 
 def _idD_sides(sign, b, psi1, psi2, psi3, variant):
@@ -627,62 +608,32 @@ def _instances_integrality(spec):
     p = spec.params
     pool = p["labels"]
     shapes = _multisets_up_to(pool, p["qinuz_size"])
-    for sign in (1, -1):
-        for phi in shapes:
-            for chi in shapes:
-                for psi in shapes:
-                    yield ("reduce-D", sign, phi, chi, psi)
-    for phi in shapes:
-        for chi in shapes:
-            yield ("reduce-p", phi, chi)
+    yield from _grid("reduce-D", SIGNS, shapes, shapes, shapes)
+    yield from _grid("reduce-p", shapes, shapes)
     bshapes = _multisets_up_to(pool, p["bbd_size"])
-    for phi in bshapes:
-        for chi in bshapes:
-            for psi in bshapes:
-                yield ("reduce-bbD", phi, chi, psi)
+    yield from _grid("reduce-bbD", bshapes, bshapes, bshapes)
     if "sl3" in p["presets"]:
         s3shapes = _multisets_up_to(pool, p["sl3_size"])
-        sl3 = make_preset("sl3")
-        for alpha in range(sl3.m):
-            for sign in (1, -1):
-                for phi in s3shapes:
-                    for chi in s3shapes:
-                        if phi.size != chi.size:
-                            continue
-                        for psi in s3shapes:
-                            yield ("reduce-omega", alpha, sign, phi, chi, psi)
-    for preset_name in p["presets"]:
-        preset = make_preset(preset_name)
-        for alpha in range(preset.m):
-            for sign in (1, -1):
-                for b in pool:
-                    for r in range(p["ad_r"] + 1):
-                        for z in range(preset.dim):
-                            for c in pool:
-                                yield ("ad", preset_name, sign, alpha, b, r, z, c)
-    gens = [
-        (sign, b, r)
-        for sign in (1, -1)
-        for b in pool
-        for r in range(1, p["prod_r"] + 1)
-    ]
+        yield from _grid(
+            "reduce-omega", range(make_preset("sl3").m), SIGNS, s3shapes, s3shapes, s3shapes,
+            where=lambda alpha, sign, phi, chi, psi: phi.size == chi.size,
+        )
+    ad_rs = range(p["ad_r"] + 1)
+    for name in p["presets"]:
+        preset = make_preset(name)
+        yield from _grid("ad", [name], range(preset.m), SIGNS, pool, ad_rs, range(preset.dim), pool)
+    # the words are a family: they stream, never a domain
+    gens = list(itertools.product(SIGNS, pool, range(1, p["prod_r"] + 1)))
     for length in range(1, p["prod_len"] + 1):
         for combo in itertools.product(gens, repeat=length):
             yield ("product", combo)
-    for a in pool:
-        for b in pool:
-            for r in range(1, p["bracket_r"] + 1):
-                for s in range(1, p["bracket_r"] + 1):
-                    yield ("bracket-xx", a, b, r, s)
+    rs = range(1, p["bracket_r"] + 1)
+    yield from _grid("bracket-xx", pool, pool, rs, rs)
     chis = _multisets_up_to(pool, p["bracket_chi"])
-    for a in pool:
-        for chi in chis:
-            for r in range(1, p["bracket_r"] + 1):
-                yield ("bracket-xp", a, chi, r)
-                yield ("bracket-px", a, chi, r)
+    yield from _grid(("bracket-xp", "bracket-px"), pool, chis, rs)
 
 
-def _ad_image(preset_name, sign, alpha, b, r, z, c):
+def _ad_image(preset_name, alpha, sign, b, r, z, c):
     """``(ad x)^r / r!`` of ``z`` at ``c``, ``x`` the ``sign`` root vector of
     ``alpha`` at ``b``.  Basis elements of degree <= 1 are generators up to
     sign, so it reduces integrally exactly when its coordinates are integers."""
@@ -705,13 +656,11 @@ def _divided_product(combo):
 def _instances_A2(spec):
     p = spec.params
     pool = p["labels"]
-    for sign in (1, -1):
-        for aidx, bidx in ((0, 1), (1, 0)):
-            for r in range(p["max_r"] + 1):
-                for s in range(p["max_r"] + 1):
-                    for a in pool:
-                        for b in pool:
-                            yield ("a2", sign, aidx, bidx, r, s, a, b)
+    rs = range(p["max_r"] + 1)
+    yield from _grid(
+        "a2", SIGNS, (0, 1), (0, 1), rs, rs, pool, pool,  # roots (0, 1) and (1, 0)
+        where=lambda sign, aidx, bidx, *rest: aidx != bidx,
+    )
 
 
 def _a2_signs(sign, aidx, bidx, r, s, a, b):
@@ -762,13 +711,11 @@ def _a2_signs(sign, aidx, bidx, r, s, a, b):
 
 def _instances_divided_powers(spec):
     p = spec.params
-    pool = p["labels"]
-    sl2 = make_preset("sl2")
-    for index in range(sl2.dim):
-        for b in pool:
-            for r in range(p["max_total"] + 1):
-                for s in range(p["max_total"] + 1 - r):
-                    yield ("dp", index, b, r, s)
+    total = p["max_total"]
+    yield from _grid(
+        "dp", range(make_preset("sl2").dim), p["labels"], range(total + 1), range(total + 1),
+        where=lambda index, b, r, s: r + s <= total,
+    )
 
 
 def _divided_power_law_sides(index, b, r, s):
@@ -831,12 +778,14 @@ def _fold_order_sides(word):
 
 
 class Check(NamedTuple):
-    """One check as data.  ``instances(spec)`` yields tuples whose first
-    entry is their kind and whose other entries are the instance's fields;
-    ``kinds`` maps every kind to an evaluator called with those fields
-    alone, returning None on success, a :class:`CheckFailure`, or a note
-    string for the report.  Which algebras a check runs on is part of its
-    instances: a profile that names several lists them as ``presets``."""
+    """One check as data.  ``instances(spec)`` is the check's family, a
+    sequence of :func:`_grid` rows, and yields tuples whose first entry is
+    their kind and whose other entries are the instance's fields; ``kinds``
+    maps every kind to an evaluator called with those fields alone,
+    returning None on success, a :class:`CheckFailure`, or a note string
+    for the report.  Adding an identity means adding grid rows and a kind
+    row.  Which algebras a check runs on is part of its instances: a
+    profile that names several lists them as ``presets``."""
 
     instances: Callable
     kinds: dict
@@ -854,7 +803,7 @@ CHECKS = {
     "D-consistency": Check(
         _instances_D_consistency,
         {
-            "expanded": _equal("sign=%+d psi=%s b=%s k=%d c=%s", _expanded_sides),
+            "expanded": _equal("sign=%+d psi=%s k=%d b=%s c=%s", _expanded_sides),
             "homogeneous": _equal("sign=%+d psi1=%s psi2=%s psi3=%s", _homogeneous_sides),
             "dressed-degree": _equal("psi1=%s psi2=%s psi3=%s", _dressed_degree_sides),
         },
@@ -911,7 +860,7 @@ CHECKS = {
                     alpha, root_block(sign, *psis), make_preset("sl3")
                 ),
             ),
-            "ad": _integral("ad %s sign=%+d alpha=%d b=%s r=%d z=%d c=%s", _ad_image),
+            "ad": _integral("ad %s alpha=%d sign=%+d b=%s r=%d z=%d c=%s", _ad_image),
             "product": _integral("product %s", _divided_product),
             "bracket-xx": _integral(
                 "bracket-xx a=%s b=%s r=%d s=%d",
@@ -998,10 +947,10 @@ def _check_overrides(specs, overrides):
 
 def run_check(spec):
     """Run one check and collect its report.  Instances stream from the
-    check's generator and are evaluated one at a time, in their fixed order
+    check's family and are evaluated one at a time, in their fixed order
     in this process, so reports are deterministic for a given spec and
     seed.  ``elapsed_ms`` is evaluation time only: the time spent in the
-    generator is left out.  A family with no instances is refused: it would
+    family is left out.  A family with no instances is refused: it would
     pass without testing anything.  The normal-form tables are emptied
     first, untimed (:func:`~mapalg.pbw.clear_normal_forms`), so a check
     holds its own forms only; the family tables are kept."""

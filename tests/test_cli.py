@@ -291,6 +291,46 @@ class TestReduce:
         code, out = run_cli("reduce", str(path), "--variables", "2")
         assert code == 0 and "integral: true" in out
 
+    def test_foreign_top_level_key_is_exit_2(self, tmp_path, capsys):
+        """The wrapper holds ``config`` and ``element`` only; another key is
+        refused, not ignored."""
+        path = tmp_path / "e.json"
+        path.write_text(json.dumps({"element": [], "x": 1}), encoding="utf-8")
+        code, out = run_cli("reduce", str(path))
+        assert code == 2 and out == ""
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and '"x"' in err
+
+    @pytest.mark.parametrize(
+        "written, session, mismatch",
+        [
+            (("--algebra", "sl3", "--alpha", "1"), (), 'algebra="sl3"'),
+            (("--variables", "2"), (), "variables=2"),
+            (("--mode", "laurent"), (), 'mode="laurent"'),
+            ((), ("--algebra", "sl3"), 'algebra="sl2"'),
+        ],
+        ids=["sl3-file", "two-variables", "laurent-file", "sl2-file-sl3-session"],
+    )
+    def test_config_of_another_session_is_exit_2(
+        self, tmp_path, capsys, written, session, mismatch
+    ):
+        """A file written by ``eval --format json`` under another algebra,
+        variable count or mode is refused, not read in this session; under
+        the same options it reduces."""
+        chi = "{[0,1]:1}" if "--variables" in written else "{[1]:1}"
+        code, out = run_cli("eval", "p", "--chi", chi, *written, "--format", "json")
+        assert code == 0
+        path = tmp_path / "e.json"
+        path.write_text(out, encoding="utf-8")
+        capsys.readouterr()
+        code, out = run_cli("reduce", str(path), *session)
+        assert code == 2 and out == ""
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and mismatch in err
+        same = [arg for arg in written if arg not in ("--alpha", "1")]
+        code, out = run_cli("reduce", str(path), *same)
+        assert code == 0 and "integral: true" in out
+
     @pytest.mark.parametrize(
         "monomial, coeff",
         [
