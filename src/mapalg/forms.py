@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
 from typing import NamedTuple
 
 from .combinatorics import (
@@ -281,6 +280,8 @@ class ReductionResult:
 
     @property
     def terms(self):
+        from fractions import Fraction
+
         preset, den = self.preset, self.den
         return [(_index_of_monomial(preset, m), Fraction(n, den)) for m, n in self.pairs]
 
@@ -326,12 +327,12 @@ def _inverse_leading_coeff(idx):
     return inv
 
 
-@memoised
 def _reduction_step(preset, mono):
     """``(inverse leading coefficient, tail)`` for the basis element whose
-    top term is ``mono``, memoized per preset and monomial, which names the
-    index one-to-one: each element is built once, and the index is not
-    kept (:class:`ReductionResult` reads it off ``mono`` when asked).
+    top term is ``mono``, memoized in ``preset._steps`` (a memo table per
+    preset, keyed by the monomial, which names the index one-to-one): each
+    element is built once, and the index is not kept
+    (:class:`ReductionResult` reads it off ``mono`` when asked).
 
     The tail is ``inv_lead * basis - mono``, the correction that
     eliminating ``mono`` leaves behind, as integers grouped by total
@@ -347,6 +348,9 @@ def _reduction_step(preset, mono):
     coefficients, and a divided-power root monomial times its factorials
     is a plain monomial.
     """
+    step = preset._steps.get(mono)
+    if step is not None:
+        return step
     idx = _index_of_monomial(preset, mono)
     inv_lead = _inverse_leading_coeff(idx)
     basis = basis_element(preset, idx)
@@ -364,12 +368,17 @@ def _reduction_step(preset, mono):
             break
         groups.setdefault(degree, []).append((m, c // den))
     if not premise:
+        from fractions import Fraction
+
         raise ValueError(
             "basis element %s does not have %s as its only top-degree term with coefficient %s"
             " and lower terms integral times %d"
             % (idx.render(), Element.monomial(preset, mono).render(), Fraction(1, inv_lead), inv_lead)
         )
-    return inv_lead, tuple((degree, tuple(group)) for degree, group in groups.items())
+    step = preset._steps[mono] = inv_lead, tuple(
+        (degree, tuple(group)) for degree, group in groups.items()
+    )
+    return step
 
 
 def reduce_to_basis(elem):

@@ -1,10 +1,15 @@
 """One registry for every cache of the engine.
 
-Each cache is a plain dict made by :func:`new_table`, either directly (the
-per-preset normal-form table ``LiePreset._products`` and the ordered-pair
-table ``_concats`` in :mod:`mapalg.pbw`) or through the
-:func:`memoised` decorator, and :func:`clear_caches` empties them all.
-Cached values are shared between callers and must not be mutated.
+Each cache is a plain dict made by :func:`new_table`, either directly or
+through the :func:`memoised` decorator, and :func:`clear_caches` empties
+them all.  Cached values are shared between callers and must not be
+mutated.  The tables made directly are keyed by the interned objects they
+hold, so no tuple is built per key: the per-preset normal-form table
+``LiePreset._products`` and the ordered-pair table ``_concats`` in
+:mod:`mapalg.pbw` are nested right factor first, ``table[m2][m1]``, and
+the per-preset reduction-step table ``LiePreset._steps``, filled by
+``forms._reduction_step``, is keyed by the leading monomial.  A
+``memoised`` table is keyed by the tuple of the call's arguments.
 
 The two normal-form tables live for one check: ``identities.run_check``
 empties them before its first instance (``pbw.clear_normal_forms``).  Each
@@ -17,10 +22,11 @@ recompute them.
 The four intern tables are deliberately not registered here:
 ``combinatorics._interned`` (:class:`~mapalg.combinatorics.Multiset`),
 ``combinatorics._labels`` (:class:`~mapalg.combinatorics.ALabel`),
-``pbw._gens`` (:class:`~mapalg.pbw.Gen`) and ``pbw._monos``
-(:class:`~mapalg.pbw.Mono`).  Each is what makes equal values
-the same object, so emptying one would let a second object of a live value
-be built, and the identity equality or identity hash would then be wrong.
+``pbw._gens`` (:class:`~mapalg.pbw.Gen`) and ``pbw._monos`` with its
+spill table ``pbw._mono_spill`` (:class:`~mapalg.pbw.Mono`).  Each is
+what makes equal values the same object, so emptying one would let a
+second object of a live value be built, and the identity equality or
+identity hash would then be wrong.
 """
 
 from __future__ import annotations

@@ -13,26 +13,30 @@ runs ``(g, e)`` kept as exponents, by one recursion, :func:`_mono_product`:
 a pair already in order is joined into one monomial, a one-letter right
 factor below the last letter takes the rewrite, and a longer right factor
 is peeled letter by letter.  Each product that needs rewriting is memoised
-per preset on ``(m1, m2)`` in ``LiePreset._products``, the one normal-form
-table, which joins the registry of :mod:`mapalg.memo`.  That table and the
-join table ``_concats`` live for one check: ``identities.run_check``
-empties both with :func:`clear_normal_forms` before its first instance.
-An entry is one rewrite step over sub-forms that are memoised too, so a
-check rebuilds what it needs cheaply, and the tables never hold more than
-one check's forms; the family tables of :mod:`mapalg.forms`, whose entries
-are costly and shared between checks, live on.  A memoised normal
-form is one flat tuple ``(m1, c1, m2, c2, ...)`` of monomials and nonzero
+per preset in ``LiePreset._products``, the one normal-form table, which
+joins the registry of :mod:`mapalg.memo`.  That table and the join table
+``_concats`` live for one check: ``identities.run_check`` empties both
+with :func:`clear_normal_forms` before its first instance.  An entry is
+one rewrite step over sub-forms that are memoised too, so a check
+rebuilds what it needs cheaply, and the tables never hold more than one
+check's forms; the family tables of :mod:`mapalg.forms`, whose entries
+are costly and shared between checks, live on.  A memoised normal form
+is one flat tuple ``(m1, c1, m2, c2, ...)`` of monomials and nonzero
 ints, in the order its terms were first reached, and is read pair by pair
 with ``it = iter(form); zip(it, it)``: a dict of a few terms would take
-several times the memory.  A letter ``(Gen, e)`` of a monomial holds a
-hash-consed :class:`Gen` over a hash-consed label, so hashing a monomial
-for that table costs one tuple hash and one identity hash per letter, and
-a label product is one lookup in a memo table.  Monomials themselves are
-hash-consed as :class:`Mono`: each value is one object, so every
-product-table key, every ``Element.num`` key and every reduction step
-hashes a monomial by identity, and an element product joins each pair of
-monomials already in order with one lookup in a memo table on
-``(m1, m2)``.
+several times the memory.
+
+Tables are keyed by the interned objects they hold, never by a tuple
+built for the key.  Both pair tables are nested right factor first,
+``table[m2][m1]``: a check multiplies many left factors by few right
+ones (30 right against 1,323 left in ``_products`` at the end of desk
+integrality), so the rows are few and long.  A letter ``(Gen, e)`` of a
+monomial holds a hash-consed :class:`Gen` over a hash-consed label, and
+monomials themselves are hash-consed as :class:`Mono`: each value is one
+object, so every table key, every ``Element.num`` key and every reduction
+step hashes a monomial by identity, and a label product is one lookup in
+a memo table.  The intern table ``_monos`` is keyed by the hash of the
+letters, so no letter tuple is kept beside its ``Mono``.
 
 Sums of products, the shape of every identity the engine checks, are
 built in one exact accumulator, :class:`Sum`: ``add_product(k, x, y)``
@@ -43,14 +47,17 @@ at the end.
 Rationals live only at the edges, the solver included: the one linear
 solver, :func:`solve_integers`, behind a preset's structure constants and
 the A2 signs, eliminates over the integers and returns integers over one
-denominator.
+denominator.  A scalar is any ``numbers.Rational``, read through its
+``numerator`` and ``denominator``; ``fractions`` is imported only by the
+views and parsers that build a ``Fraction``, so a check process never
+imports it.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import re
-from fractions import Fraction
 from typing import NamedTuple
 
 from .combinatorics import ALabel, as_int
@@ -97,8 +104,11 @@ class Gen(_GenFields):
         return (Gen, tuple(self))
 
 
-# letters -> the one Mono with those letters; see Mono.
+# hash(letters) -> the one Mono with those letters, so that no letter tuple
+# is kept beside its Mono; a Mono whose hash another value already holds
+# is kept in _mono_spill, letters -> Mono.  See Mono.
 _monos = {}
+_mono_spill = {}
 
 
 class Mono(tuple):
@@ -107,11 +117,13 @@ class Mono(tuple):
     memoised normal form.
 
     Monomials are hash-consed like generators: one object per value, kept
-    in the module table ``_monos`` and left alone by ``clear_caches()``,
-    so the hash is ``object``'s identity hash, while equality and the
-    order stay tuple comparisons.  A plain tuple is equal to its ``Mono``
-    but hashes differently, so a dict keyed by monomials is looked up with
-    ``Mono(...)`` keys only.  Unpickling and copying end in the table.
+    in the module table ``_monos`` (keyed by the hash of the letters, with
+    ``_mono_spill`` for a value whose hash is taken) and left alone by
+    ``clear_caches()``, so the hash is ``object``'s identity hash, while
+    equality and the order stay tuple comparisons.  A plain tuple is equal
+    to its ``Mono`` but hashes differently, so a dict keyed by monomials is
+    looked up with ``Mono(...)`` keys only.  Unpickling and copying end in
+    the table.
     """
 
     __slots__ = ()
@@ -119,9 +131,14 @@ class Mono(tuple):
 
     def __new__(cls, letters=()):
         key = tuple(letters)
-        mono = _monos.get(key)
+        h = hash(key)
+        mono = _monos.get(h)
         if mono is None:
-            mono = _monos[key] = tuple.__new__(cls, key)
+            mono = _monos[h] = tuple.__new__(cls, key)
+        elif mono != key:
+            mono = _mono_spill.get(key)
+            if mono is None:
+                mono = _mono_spill[key] = tuple.__new__(cls, key)
         return mono
 
     def __reduce__(self):
@@ -130,8 +147,8 @@ class Mono(tuple):
 
 ONE = Mono()
 
-# (m1, m2) -> _join(m1, m2) for a pair already in PBW order, filled by
-# _mul_into only
+# m2 -> {m1: _join(m1, m2)} for nonempty m1 and m2 already in PBW order,
+# right factor first, filled by _mul_into only
 _concats = new_table()
 
 
@@ -261,9 +278,13 @@ class LiePreset:
                 if s in roots_by_vec:
                     self._root_sum[(j1, j2)] = roots_by_vec[s]
 
-        # (m1, m2) -> the normal form of m1 · m2 as a flat (mono, int, ...)
-        # tuple, for every pair out of order; see _mono_product
+        # m2 -> {m1: the normal form of m1 · m2 as a flat (mono, int, ...)
+        # tuple} for every pair out of order, right factor first; see
+        # _mono_product
         self._products = new_table()
+        # leading monomial -> the reduction step of its basis element,
+        # filled by forms._reduction_step only
+        self._steps = new_table()
         # the one zero of this algebra, Element.zero(self); not a memo table,
         # so clear_caches() leaves it alone
         self._zero = Element._trusted(self, {}, 1)
@@ -425,12 +446,13 @@ def _mono_product(preset, m1, m2):
     shorter, so the recursion ends.  A longer right factor is peeled: its
     last letter is multiplied onto every monomial of ``m1`` times the
     rest.  The structure constants are integers, so are the coefficients.
-    Every product that needs rewriting is memoised per preset on
-    ``(m1, m2)``, in ``preset._products``."""
+    Every product that needs rewriting is memoised per preset, in
+    ``preset._products[m2][m1]``."""
     if not m1 or not m2 or m1[-1][0] <= m2[0][0]:
         return (_join(m1, m2), 1)
-    key = (m1, m2)
-    hit = preset._products.get(key)
+    products = preset._products
+    row = products.get(m2)
+    hit = row.get(m1) if row is not None else None
     if hit is not None:
         return hit
     g, e = m2[-1]
@@ -457,7 +479,7 @@ def _mono_product(preset, m1, m2):
             it = iter(_mono_product(preset, left, Mono(((Gen(k, lab), 1),))))
             for m, f in zip(it, it):
                 out[m] = out.get(m, 0) + ck * f
-    out = preset._products[key] = _flat(out)
+    out = products.setdefault(m2, {})[m1] = _flat(out)
     return out
 
 
@@ -465,9 +487,10 @@ def _mul_into(preset, num, f, x, y):
     """Add ``f`` times the product of the numerator dicts ``x`` and ``y``
     into ``num``, leaving zero entries in place: the one straightening
     loop behind :meth:`Element.__mul__` and :meth:`Sum.add_product`.  A
-    pair of monomials already in order is joined, through the memo table
-    ``_concats``; any other goes through :func:`_mono_product`, whose flat
-    normal form is read pair by pair."""
+    pair with an empty factor gives the other factor; any other pair
+    already in order is joined through the memo table ``_concats``, and
+    the rest go through :func:`_mono_product`, whose flat normal form is
+    read pair by pair."""
     concats = _concats
     right = y.items()
     for m1, a in x.items():
@@ -475,9 +498,15 @@ def _mul_into(preset, num, f, x, y):
         for m2, b in right:
             if not m1 or not m2 or m1[-1][0] <= m2[0][0]:
                 # already in order: the common case, kept inline
-                m = concats.get((m1, m2))
-                if m is None:
-                    m = concats[m1, m2] = _join(m1, m2)
+                if not (m1 and m2):
+                    m = m1 or m2
+                else:
+                    row = concats.get(m2)
+                    if row is None:
+                        row = concats[m2] = {}
+                    m = row.get(m1)
+                    if m is None:
+                        m = row[m1] = _join(m1, m2)
                 num[m] = num.get(m, 0) + a * b
                 continue
             c = a * b
@@ -516,6 +545,8 @@ class Element:
     __slots__ = ("preset", "num", "den")
 
     def __new__(cls, preset, terms=None):
+        from fractions import Fraction
+
         fracs = {}
         if terms:
             for m, c in terms.items():
@@ -566,6 +597,8 @@ class Element:
     @property
     def terms(self):
         """The coefficients as a fresh ``{monomial: Fraction}`` dict."""
+        from fractions import Fraction
+
         den = self.den
         return {m: Fraction(c, den) for m, c in self.num.items()}
 
@@ -636,20 +669,25 @@ class Element:
             _mul_into(self.preset, out, 1, self.num, other.num)
             out = {m: v for m, v in out.items() if v}
             return Element._reduced(self.preset, out, self.den * other.den)
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, numbers.Rational):
             acc = Sum(self.preset)
             acc.add(other, self)
             return acc.element()
         return NotImplemented
 
     def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, numbers.Rational):
             return self.__mul__(other)
         return NotImplemented
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.__mul__(Fraction(1, 1) / other)
+        if isinstance(other, numbers.Rational):
+            num, den = other.numerator, other.denominator
+            if not num:
+                raise ZeroDivisionError("Element division by zero")
+            acc = Sum(self.preset)
+            acc.add(den if num > 0 else -den, self)
+            return acc.element(abs(num))
         return NotImplemented
 
     def __pow__(self, k):
@@ -670,9 +708,6 @@ class Element:
         if not self.num:
             return None
         return max(sum(e for _, e in m) for m in self.num)
-
-    def is_integral(self):
-        return self.den == 1
 
     def sorted_terms(self):
         """Highest degree first, then ascending monomial order within a degree."""
@@ -721,6 +756,8 @@ class Element:
 
         With ``nvars`` given, every label must have that many exponents,
         and none may be negative unless ``laurent``."""
+        from fractions import Fraction
+
         if not isinstance(data, list):
             raise ValueError("element must be a JSON array of terms")
         total = Sum(preset)
@@ -788,10 +825,11 @@ class Sum:
     def _factor(self, k, d):
         """Make ``den`` a multiple of ``d`` times ``k``'s denominator, scaling
         the numerators in place, and return what an incoming numerator over
-        ``d`` is multiplied by: ``k`` over the running denominator."""
-        if isinstance(k, Fraction):
-            d *= k.denominator
-            k = k.numerator
+        ``d`` is multiplied by: ``k`` over the running denominator.  ``k`` is
+        read through ``numerator`` and ``denominator``, so no ``Fraction``
+        is built."""
+        d *= k.denominator
+        k = k.numerator
         den = self.den
         if den % d:
             s = d // math.gcd(den, d)
@@ -804,7 +842,7 @@ class Sum:
     _check_same = Element._check_same
 
     def add(self, k, x):
-        """``self += k * x`` for an int or Fraction ``k``."""
+        """``self += k * x`` for a rational ``k``: an int or a Fraction."""
         self._check_same(x)
         if not k or not x.num:
             return
@@ -814,7 +852,7 @@ class Sum:
             num[m] = num.get(m, 0) + f * c
 
     def add_product(self, k, x, y):
-        """``self += k * x * y`` for an int or Fraction ``k``, straightened by
+        """``self += k * x * y`` for a rational ``k``, straightened by
         the same loop as ``x * y``."""
         self._check_same(x)
         self._check_same(y)

@@ -25,13 +25,13 @@ def reconstructs():
 def corrupted_basis(monkeypatch):
     """``with corrupted_basis(idx, elem):`` runs its body with
     ``forms.basis_element`` returning ``elem`` for ``idx`` (and the true
-    element elsewhere), starting from an empty reduction table; every
-    table is emptied when it ends."""
+    element elsewhere), starting from an empty reduction-step table of its
+    preset; every table is emptied when it ends."""
 
     @contextlib.contextmanager
     def corrupt(idx, elem):
         real = forms.basis_element
-        forms._reduction_step.table.clear()
+        elem.preset._steps.clear()
         try:
             with monkeypatch.context() as patch:
                 patch.setattr(

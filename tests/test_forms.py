@@ -430,9 +430,10 @@ class TestReduce:
         for preset, seed in ((SL2, 11), (SL3, 12)):
             for elem in _random_elements(preset, seed, 40):
                 reduce_to_basis(elem)
-        table = forms._reduction_step.table
-        assert len(table) > 100
-        for (preset, mono), (inv_lead, tail) in table.items():
+        steps = [(mono, step) for preset in (SL2, SL3) for mono, step in preset._steps.items()]
+        assert len(steps) > 100
+        for mono, (inv_lead, tail) in steps:
+            assert type(mono) is Mono
             assert type(inv_lead) is int and inv_lead
             for degree, group in tail:
                 assert type(degree) is int

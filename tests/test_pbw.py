@@ -2,8 +2,11 @@ import copy
 import io
 import itertools
 import math
+import os
 import pickle
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -130,8 +133,22 @@ class TestGenHashConsing:
         assert Gen(XM, T2) < Gen(H, U) and Gen(H, T) < Gen(H, T2)
 
 
+def _in_table(letters):
+    """The ``Mono`` the intern table holds for ``letters``, or None: the
+    slot of their hash, or the spill table when another value holds it."""
+    key = tuple(letters)
+    mono = pbw._monos.get(hash(key))
+    return mono if mono == key else pbw._mono_spill.get(key)
+
+
 def _interned(mono):
-    return type(mono) is Mono and pbw._monos[tuple(mono)] is mono
+    return type(mono) is Mono and _in_table(mono) is mono
+
+
+def _entries(table):
+    """The ``((m1, m2), value)`` entries of a pair table kept right factor
+    first, ``table[m2][m1]``, as ``_products`` and ``_concats`` are."""
+    return [((m1, m2), value) for m2, row in table.items() for m1, value in row.items()]
 
 
 def _is_letters(obj):
@@ -146,14 +163,16 @@ def _memo_monomials(obj, found):
     """Collect into ``found`` every monomial reachable from ``obj``: each
     ``Mono``, each monomial-shaped tuple (so each monomial of a flat
     normal-form result), each key of a dict held inside a memo table and
-    each key of an ``Element.num``."""
+    each key of an ``Element.num``.  A dict's values are ints, or, in the
+    rows of a pair table, monomials and flat normal forms."""
     if isinstance(obj, Element):
         found.extend(obj.num)
     elif isinstance(obj, dict):
         found.extend(obj)
         for m, c in obj.items():
-            assert type(c) is int
+            assert type(c) is int or isinstance(c, tuple)
             _memo_monomials(m, found)
+            _memo_monomials(c, found)
     elif type(obj) is Mono or isinstance(obj, tuple) and _is_letters(obj):
         found.append(obj)
     elif isinstance(obj, tuple) and not isinstance(obj, (ALabel, Multiset, Gen)):
@@ -169,7 +188,7 @@ class TestMonoHashConsing:
     def test_every_construction_path_gives_the_one_object(self):
         x, h = Gen(XP, T), Gen(H, U)
         assert Mono(((x, 2),)) is Mono([(x, 2)]) is Mono(Mono(((x, 2),)))
-        assert Mono() is ONE and Mono(()) is ONE and pbw._monos[()] is ONE
+        assert Mono() is ONE and Mono(()) is ONE and _in_table(()) is ONE
         assert all(_interned(m) for m in Element(SL2, {((x, 1),): 1, (): 2}).num)
         (m,) = Element.monomial(SL2, [(h, 1), (x, 2)]).num
         assert m is Mono(((h, 1), (x, 2)))
@@ -202,7 +221,7 @@ class TestMonoHashConsing:
         assert out == (a, 1) and out[0] is a
         out = pbw._mono_product(SL2, b, Mono(((xm, 2),)))
         assert len(out) > 2 and all(_interned(m) for m in out[::2])
-        assert all(_interned(m1) and _interned(m2) for m1, m2 in SL2._products)
+        assert all(_interned(m1) and _interned(m2) for (m1, m2), _ in _entries(SL2._products))
         # _mul_into: the inline sorted concatenation, through Element and Sum
         prod = g(SL2, XM, T) * g(SL2, H, U) * divided_power(SL2, xp, 2)
         assert list(prod.num) == [Mono(((xm, 1), (h, 1), (xp, 2)))]
@@ -222,13 +241,33 @@ class TestMonoHashConsing:
         assert copy.copy(mono) is mono and copy.deepcopy(mono) is mono
         assert list(pickle.loads(pickle.dumps(g(SL2, XP, T))).num) == list(g(SL2, XP, T).num)
 
+    def test_colliding_hashes_keep_one_object_per_value(self, monkeypatch):
+        """With every letter tuple hashed to one value, the first monomial
+        takes the hash slot and the rest go to the spill table, still one
+        object per value, and copies and unpickled values end there too."""
+        monkeypatch.setattr(pbw, "hash", lambda letters: 7, raising=False)
+        monkeypatch.setattr(pbw, "_monos", {})
+        monkeypatch.setattr(pbw, "_mono_spill", {})
+        letters = [(), ((Gen(XM, U), 1),), ((Gen(XM, U), 2),), ((Gen(H, T), 1), (Gen(XP, T2), 3))]
+        monos = [Mono(x) for x in letters]
+        assert len(set(map(id, monos))) == len(monos)
+        assert list(pbw._monos) == [7] and pbw._monos[7] is monos[0]
+        assert all(pbw._mono_spill[x] is m for x, m in zip(letters[1:], monos[1:]))
+        for x, mono in zip(letters, monos):
+            assert mono == x and type(mono) is Mono
+            assert Mono(x) is mono and Mono(list(x)) is mono and Mono(mono) is mono
+            assert copy.copy(mono) is mono and copy.deepcopy(mono) is mono
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+                assert pickle.loads(pickle.dumps(mono, protocol)) is mono
+        assert len(pbw._monos) + len(pbw._mono_spill) == len(letters)
+
     def test_clear_caches_empties_the_concatenations_and_keeps_the_monomials(self):
         prod = g(SL2, XM, T) * g(SL2, XP, ALabel([13]))
         (mono,) = prod.num
         assert pbw._concats
         clear_caches()
         assert not pbw._concats
-        assert pbw._monos[tuple(mono)] is mono
+        assert _in_table(mono) is mono
         assert list((g(SL2, XM, T) * g(SL2, XP, ALabel([13]))).num) == [mono]
 
     def test_hash_is_identity_and_comparison_is_tuple(self):
@@ -706,7 +745,7 @@ class TestFlatNormalForms:
             warm = {}
             for preset in (SL2, SL3):
                 table = preset._products
-                for form in table.values():
+                for _, form in _entries(table):
                     assert type(form) is tuple and len(form) >= 2 and len(form) % 2 == 0
                     monos, coeffs = form[::2], form[1::2]
                     assert all(_interned(m) for m in monos)
@@ -714,11 +753,11 @@ class TestFlatNormalForms:
                     assert all(type(c) is int and c for c in coeffs)
                 if table:
                     filled.add(preset)
-                warm[preset] = dict(table)
+                warm[preset] = _entries(table)
             clear_caches()
             for preset, products in warm.items():
                 assert not preset._products
-                for (m1, m2), form in products.items():
+                for (m1, m2), form in products:
                     assert pbw._mono_product(preset, m1, m2) == form, name
         assert filled == {SL2, SL3}
 
@@ -726,7 +765,9 @@ class TestFlatNormalForms:
         filled = set()
         for name in self._smoke_checks():
             for preset in (SL2, SL3):
-                assert all(m1[-1][0] > m2[0][0] for m1, m2 in preset._products), name
+                assert all(
+                    m1[-1][0] > m2[0][0] for (m1, m2), _ in _entries(preset._products)
+                ), name
                 if preset._products:
                     filled.add(preset)
         assert filled == {SL2, SL3}
@@ -740,7 +781,23 @@ class TestFlatNormalForms:
             1,
         )
         assert not SL2._products
-        assert pbw._concats[Mono(((ht, 1),)), Mono(((ht, 1),))] is Mono(((ht, 2),))
+        assert pbw._concats[Mono(((ht, 1),))][Mono(((ht, 1),))] is Mono(((ht, 2),))
+
+    def test_an_empty_factor_is_not_joined_through_the_table(self):
+        """A pair with the empty monomial gives the other factor as it is,
+        with no ``_concats`` entry."""
+        clear_caches()
+        x = g(SL2, XM, T) + divided_power(SL2, Gen(XP, U), 2) + 3 * Element.one(SL2)
+        one = Element.one(SL2)
+        assert one * x == x == x * one
+        acc = Sum(SL2)
+        acc.add_product(2, one, x)
+        acc.add_product(-1, x, one)
+        assert acc.element() == x
+        assert not pbw._concats
+        assert x * x and pbw._concats
+        assert not any(ONE in row for row in pbw._concats.values())
+        assert ONE not in pbw._concats
 
     def test_normal_forms_live_for_one_check(self):
         """After straightening then self-consistency the normal-form tables
@@ -944,7 +1001,7 @@ class TestOmega:
         for alpha in range(3):
             image = omega(alpha, u, SL3)
             assert image.degree() == u.degree()
-            assert image.is_integral()
+            assert image.den == 1
 
     def test_requires_sl2_source(self):
         with pytest.raises(ValueError):
@@ -983,7 +1040,7 @@ class TestAdDivided:
                     for z in range(3):
                         for c in (U, T):
                             got = ad_divided(SL2, Gen(sign_index, b), r, g(SL2, z, c))
-                            assert got.is_integral()
+                            assert got.den == 1
 
 
 class TestElementInterface:
@@ -1023,6 +1080,47 @@ class TestElementInterface:
         assert h**3 == h * h * h
 
 
+class TestIntegerCheckPath:
+    """A check runs on integers: only the views that return a ``Fraction``
+    build one."""
+
+    def test_a_check_process_never_imports_fractions(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(pbw.__file__)))
+        code = (
+            "import sys\n"
+            "import mapalg.cli\n"
+            "from mapalg.identities import run_suite\n"
+            "assert all(report.passed for report in run_suite(['all'], 'smoke'))\n"
+            "print(sorted({'fractions', 'decimal'} & set(sys.modules)))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.split() == ["[]"]
+
+    def test_the_edges_return_fractions(self):
+        x = Fraction(1, 2) * g(SL2, XP, T) + 3 * g(SL2, H, U)
+        assert all(type(c) is Fraction for c in x.terms.values())
+        assert x.terms == {Mono(((Gen(H, U), 1),)): 3, Mono(((Gen(XP, T), 1),)): Fraction(1, 2)}
+        back = Element.from_json(SL2, x.to_json())
+        assert back == x and all(type(c) is Fraction for c in back.terms.values())
+        result = reduce_to_basis(divided_power(SL2, Gen(XP, T), 2) / 3)
+        assert [c for _, c in result.terms] == [Fraction(1, 3)]
+        assert type(result.terms[0][1]) is Fraction and not result.integral
+
+    def test_division_by_a_rational(self):
+        x = Fraction(1, 2) * g(SL2, XP, T) + Fraction(2, 3) * g(SL2, H, U)
+        assert x / Fraction(-2, 3) == x * Fraction(-3, 2)
+        assert x / -4 == x * Fraction(-1, 4) and (x / 1) == x
+        assert Element.zero(SL2) / 5 is Element.zero(SL2)
+        for zero in (0, Fraction(0)):
+            with pytest.raises(ZeroDivisionError):
+                x / zero
+        with pytest.raises(TypeError):
+            x / 0.5
+
+
 class TestRepresentation:
     def test_pickle_round_trip(self):
         gen = Gen(XP, ALabel([2]))
@@ -1038,7 +1136,7 @@ class TestRepresentation:
         assert a and b
         for preset in (SL2, SL3):
             assert preset._products
-            for form in preset._products.values():
+            for _, form in _entries(preset._products):
                 assert all(type(c) is int and c for c in form[1::2])
 
     def test_arithmetic_keeps_nonzero_fractions(self):
