@@ -7,8 +7,11 @@ this process, as ``mapalg check`` does, and prints the peak resident set
 after each.  Then it prints every engine table as the last check left it:
 its entries and bytes, and for a pair table (``pbw._concats`` and each
 preset's ``_products``, kept right factor first) its distinct right and
-left factors.  The tables are measured only after the last check, so the
-measuring does not raise any printed peak.
+left factors, and its lifetime: ``check`` for a table that
+``run_check`` empties before each check, ``process`` for one that lives
+on (the intern tables included, which nothing empties).  The tables are
+measured only after the last check, so the measuring does not raise any
+printed peak, and a check table holds the last check's entries only.
 
 Bytes are ``sys.getsizeof`` summed over the table's dicts and everything
 reachable from its keys and values, each object once per table, without
@@ -95,21 +98,22 @@ def main(argv):
         peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
         print("%-18s %s  peak RSS %.2f MiB" % (name, "pass" if report.passed else "FAIL", peak))
     print()
-    print("%-40s %9s %11s %7s %7s" % ("table", "entries", "bytes", "right", "left"))
+    print("%-40s %-8s %9s %11s %7s %7s" % ("table", "lifetime", "entries", "bytes", "right", "left"))
     total = 0
     for name, table, own, pair in engine_tables():
         if not table:
             continue
         size = _size(table, set(), own)
         total += size
+        lifetime = "check" if any(t is table for t in memo._check_tables) else "process"
         if pair:
             left = {m1 for row in table.values() for m1 in row}
             entries = sum(map(len, table.values()))
             extra = "%7d %7d" % (len(table), len(left))
         else:
             entries, extra = len(table), ""
-        print("%-40s %9d %11d %s" % (name, entries, size, extra))
-    print("%-40s %9s %11d" % ("total", "", total))
+        print("%-40s %-8s %9d %11d %s" % (name, lifetime, entries, size, extra))
+    print("%-40s %-8s %9s %11d" % ("total", "", "", total))
     return 0
 
 

@@ -60,14 +60,13 @@ from .forms import (
     root_block_expanded,
     root_monomial,
 )
-from .memo import memoised
+from .memo import clear_check_tables, memoised
 from .pbw import (
     Element,
     Gen,
     Mono,
     Sum,
     ad_divided,
-    clear_normal_forms,
     divided_power,
     make_preset,
     omega,
@@ -270,6 +269,26 @@ def _root_power(sign, b, r):
     """The ``r``-th divided power of the sl2 root vector of ``sign`` at label ``b``."""
     sl2 = make_preset("sl2")
     return divided_power(sl2, Gen(sl2.root_index(sign, 0), b), r)
+
+
+def _prefix_folds(letter):
+    """``(fold, prefix)`` for words of sl2 letters: ``fold(word)``
+    multiplies ``letter(l)`` over a nonempty ``word`` from the left, and
+    ``prefix(word)``, memoised for one check, is ``fold(word)``, or one for
+    the empty word.  ``fold`` reads the product of ``word[:-1]`` from
+    ``prefix``, so a prefix that several words of a check share is
+    multiplied once.  Each product still goes through ``Element.__mul__``,
+    in the order of a plain left fold, and the table is keyed by the
+    word, not by element content."""
+
+    @memoised(lifetime="check")
+    def prefix(word):
+        return fold(word) if word else Element.one(make_preset("sl2"))
+
+    def fold(word):
+        return prefix(word[:-1]) * letter(word[-1])
+
+    return fold, prefix
 
 
 def _bracket(x, y):
@@ -642,11 +661,8 @@ def _ad_image(preset_name, alpha, sign, b, r, z, c):
     return ad_divided(preset, x, r, Element.generator(preset, z, c))
 
 
-def _divided_product(combo):
-    elem = Element.one(make_preset("sl2"))
-    for sign, b, r in combo:
-        elem = elem * _root_power(sign, b, r)
-    return elem
+# the product kind's words of divided powers, letters (sign, b, r)
+_divided_product, _divided_prefix = _prefix_folds(lambda letter: _root_power(*letter))
 
 
 # ---------------------------------------------------------------------------
@@ -747,15 +763,18 @@ def _instances_self_consistency(spec):
             yield ("word", word)
 
 
+# the self-consistency words, letters Gen
+_word_product, _word_prefix = _prefix_folds(
+    lambda g: Element.generator(make_preset("sl2"), g.index, g.label)
+)
+
+
 def _build_from_spec(espec):
-    """The sum of ``coeff`` times the left-folded product of each word."""
-    sl2 = make_preset("sl2")
-    out = Sum(sl2)
+    """The sum of ``coeff`` times the left-folded product of each word,
+    read from the word-prefix table."""
+    out = Sum(make_preset("sl2"))
     for coeff, word in espec:
-        term = Element.one(sl2)
-        for g in word:
-            term = term * Element.generator(sl2, g.index, g.label)
-        out.add(coeff, term)
+        out.add(coeff, _word_prefix(word))
     return out.element()
 
 
@@ -770,7 +789,7 @@ def _fold_order_sides(word):
     right = Element.one(sl2)
     for g in reversed(word):
         right = Element.generator(sl2, g.index, g.label) * right
-    return _build_from_spec(((1, word),)), right
+    return _word_product(word), right
 
 
 # ---------------------------------------------------------------------------
@@ -951,11 +970,12 @@ def run_check(spec):
     in this process, so reports are deterministic for a given spec and
     seed.  ``elapsed_ms`` is evaluation time only: the time spent in the
     family is left out.  A family with no instances is refused: it would
-    pass without testing anything.  The normal-form tables are emptied
-    first, untimed (:func:`~mapalg.pbw.clear_normal_forms`), so a check
-    holds its own forms only; the family tables are kept."""
+    pass without testing anything.  The check tables of :mod:`mapalg.memo`
+    (normal forms, word prefixes) are emptied first, untimed
+    (:func:`~mapalg.memo.clear_check_tables`), so a check holds its own
+    entries only; the process tables are kept."""
     check = CHECKS[spec.name]
-    clear_normal_forms()
+    clear_check_tables()
     count = 0
     elapsed = 0.0
     failures = []

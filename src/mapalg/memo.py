@@ -1,23 +1,26 @@
 """One registry for every cache of the engine.
 
 Each cache is a plain dict made by :func:`new_table`, either directly or
-through the :func:`memoised` decorator, and :func:`clear_caches` empties
-them all.  Cached values are shared between callers and must not be
-mutated.  The tables made directly are keyed by the interned objects they
-hold, so no tuple is built per key: the per-preset normal-form table
-``LiePreset._products`` and the ordered-pair table ``_concats`` in
-:mod:`mapalg.pbw` are nested right factor first, ``table[m2][m1]``, and
-the per-preset reduction-step table ``LiePreset._steps``, filled by
-``forms._reduction_step``, is keyed by the leading monomial.  A
-``memoised`` table is keyed by the tuple of the call's arguments.
+through the :func:`memoised` decorator.  Cached values are shared between
+callers and must not be mutated.  The tables made directly are keyed by
+the interned objects they hold, so no tuple is built per key: the
+per-preset normal-form table ``LiePreset._products`` and the ordered-pair
+table ``_concats`` in :mod:`mapalg.pbw` are nested right factor first,
+``table[m2][m1]``, and the per-preset reduction-step table
+``LiePreset._steps``, filled by ``forms._reduction_step``, is keyed by the
+leading monomial.  A ``memoised`` table is keyed by the tuple of the
+call's arguments.
 
-The two normal-form tables live for one check: ``identities.run_check``
-empties them before its first instance (``pbw.clear_normal_forms``).  Each
-entry is one rewrite step over sub-forms that are memoised too, so a check
-refills what it needs cheaply.  Every other table lives for the process:
-its entries (blocks, Cartan pairs, reduction steps, splits) are costly to
-build and later checks reuse them, so emptying them per check would
-recompute them.
+Each table has one of two lifetimes, given when it is made.  A ``check``
+table lives for one check: ``identities.run_check`` empties every such
+table before its first instance with :func:`clear_check_tables`.  These
+are the two normal-form tables and the word-prefix tables of
+:mod:`mapalg.identities`: each entry is one step over entries that are
+memoised too, so a check refills what it needs cheaply.  A ``process``
+table lives for the process: its entries (blocks, Cartan pairs,
+reduction steps, splits) are costly to build and later checks reuse them,
+so emptying them per check would recompute them.  :func:`clear_caches`
+empties every table of either lifetime.
 
 The four intern tables are deliberately not registered here:
 ``combinatorics._interned`` (:class:`~mapalg.combinatorics.Multiset`),
@@ -34,23 +37,33 @@ from __future__ import annotations
 import functools
 
 _tables = []
+_check_tables = []
 
 
-def new_table():
-    """A fresh dict registered for :func:`clear_caches`."""
+def new_table(lifetime="process"):
+    """A fresh dict registered for :func:`clear_caches`, and for
+    :func:`clear_check_tables` too when its ``lifetime`` is ``"check"``."""
+    if lifetime not in ("process", "check"):
+        raise ValueError("unknown table lifetime %r" % (lifetime,))
     table = {}
     _tables.append(table)
+    if lifetime == "check":
+        _check_tables.append(table)
     return table
 
 
 _MISS = object()
 
 
-def memoised(fn):
+def memoised(fn=None, *, lifetime="process"):
     """Cache ``fn`` on its positional arguments, one dict per function
-    (exposed as ``.table``).  A call that raises stores nothing.  A miss is
-    marked by a private sentinel, so a ``None`` result is cached too."""
-    table = new_table()
+    (exposed as ``.table``) of the given ``lifetime``; used bare or as
+    ``@memoised(lifetime="check")``.  A call that raises stores nothing.  A
+    miss is marked by a private sentinel, so a ``None`` result is cached
+    too."""
+    if fn is None:
+        return functools.partial(memoised, lifetime=lifetime)
+    table = new_table(lifetime)
 
     @functools.wraps(fn)
     def wrapper(*args):
@@ -63,7 +76,13 @@ def memoised(fn):
     return wrapper
 
 
+def clear_check_tables():
+    """Empty every table that lives for one check."""
+    for table in _check_tables:
+        table.clear()
+
+
 def clear_caches():
-    """Empty every registered table."""
+    """Empty every registered table, of either lifetime."""
     for table in _tables:
         table.clear()

@@ -15,12 +15,12 @@ factor below the last letter takes the rewrite, and a longer right factor
 is peeled letter by letter.  Each product that needs rewriting is memoised
 per preset in ``LiePreset._products``, the one normal-form table, which
 joins the registry of :mod:`mapalg.memo`.  That table and the join table
-``_concats`` live for one check: ``identities.run_check`` empties both
-with :func:`clear_normal_forms` before its first instance.  An entry is
-one rewrite step over sub-forms that are memoised too, so a check
-rebuilds what it needs cheaply, and the tables never hold more than one
-check's forms; the family tables of :mod:`mapalg.forms`, whose entries
-are costly and shared between checks, live on.  A memoised normal form
+``_concats`` are check tables of that registry: ``identities.run_check``
+empties them before its first instance.  An entry is one rewrite step
+over sub-forms that are memoised too, so a check rebuilds what it needs
+cheaply, and the tables never hold more than one check's forms; the
+family tables of :mod:`mapalg.forms`, whose entries are costly and shared
+between checks, live for the process.  A memoised normal form
 is one flat tuple ``(m1, c1, m2, c2, ...)`` of monomials and nonzero
 ints, in the order its terms were first reached, and is read pair by pair
 with ``it = iter(form); zip(it, it)``: a dict of a few terms would take
@@ -47,10 +47,10 @@ at the end.
 Rationals live only at the edges, the solver included: the one linear
 solver, :func:`solve_integers`, behind a preset's structure constants and
 the A2 signs, eliminates over the integers and returns integers over one
-denominator.  A scalar is any ``numbers.Rational``, read through its
-``numerator`` and ``denominator``; ``fractions`` is imported only by the
-views and parsers that build a ``Fraction``, so a check process never
-imports it.
+denominator.  A scalar is any ``numbers.Rational`` but a bool, read
+through its ``numerator`` and ``denominator``; ``fractions`` is imported
+only by the views and parsers that build a ``Fraction``, so a check
+process never imports it.
 """
 
 from __future__ import annotations
@@ -148,8 +148,8 @@ class Mono(tuple):
 ONE = Mono()
 
 # m2 -> {m1: _join(m1, m2)} for nonempty m1 and m2 already in PBW order,
-# right factor first, filled by _mul_into only
-_concats = new_table()
+# right factor first, filled by _mul_into only; lives for one check
+_concats = new_table("check")
 
 
 def _join(m1, m2):
@@ -280,8 +280,8 @@ class LiePreset:
 
         # m2 -> {m1: the normal form of m1 · m2 as a flat (mono, int, ...)
         # tuple} for every pair out of order, right factor first; see
-        # _mono_product
-        self._products = new_table()
+        # _mono_product; lives for one check
+        self._products = new_table("check")
         # leading monomial -> the reduction step of its basis element,
         # filled by forms._reduction_step only
         self._steps = new_table()
@@ -413,14 +413,6 @@ def make_preset(name):
     return preset
 
 
-def clear_normal_forms():
-    """Empty the normal-form tables: ``_concats`` and the ``_products`` of
-    every preset built so far.  The interned ``Mono`` values stay."""
-    _concats.clear()
-    for preset in _PRESET_CACHE.values():
-        preset._products.clear()
-
-
 def _flat(out):
     """The flat normal form of an accumulated dict, zero terms dropped and
     the dict's order kept.  A plain loop: ``tuple()`` of a generator
@@ -515,6 +507,12 @@ def _mul_into(preset, num, f, x, y):
                 num[m] = num.get(m, 0) + c * g
 
 
+def _is_scalar(k):
+    """Whether ``k`` is a rational scalar: a ``numbers.Rational`` that is
+    not a bool, which would be read as 0 or 1."""
+    return isinstance(k, numbers.Rational) and type(k) is not bool
+
+
 class Element:
     """A finite rational combination of PBW-ordered monomials.
 
@@ -526,7 +524,9 @@ class Element:
     exponent) pairs; ``terms`` may be keyed by plain tuples, which are
     interned on the way in.  The constructor refuses with ``ValueError`` a
     monomial out of that form (unsorted or repeated generators, an
-    exponent that is not an int >= 1, an index outside the preset); the
+    exponent that is not an int >= 1, an index outside the preset), and
+    with ``TypeError`` a coefficient that is not a rational scalar (a
+    float, a string, a bool), as ``*`` and ``/`` refuse one; the
     internal paths (``_trusted``, ``_reduced``, :class:`Sum`) build only
     normal forms and are not checked.
     Elements are immutable by convention, so sharing across threads is
@@ -556,6 +556,8 @@ class Element:
                         raise ValueError("monomial exponent must be an int >= 1: %r" % (e,))
                     if k and not m[k - 1][0] < g:
                         raise ValueError("monomial generators must strictly increase: %r" % (m,))
+                if not _is_scalar(c):
+                    raise TypeError("coefficient must be a rational (int or Fraction), not %r" % (c,))
                 if not isinstance(c, Fraction):
                     c = Fraction(c)
                 if c:
@@ -669,19 +671,19 @@ class Element:
             _mul_into(self.preset, out, 1, self.num, other.num)
             out = {m: v for m, v in out.items() if v}
             return Element._reduced(self.preset, out, self.den * other.den)
-        if isinstance(other, numbers.Rational):
+        if _is_scalar(other):
             acc = Sum(self.preset)
             acc.add(other, self)
             return acc.element()
         return NotImplemented
 
     def __rmul__(self, other):
-        if isinstance(other, numbers.Rational):
+        if _is_scalar(other):
             return self.__mul__(other)
         return NotImplemented
 
     def __truediv__(self, other):
-        if isinstance(other, numbers.Rational):
+        if _is_scalar(other):
             num, den = other.numerator, other.denominator
             if not num:
                 raise ZeroDivisionError("Element division by zero")

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from mapalg import forms, identities
+from mapalg import forms, identities, memo, pbw
 from mapalg.combinatorics import ALabel, Multiset
 from mapalg.forms import cartan_pair, cartan_single, dressed_block, root_block
 from mapalg.identities import (
@@ -26,8 +26,9 @@ from mapalg.identities import (
     run_check,
     run_suite,
 )
+from mapalg.forms import reduce_to_basis
 from mapalg.memo import clear_caches
-from mapalg.pbw import Element, make_preset
+from mapalg.pbw import Element, Gen, Mono, divided_power, make_preset
 
 U = ALabel([0])
 T = ALabel([1])
@@ -464,3 +465,135 @@ class TestDeskSubfamilies:
         result = reduce_to_basis(elem)
         assert result.integral
         reconstructs(result, elem)
+
+
+def _plain_fold(factors):
+    """The product of ``factors`` from the left, one ``Element.__mul__`` at
+    a time from one: the oracle of the word tables."""
+    elem = Element.one(SL2)
+    for factor in factors:
+        elem = elem * factor
+    return elem
+
+
+def _divided_letter(sign, b, r):
+    return divided_power(SL2, Gen(SL2.root_index(sign, 0), b), r)
+
+
+def _generator_letter(gen):
+    return Element.generator(SL2, gen.index, gen.label)
+
+
+def _instances(name, profile, kind):
+    return [args[1:] for args in CHECKS[name].instances(make_spec(name, profile)) if args[0] == kind]
+
+
+class TestWordTables:
+    """The word kinds read each prefix from a table that lives for one
+    check; every value must be the plain left fold of its word."""
+
+    @pytest.mark.parametrize("profile, words, prefixes", [("smoke", 72, 9), ("desk", 1884, 157)])
+    def test_divided_power_words(self, profile, words, prefixes):
+        clear_caches()
+        combos = [combo for (combo,) in _instances("integrality", profile, "product")]
+        assert len(combos) == words
+        for combo in combos:
+            assert identities._divided_product(combo) == _plain_fold(
+                _divided_letter(*letter) for letter in combo
+            )
+        table = identities._divided_prefix.table
+        assert len(table) == prefixes
+        for (combo,), value in table.items():
+            assert value == _plain_fold(_divided_letter(*letter) for letter in combo)
+
+    @pytest.mark.parametrize("profile", ["smoke", "desk"])
+    def test_generator_words_and_triples(self, profile):
+        clear_caches()
+        for n, *specs in _instances("self-consistency", profile, "assoc"):
+            for spec in specs:
+                want = Element.zero(SL2)
+                for coeff, word in spec:
+                    want = want + coeff * _plain_fold(map(_generator_letter, word))
+                assert identities._build_from_spec(spec) == want, n
+        for (word,) in _instances("self-consistency", profile, "word"):
+            assert identities._word_product(word) == _plain_fold(map(_generator_letter, word))
+        table = identities._word_prefix.table
+        assert len(table) > 1
+        for (word,), value in table.items():
+            assert value == _plain_fold(map(_generator_letter, word))
+
+
+class TestTableLifetimes:
+    """A check table of the memo registry lives for one check, a process
+    table for the process; ``clear_caches`` empties both."""
+
+    def test_which_tables_live_for_one_check(self):
+        check = [
+            pbw._concats,
+            SL2._products,
+            make_preset("sl3")._products,
+            identities._divided_prefix.table,
+            identities._word_prefix.table,
+        ]
+        process = [forms._root_block.table, SL2._steps, make_preset("sl3")._steps]
+        assert all(any(t is c for c in memo._check_tables) for t in check)
+        assert not any(any(t is c for c in memo._check_tables) for t in process)
+        assert all(any(t is r for r in memo._tables) for t in check + process)
+
+    def test_check_tables_are_empty_when_each_check_starts(self, monkeypatch):
+        started = []
+        for name, check in CHECKS.items():
+
+            def instances(spec, _real=check.instances):
+                started.append(spec.name)
+                assert not any(memo._check_tables), spec.name
+                yield from _real(spec)
+
+            monkeypatch.setitem(CHECKS, name, check._replace(instances=instances))
+        run_suite(["all"], "smoke")
+        assert started == check_names()
+        assert any(memo._check_tables)
+        clear_caches()
+        assert not any(memo._check_tables) and not any(memo._tables)
+
+    def test_process_tables_survive_run_check(self):
+        clear_caches()
+        run_suite(["integrality"], "smoke")
+        sl3 = make_preset("sl3")
+        reduce_to_basis(Element.generator(sl3, 7, T) * Element.generator(sl3, 0, T))
+        kept = [forms._root_block.table, SL2._steps, sl3._steps]
+        before = [dict(table) for table in kept]
+        assert all(before)
+        run_suite(["divided-powers", "self-consistency"], "smoke")
+        assert all(b.items() <= table.items() for b, table in zip(before, kept))
+
+
+def _join_plus_one(m1, m2):
+    """``pbw._join`` with the census mutant: a boundary run merged as
+    ``e + f + 1``."""
+    if m1 and m2 and m1[-1][0] == m2[0][0]:
+        (x, e), (_, f) = m1[-1], m2[0]
+        return Mono(m1[:-1] + ((x, e + f + 1),) + m2[1:])
+    return Mono(m1 + m2)
+
+
+@pytest.fixture
+def join_mutant(monkeypatch):
+    """``pbw._join`` patched to :func:`_join_plus_one` on emptied tables;
+    the patch is undone and the tables emptied again at the end."""
+    monkeypatch.setattr(pbw, "_join", _join_plus_one)
+    clear_caches()
+    yield
+    monkeypatch.undo()
+    clear_caches()
+
+
+def test_word_tables_hide_no_failure(join_mutant):
+    """The word checks fail the mutant as often as the plain folds did."""
+    reports = run_suite(["self-consistency", "integrality", "divided-powers"], "smoke")
+    got = {r.name: (len(r.failures), r.instances) for r in reports}
+    assert got == {
+        "self-consistency": (11, 62),
+        "integrality": (24, 274),
+        "divided-powers": (36, 90),
+    }

@@ -500,6 +500,37 @@ class TestElementRefusesOffNormalForm:
         assert len(pbw._monos) == interned
 
 
+class TestScalarsAreRational:
+    """A coefficient or scalar is a ``numbers.Rational`` other than a bool:
+    a float is not read as its binary expansion, a string is not parsed, and
+    ``True`` is not 1."""
+
+    MONO = ((Gen(XP, T), 1),)
+
+    @pytest.mark.parametrize("bad", [0.1, 0.5, "1/3", "2", True, False, None], ids=repr)
+    def test_constructor_refuses(self, bad):
+        with pytest.raises(TypeError):
+            Element(SL2, {self.MONO: bad})
+        with pytest.raises(TypeError):
+            Element.monomial(SL2, self.MONO, bad)
+
+    @pytest.mark.parametrize("bad", [0.5, True, False], ids=repr)
+    def test_arithmetic_refuses(self, bad):
+        x = g(SL2, XP, T)
+        for op in (lambda: x * bad, lambda: bad * x, lambda: x / bad):
+            with pytest.raises(TypeError):
+                op()
+
+    def test_ints_and_fractions_are_taken(self):
+        x = g(SL2, XP, T)
+        assert Element(SL2, {self.MONO: 3}) == 3 * x == x * 3
+        third = Element(SL2, {self.MONO: Fraction(1, 3)})
+        assert (third.num, third.den) == ({Mono(self.MONO): 1}, 3)
+        assert third == x / 3 == x * Fraction(1, 3)
+        assert Element.monomial(SL2, self.MONO, Fraction(-2, 4)) == x * Fraction(-1, 2)
+        assert Element(SL2, {self.MONO: 0}) is Element.zero(SL2)
+
+
 # Each entry point that takes an integer count, as a function of that count.
 _INTEGER_ARGUMENTS = {
     "label-exponent": lambda k: ALabel((k,)),
@@ -800,23 +831,26 @@ class TestFlatNormalForms:
         assert ONE not in pbw._concats
 
     def test_normal_forms_live_for_one_check(self):
-        """After straightening then self-consistency the normal-form tables
-        hold what self-consistency alone builds from cold caches, while the
-        block table keeps straightening's entries."""
+        """After straightening then self-consistency the check tables of
+        the registry (the normal forms among them) hold what
+        self-consistency alone builds from cold caches, while the block
+        table keeps straightening's entries."""
 
-        def normal_forms():
-            return [dict(SL2._products), dict(SL3._products), dict(pbw._concats)]
+        def check_tables():
+            return [dict(table) for table in memo._check_tables]
 
         clear_caches()
         run_suite(["straightening"], "smoke")
         blocks = dict(forms._root_block.table)
         clear_caches()
         run_suite(["self-consistency"], "smoke")
-        cold = normal_forms()
-        assert cold[0] and cold[2] and not forms._root_block.table
+        cold = check_tables()
+        assert SL2._products and pbw._concats and not forms._root_block.table
+        assert any(t is SL2._products for t in memo._check_tables)
+        assert any(t is pbw._concats for t in memo._check_tables)
         clear_caches()
         run_suite(["straightening", "self-consistency"], "smoke")
-        assert normal_forms() == cold
+        assert check_tables() == cold
         assert blocks and blocks.items() <= forms._root_block.table.items()
 
     @pytest.mark.parametrize(
