@@ -13,6 +13,11 @@ on (the intern tables included, which nothing empties).  The tables are
 measured only after the last check, so the measuring does not raise any
 printed peak, and a check table holds the last check's entries only.
 
+The package is compiled to byte code in a child process first, as
+``scripts/same_reports.sh`` compiles both trees, so no printed peak
+includes compiling it (which importing it without a current ``.pyc``
+would).
+
 Bytes are ``sys.getsizeof`` summed over the table's dicts and everything
 reachable from its keys and values, each object once per table, without
 the interned objects (labels, multisets, generators, monomials) that the
@@ -22,12 +27,21 @@ ints.  An intern table is charged with its own objects.
 
 from __future__ import annotations
 
+import importlib.util
 import resource
+import subprocess
 import sys
 
-from mapalg import combinatorics, forms, identities, memo, pbw
-from mapalg.combinatorics import ALabel, Multiset
-from mapalg.pbw import Gen, LiePreset, Mono
+subprocess.run(
+    [sys.executable, "-m", "compileall", "-q"]
+    + importlib.util.find_spec("mapalg").submodule_search_locations,
+    check=True,
+    stdout=subprocess.DEVNULL,
+)
+
+from mapalg import combinatorics, forms, identities, memo, pbw  # noqa: E402
+from mapalg.combinatorics import ALabel, Multiset  # noqa: E402
+from mapalg.pbw import Gen, LiePreset, Mono  # noqa: E402
 
 INTERNED = (ALabel, Multiset, Gen, Mono)
 

@@ -216,9 +216,8 @@ class Multiset:
             return cls._canonical(((key, 1),), 1)
         return cls(((key, mult),))
 
-    @property
-    def size(self):
-        return self._size
+    # read in C: the block families and the split loops test sizes everywhere
+    size = property(operator.attrgetter("_size"))
 
     def items(self):
         return self._items
@@ -317,9 +316,11 @@ def multisets_of_size(pool, size):
         yield Multiset((k, 1) for k in combo)
 
 
+@memoised
 def multinomial(ms):
     """Number of distinct arrangements: size! over the product of
-    multiplicity factorials.  Always a positive integer."""
+    multiplicity factorials.  Always a positive integer.  Memoised for the
+    process, keyed by the interned multiset."""
     num = math.factorial(ms.size)
     den = 1
     for _, m in ms.items():
@@ -329,9 +330,13 @@ def multinomial(ms):
 
 
 def binom_int(n, k):
-    """Generalized binomial coefficient for any integer ``n`` and k >= 0."""
+    """Generalized binomial coefficient for any integer ``n`` and k >= 0:
+    ``math.comb`` for ``n >= 0``, the falling factorial over ``k!`` for a
+    negative ``n``."""
     if k < 0:
         raise ValueError("negative lower index")
+    if n >= 0:
+        return math.comb(n, k)
     num = 1
     for j in range(k):
         num *= n - j
@@ -353,8 +358,10 @@ def label_product(ms, nvars=None):
     return fold_label(ALabel.unit(ms.items()[0][0].nvars), ms)
 
 
+@memoised
 def fold_label(start, *multisets):
-    """``start`` times every key of the multisets raised to its multiplicity."""
+    """``start`` times every key of the multisets raised to its multiplicity.
+    Memoised for the process, keyed by the interned label and multisets."""
     out = start
     for ms in multisets:
         for key, m in ms.items():

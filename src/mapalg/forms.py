@@ -34,7 +34,7 @@ from .combinatorics import (
     partitions,
 )
 from .memo import clear_caches, memoised  # noqa: F401  (clear_caches is re-exported)
-from .pbw import Element, Gen, Mono, Sum, divided_power, make_preset, omega
+from .pbw import Element, Gen, Mono, Sum, degree_of, divided_power, make_preset, omega
 
 
 def _sl2():
@@ -308,7 +308,7 @@ def _index_of_monomial(preset, mono):
     slots = [[] for _ in range(preset.dim)]
     for g, e in mono:
         slots[g.index].append((g.label, e))
-    parts = [Multiset._canonical(tuple(s), sum(e for _, e in s)) for s in slots]
+    parts = [Multiset._canonical(tuple(s), degree_of(s)) for s in slots]
     m, r = preset.m, preset.rank
     return BasisIndex(tuple(parts[:m]), tuple(parts[m : m + r]), tuple(parts[m + r :]))
 
@@ -355,13 +355,13 @@ def _reduction_step(preset, mono):
     inv_lead = _inverse_leading_coeff(idx)
     basis = basis_element(preset, idx)
     den = basis.den
-    top = sum(e for _, e in mono)
+    top = degree_of(mono)
     groups = {}
     premise = basis.num.get(mono, 0) * inv_lead == den
     for m, c in basis.num.items():
         if m == mono:
             continue
-        degree = sum(e for _, e in m)
+        degree = degree_of(m)
         c *= inv_lead
         if degree >= top or c % den:
             premise = False
@@ -399,7 +399,7 @@ def reduce_to_basis(elem):
     """
     layers = {}
     for mono, c in elem.num.items():
-        layers.setdefault(sum(e for _, e in mono), {})[mono] = c
+        layers.setdefault(degree_of(mono), {})[mono] = c
     pairs = []
     for degree in range(max(layers, default=-1), -1, -1):
         layer = layers.pop(degree, None)

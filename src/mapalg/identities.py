@@ -67,6 +67,7 @@ from .pbw import (
     Mono,
     Sum,
     ad_divided,
+    degree_of,
     divided_power,
     make_preset,
     omega,
@@ -226,7 +227,7 @@ def _graded_part(elem, lo=0, hi=None):
     """
     num = {}
     for m, c in elem.num.items():
-        deg = sum(e for _, e in m)
+        deg = degree_of(m)
         if lo <= deg and (hi is None or deg <= hi):
             num[m] = c
     return Element._reduced(elem.preset, num, elem.den)

@@ -19,8 +19,12 @@ are the two normal-form tables and the word-prefix tables of
 memoised too, so a check refills what it needs cheaply.  A ``process``
 table lives for the process: its entries (blocks, Cartan pairs,
 reduction steps, splits) are costly to build and later checks reuse them,
-so emptying them per check would recompute them.  :func:`clear_caches`
-empties every table of either lifetime.
+so emptying them per check would recompute them.  So do the small tables
+of per-call bookkeeping that the block families read on every call: the
+multinomials and label folds of :mod:`mapalg.combinatorics` (memoised on
+their interned arguments), its label products and powers, and the
+one-letter monomials ``pbw._letters`` keyed by the generator.
+:func:`clear_caches` empties every table of either lifetime.
 
 The four intern tables are deliberately not registered here:
 ``combinatorics._interned`` (:class:`~mapalg.combinatorics.Multiset`),

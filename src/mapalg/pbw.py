@@ -57,6 +57,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 import re
 from typing import NamedTuple
 
@@ -93,6 +94,8 @@ class Gen(_GenFields):
         key = (index, label)
         gen = _gens.get(key)
         if gen is None:
+            # a float or bool index equals its int, so it would take the int's entry
+            as_int(index, "a generator index")
             gen = _gens[key] = tuple.__new__(cls, key)
         return gen
 
@@ -146,6 +149,15 @@ class Mono(tuple):
 
 
 ONE = Mono()
+
+_exponent = operator.itemgetter(1)
+
+
+def degree_of(mono):
+    """The total degree of a monomial, or of any ``(key, exponent)`` pairs:
+    the sum of the exponents."""
+    return sum(map(_exponent, mono))
+
 
 # m2 -> {m1: _join(m1, m2)} for nonempty m1 and m2 already in PBW order,
 # right factor first, filled by _mul_into only; lives for one check
@@ -248,6 +260,12 @@ class LiePreset:
         self._brackets = brackets
         self._validate_table()
 
+        # kind and root_index each answer with one lookup in these tables
+        kinds = [("neg", j) for j in range(self.m)] + [("cartan", i) for i in range(rank)]
+        self._kinds = dict(enumerate(kinds + [("pos", j) for j in range(self.m)]))
+        signs = {"neg": -1, "pos": 1}
+        self._root_indices = {(signs[c], j): k for k, (c, j) in self._kinds.items() if c in signs}
+
         # beta_j(h_i) read off from [h_i, x^+_j] = beta_j(h_i) x^+_j
         pairing = []
         for j in range(self.m):
@@ -319,19 +337,25 @@ class LiePreset:
         return self.m + self.rank + j
 
     def root_index(self, sign, alpha):
-        if not 0 <= alpha < self.m:
-            raise ValueError("unknown positive root %r" % (alpha,))
-        return self.pos_index(alpha) if sign > 0 else self.neg_index(alpha)
+        """The basis index of the root vector of ``sign``, the int 1 or -1,
+        at the positive root ``alpha``, an int.  A float or a bool is
+        ``TypeError``: it equals an int key of the table."""
+        if type(sign) is int and type(alpha) is int:
+            index = self._root_indices.get((sign, alpha))
+            if index is not None:
+                return index
+        if as_int(sign, "a root sign") not in (1, -1):
+            raise ValueError("root sign must be 1 or -1, not %d" % sign)
+        raise ValueError("unknown positive root %r" % as_int(alpha, "a positive root"))
 
     def kind(self, index):
-        """Classify a basis index as ('neg', j), ('cartan', i) or ('pos', j)."""
-        if 0 <= index < self.m:
-            return ("neg", index)
-        if self.m <= index < self.m + self.rank:
-            return ("cartan", index - self.m)
-        if self.m + self.rank <= index < self.dim:
-            return ("pos", index - self.m - self.rank)
-        raise ValueError("basis index out of range: %d" % index)
+        """Classify a basis index, an int, as ('neg', j), ('cartan', i) or
+        ('pos', j).  A float or a bool is ``TypeError``."""
+        if type(index) is int:
+            hit = self._kinds.get(index)
+            if hit is not None:
+                return hit
+        raise ValueError("basis index out of range: %d" % as_int(index, "a basis index"))
 
     def simple_root_index(self, i):
         """Positive-root index of the i-th simple root."""
@@ -424,6 +448,16 @@ def _flat(out):
     return tuple(form)
 
 
+# Gen -> Mono(((gen, 1),)), the one-letter monomials of _mono_product
+_letters = new_table()
+
+
+def _letter(gen):
+    """Build and store ``_letters[gen]``, read as ``_letters.get(gen) or _letter(gen)``."""
+    mono = _letters[gen] = Mono(((gen, 1),))
+    return mono
+
+
 def _mono_product(preset, m1, m2):
     """Normal form of the product of two sorted monomials, as a flat tuple
     ``(m1, c1, m2, c2, ...)`` of monomials and nonzero ints: the one
@@ -451,13 +485,13 @@ def _mono_product(preset, m1, m2):
     if e > 1 or len(m2) > 1:
         # m2 = rest · g: (m1 · rest) · g
         left, right = m1, Mono(m2[:-1] + ((g, e - 1),) if e > 1 else m2[:-1])
-        last = Mono(((g, 1),))
+        last = _letters.get(g) or _letter(g)
         bracket = ()
     else:
         # m1 = prefix · x with g < x: (prefix · g) · x + sum_k c_k prefix · z_k
         x, e = m1[-1]
         left, right = Mono(m1[:-1] + ((x, e - 1),) if e > 1 else m1[:-1]), m2
-        last = Mono(((x, 1),))
+        last = _letters.get(x) or _letter(x)
         bracket = preset.bracket_pairs(x.index, g.index)
     out = {}
     it = iter(_mono_product(preset, left, right))
@@ -468,7 +502,8 @@ def _mono_product(preset, m1, m2):
     if bracket:
         lab = x.label * g.label
         for k, ck in bracket:
-            it = iter(_mono_product(preset, left, Mono(((Gen(k, lab), 1),))))
+            z = Gen(k, lab)
+            it = iter(_mono_product(preset, left, _letters.get(z) or _letter(z)))
             for m, f in zip(it, it):
                 out[m] = out.get(m, 0) + ck * f
     out = products.setdefault(m2, {})[m1] = _flat(out)
@@ -669,7 +704,8 @@ class Element:
             self._check_same(other)
             out = {}
             _mul_into(self.preset, out, 1, self.num, other.num)
-            out = {m: v for m, v in out.items() if v}
+            if 0 in out.values():
+                out = {m: v for m, v in out.items() if v}
             return Element._reduced(self.preset, out, self.den * other.den)
         if _is_scalar(other):
             acc = Sum(self.preset)
@@ -709,13 +745,13 @@ class Element:
         """
         if not self.num:
             return None
-        return max(sum(e for _, e in m) for m in self.num)
+        return max(map(degree_of, self.num))
 
     def sorted_terms(self):
         """Highest degree first, then ascending monomial order within a degree."""
         return sorted(
             self.terms.items(),
-            key=lambda kv: (-sum(e for _, e in kv[0]), kv[0]),
+            key=lambda kv: (-degree_of(kv[0]), kv[0]),
         )
 
     def render(self):

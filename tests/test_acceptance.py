@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import pytest
 
+from mapalg import pbw
 from mapalg.combinatorics import ALabel, Multiset, binom_int
 from mapalg.forms import cartan_single, root_monomial
 from mapalg.identities import CHECKS, make_spec, run_check
@@ -195,6 +196,15 @@ def test_criterion_12_engine_self_consistency(desk):
         and counts.get("word") == 6 + 36 + 216 + 1296
     )
     _verdict(12, "associativity and fold-order agreement", ok)
+
+
+def test_degree_of_every_interned_monomial(desk):
+    """``pbw.degree_of`` is the exponent sum of every monomial the desk
+    suite built."""
+    monos = list(pbw._monos.values()) + list(pbw._mono_spill.values())
+    assert len(monos) > 1000
+    for mono in monos:
+        assert pbw.degree_of(mono) == sum(e for _, e in mono)
 
 
 def test_desk_matches_reference(desk):

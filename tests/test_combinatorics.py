@@ -1,15 +1,17 @@
 import copy
 import itertools
+import math
 import pickle
 
 import pytest
 
-from mapalg import combinatorics, forms
+from mapalg import combinatorics, forms, memo
 from mapalg.cli import parse_multiset
 from mapalg.combinatorics import (
     ALabel,
     Multiset,
     binom_int,
+    fold_label,
     label_product,
     matched_splits,
     multinomial,
@@ -294,10 +296,59 @@ class TestMultinomial:
             assert multinomial(Multiset((k, 1) for k in combo)) >= 1
 
 
-class TestBinomInt:
-    def test_nonnegative_agrees_with_math(self):
-        import math
+# every multiset of size at most 4 over {1, t, t^2}
+SMALL = [
+    Multiset((k, 1) for k in combo)
+    for size in range(5)
+    for combo in itertools.combinations_with_replacement([U, T, T2], size)
+]
 
+
+class TestMemoisedScalars:
+    """``multinomial`` and ``fold_label`` are process tables: each value
+    equals its formula whether it is computed or read back."""
+
+    def test_multinomial_equals_its_formula(self):
+        clear_caches()
+        for _ in range(2):
+            for psi in SMALL:
+                den = math.prod(math.factorial(m) for _, m in psi.items())
+                assert multinomial(psi) == math.factorial(psi.size) // den
+
+    def test_fold_label_equals_its_formula(self):
+        def degree(*multisets):
+            return sum(k.exponents[0] * m for psi in multisets for k, m in psi.items())
+
+        clear_caches()
+        for _ in range(2):
+            for start in (U, T, T2):
+                for psi in SMALL:
+                    assert fold_label(start, psi) is ALabel([start.degree + degree(psi)])
+                    for chi in SMALL:
+                        want = ALabel([start.degree + degree(psi, chi)])
+                        assert fold_label(start, psi, chi) is want
+
+    def test_tables_live_for_the_process(self):
+        multinomial(ms((T, 2)))
+        fold_label(U, ms((T, 2)))
+        for fn in (multinomial, fold_label):
+            assert fn.table
+            assert any(t is fn.table for t in memo._tables)
+            assert not any(t is fn.table for t in memo._check_tables)
+        memo.clear_check_tables()
+        assert multinomial.table and fold_label.table
+        clear_caches()
+        assert not multinomial.table and not fold_label.table
+
+
+class TestBinomInt:
+    def test_both_paths_equal_the_falling_factorial(self):
+        for n in range(-8, 13):
+            for k in range(9):
+                falling = math.prod(n - j for j in range(k))
+                assert binom_int(n, k) == falling // math.factorial(k)
+
+    def test_nonnegative_agrees_with_math(self):
         for n in range(8):
             for k in range(n + 1):
                 assert binom_int(n, k) == math.comb(n, k)

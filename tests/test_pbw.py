@@ -89,6 +89,51 @@ class TestPresets:
                 preset.simple_root_index(i)
 
 
+class TestIndexTypes:
+    """A root, a sign or a basis index is an int.  A float or a bool equals
+    an int key of a table, so it is refused with ``TypeError`` before any
+    lookup could answer for it, and an int out of range is ``ValueError``."""
+
+    def test_root_index_refuses_a_float_or_bool_root(self):
+        for alpha in (1.0, True):
+            with pytest.raises(TypeError, match="a positive root must be an int"):
+                SL3.root_index(1, alpha)
+        with pytest.raises(ValueError, match="unknown positive root"):
+            SL3.root_index(1, 3)
+
+    def test_root_index_refuses_a_sign_but_the_int_one_or_minus_one(self):
+        assert [SL3.root_index(s, 1) for s in (1, -1)] == [6, 1]
+        for sign in (0, 2, -2):
+            with pytest.raises(ValueError, match="root sign must be 1 or -1"):
+                SL3.root_index(sign, 0)
+        for sign in (1.0, -1.0, True):
+            with pytest.raises(TypeError, match="a root sign must be an int"):
+                SL3.root_index(sign, 0)
+
+    def test_kind_refuses_a_float_or_bool_index(self):
+        assert [SL3.kind(i) for i in (2, 3, 6)] == [("neg", 2), ("cartan", 0), ("pos", 1)]
+        for index in (True, 6.0):
+            with pytest.raises(TypeError, match="a basis index must be an int"):
+                SL3.kind(index)
+        for index in (-1, 8):
+            with pytest.raises(ValueError, match="basis index out of range"):
+                SL3.kind(index)
+
+    def test_float_generator_index_interns_nothing(self):
+        lab = ALabel([41])
+        with pytest.raises(TypeError, match="a basis index must be an int"):
+            Element.generator(SL3, 6.0, lab)
+        assert (6, lab) not in pbw._gens
+        with pytest.raises(TypeError, match="a generator index must be an int"):
+            Gen(6.0, lab)
+        assert (6, lab) not in pbw._gens
+        gen = Element.generator(SL3, 6, lab)
+        (((got, _),),) = gen.num
+        assert type(got.index) is int
+        assert gen.render() == "1 (x+_a2⊗t^41)"
+        assert gen.to_json()[0]["monomial"] == [[6, [41], 1]]
+
+
 class TestGenHashConsing:
     """One object per generator, as for labels and multisets: every way of
     building a ``Gen`` hands back the same object, so the identity hash it
@@ -568,6 +613,14 @@ class TestMul:
         lhs = g(SL2, H, T) * g(SL2, XP, T)
         rhs = g(SL2, XP, T) * g(SL2, H, T) + 2 * g(SL2, XP, T2)
         assert lhs == rhs
+
+    def test_cancelled_term_is_dropped(self):
+        """(x+ - x-)(x+ + x-) = x+^2 + h - x-^2: the x- x+ terms cancel in
+        the straightening loop, and the product keeps no zero numerator."""
+        xp, xm = g(SL2, XP, U), g(SL2, XM, U)
+        prod = (xp - xm) * (xp + xm)
+        assert prod == xp * xp + g(SL2, H, U) - xm * xm
+        assert len(prod.num) == 3 and 0 not in prod.num.values()
 
     def test_commuting_pair_stays_single(self):
         prod = g(SL2, XM, U) * g(SL2, XM, T)
