@@ -113,17 +113,20 @@ def cartan_at_root(alpha, chi, target):
 
 def cartan_pair_at_root(alpha, phi, chi, target):
     """:func:`cartan_pair` pushed into ``target`` along root ``alpha``,
-    which is checked first even where the sizes differ.  Values are
-    memoized, shared and must not be mutated."""
-    target.root_index(1, alpha)
-    if phi.size != chi.size:
-        return Element.zero(target)
+    checked even where the sizes differ: an int once per key, in the
+    memoised body, and a float or bool, which would find an int's entry,
+    before the table.  Values are memoized, shared and must not be mutated."""
+    if phi.size != chi.size or type(alpha) is not int:
+        target.root_index(1, alpha)
+        if phi.size != chi.size:
+            return Element.zero(target)
     return _cartan_pair_at_root(alpha, phi, chi, target)
 
 
 @memoised
 def _cartan_pair_at_root(alpha, phi, chi, target):
     """The memoised body of :func:`cartan_pair_at_root`."""
+    target.root_index(1, alpha)
     return omega(alpha, cartan_pair(phi, chi), target)
 
 
@@ -136,7 +139,8 @@ def root_block(sign, psi1, psi2, psi3):
     overlap is exercised by the tests).  Zero whenever the first two
     sizes differ; the sign is checked first.
     """
-    sign = _sign(sign)
+    if not (type(sign) is int and sign in (1, -1)):
+        _sign(sign)
     if psi1.size != psi2.size:
         return Element.zero(_sl2())
     return _root_block(sign, psi1, psi2, psi3)

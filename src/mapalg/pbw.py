@@ -36,7 +36,9 @@ monomials themselves are hash-consed as :class:`Mono`: each value is one
 object, so every table key, every ``Element.num`` key and every reduction
 step hashes a monomial by identity, and a label product is one lookup in
 a memo table.  The intern table ``_monos`` is keyed by the hash of the
-letters, so no letter tuple is kept beside its ``Mono``.
+letters, so no letter tuple is kept beside its ``Mono``.  Each algebra has
+one zero and one unit, shared by every caller; a product with the unit is
+the other factor itself, with no straightening.
 
 Sums of products, the shape of every identity the engine checks, are
 built in one exact accumulator, :class:`Sum`: ``add_product(k, x, y)``
@@ -303,9 +305,10 @@ class LiePreset:
         # leading monomial -> the reduction step of its basis element,
         # filled by forms._reduction_step only
         self._steps = new_table()
-        # the one zero of this algebra, Element.zero(self); not a memo table,
-        # so clear_caches() leaves it alone
+        # the one zero and one unit, Element.zero(self) and Element.one(self);
+        # not memo tables, so clear_caches() leaves them alone
         self._zero = Element._trusted(self, {}, 1)
+        self._one = Element._trusted(self, {ONE: 1}, 1)
 
     def _validate_table(self):
         table = self.bracket_pairs
@@ -566,7 +569,9 @@ class Element:
     normal forms and are not checked.
     Elements are immutable by convention, so sharing across threads is
     safe.  Every operation returns a fresh instance, except that a result
-    with no terms is the preset's one zero, :meth:`zero`.
+    with no terms is the preset's one zero, :meth:`zero`, a sum equal to 1
+    is its one unit, :meth:`one`, and a product with that unit is the
+    other factor itself, with no straightening.
 
     Rationals live only at the edges: sums, scalar multiples and products
     are integer dict operations followed by one common-factor reduction,
@@ -625,7 +630,9 @@ class Element:
             if g != 1:
                 num = {m: c // g for m, c in num.items()}
                 den //= g
-        return cls._trusted(preset, num, den)
+        self = object.__new__(cls)
+        self.preset, self.num, self.den = preset, num, den
+        return self
 
     def __reduce__(self):
         # through _reduced, so that an unpickled zero is its preset's one zero
@@ -647,12 +654,14 @@ class Element:
 
     @classmethod
     def one(cls, preset):
-        return cls._trusted(preset, {ONE: 1}, 1)
+        """The preset's one unit, shared like :meth:`zero`: never mutate it."""
+        return preset._one
 
     @classmethod
     def generator(cls, preset, index, label):
         preset.kind(index)
-        return cls._trusted(preset, {Mono(((Gen(index, label), 1),)): 1}, 1)
+        g = Gen(index, label)
+        return cls._trusted(preset, {_letters.get(g) or _letter(g): 1}, 1)
 
     @classmethod
     def monomial(cls, preset, mono, coeff=1):
@@ -701,12 +710,17 @@ class Element:
 
     def __mul__(self, other):
         if isinstance(other, Element):
-            self._check_same(other)
+            preset = self.preset
+            if other.preset is not preset:
+                self._check_same(other)
+            one = preset._one
+            if self is one or other is one:
+                return other if self is one else self
             out = {}
-            _mul_into(self.preset, out, 1, self.num, other.num)
+            _mul_into(preset, out, 1, self.num, other.num)
             if 0 in out.values():
                 out = {m: v for m, v in out.items() if v}
-            return Element._reduced(self.preset, out, self.den * other.den)
+            return Element._reduced(preset, out, self.den * other.den)
         if _is_scalar(other):
             acc = Sum(self.preset)
             acc.add(other, self)
@@ -881,7 +895,8 @@ class Sum:
 
     def add(self, k, x):
         """``self += k * x`` for a rational ``k``: an int or a Fraction."""
-        self._check_same(x)
+        if x.preset is not self.preset:
+            self._check_same(x)
         if not k or not x.num:
             return
         f = self._factor(k, x.den)
@@ -892,17 +907,24 @@ class Sum:
     def add_product(self, k, x, y):
         """``self += k * x * y`` for a rational ``k``, straightened by
         the same loop as ``x * y``."""
-        self._check_same(x)
-        self._check_same(y)
+        preset = self.preset
+        if x.preset is not preset or y.preset is not preset:
+            self._check_same(x)
+            self._check_same(y)
         if not k or not x.num or not y.num:
             return
+        one = preset._one
+        if x is one or y is one:
+            return self.add(k, y if x is one else x)
         f = self._factor(k, x.den * y.den)
-        _mul_into(self.preset, self.num, f, x.num, y.num)
+        _mul_into(preset, self.num, f, x.num, y.num)
 
     def element(self, div=1):
         """The sum divided by the positive integer ``div``, as a canonical
-        Element."""
+        Element; a sum equal to 1 is the preset's one unit."""
         num = {m: c for m, c in self.num.items() if c}
+        if len(num) == 1 and num.get(ONE) == self.den * div:
+            return self.preset._one
         return Element._reduced(self.preset, num, self.den * div)
 
 

@@ -570,6 +570,44 @@ class TestVacuousBlocks:
             forms.clear_caches()
 
 
+class TestCartanPairAtRootChecksAlpha:
+    """``cartan_pair_at_root`` checks an int ``alpha`` once per key in its
+    memoised body, and anything else before the table: an invalid root is
+    refused on matched and mismatched sizes, with cold and warm tables."""
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    @pytest.mark.parametrize(
+        "phi, c", [(chi(T), chi(U)), (chi(T), ms())], ids=["matched", "mismatched"]
+    )
+    def test_invalid_alpha_is_refused(self, phi, c, warm):
+        forms.clear_caches()
+        try:
+            if warm:
+                for alpha in range(SL3.m):
+                    cartan_pair_at_root(alpha, phi, c, SL3)
+                cartan_pair_at_root(0, phi, c, SL2)
+            for _ in range(2):
+                for alpha, target in ((SL3.m, SL3), (-1, SL3), (1, SL2)):
+                    with pytest.raises(ValueError, match="unknown positive root"):
+                        cartan_pair_at_root(alpha, phi, c, target)
+                # a float or bool key equals an int one in the table
+                for alpha in (1.0, True):
+                    with pytest.raises(TypeError, match="a positive root must be an int"):
+                        cartan_pair_at_root(alpha, phi, c, SL3)
+            assert all(
+                0 <= key[0] < key[3].m and type(key[0]) is int
+                for key in forms._cartan_pair_at_root.table
+            )
+        finally:
+            forms.clear_caches()
+
+    def test_root_block_refuses_a_sign_but_the_int_one_or_minus_one(self):
+        for sign in (0, 2, 1.0, True, "1"):
+            for psi2 in (chi(U), ms()):
+                with pytest.raises(ValueError, match="sign must be 1 or -1, not"):
+                    root_block(sign, chi(T), psi2, chi(U))
+
+
 class TestMemoisedValues:
     """The memo tables return the same values from a cold and a warm cache."""
 
@@ -592,10 +630,12 @@ class TestMemoisedValues:
         cold = self._at_root_values()
         warm = self._at_root_values()
         assert cold == warm == before
-        # the fourth pair has sizes 1 and 0: zero, the one shared object
+        # the fourth pair has sizes 1 and 0: zero, the one shared object;
+        # the fourth single pushes the empty pair's 1: the one shared unit
         zero = Element.zero(SL3)
         assert before[3] is cold[3] is zero
-        assert all(a is not b for k, (a, b) in enumerate(zip(before, cold)) if k != 3)
+        assert before[7] is cold[7] is Element.one(SL3)
+        assert all(a is not b for k, (a, b) in enumerate(zip(before, cold)) if k not in (3, 7))
         assert all(a is b for a, b in zip(cold, warm))
         for (a, phi, c), got in zip(self.AT_ROOT_CASES, cold):
             assert got == omega(a, cartan_pair(phi, c), SL3)

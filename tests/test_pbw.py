@@ -1014,6 +1014,81 @@ class TestSum:
             acc.add_product(1, g(SL2, XP, U), g(SL3, 0, U))
 
 
+class TestUnit:
+    """Each algebra has one unit, built with its preset.  After the preset
+    test, a product with it is the other factor itself, and
+    ``Sum.add_product`` with it is one ``Sum.add``."""
+
+    def test_one_is_shared(self):
+        for preset in (SL2, SL3):
+            one = Element.one(preset)
+            assert Element.one(preset) is one and one.preset is preset
+            assert one.num == {ONE: 1} and one.den == 1
+        assert Element.one(SL2) is not Element.one(SL3)
+
+    def test_product_with_one_is_the_other_factor(self):
+        one = Element.one(SL2)
+        for x in (
+            g(SL2, XP, T),
+            Fraction(1, 2) * g(SL2, H, U) - g(SL2, XM, T2) * g(SL2, XP, U),
+            Element.zero(SL2),
+            one,
+        ):
+            assert x * one is x and one * x is x
+        assert one * Fraction(3, 2) == Element(SL2, {(): Fraction(3, 2)})
+        assert divided_power(SL2, Gen(XP, T), 0) is one
+        assert g(SL2, XM, U) ** 1 is not one and g(SL2, XM, U) ** 0 is one
+
+    def test_sum_equal_to_one_is_the_unit(self):
+        one, x = Element.one(SL3), g(SL3, 4, T)
+        assert (one + x) - x is one
+        assert Fraction(1, 2) * one + Fraction(1, 2) * one is one
+        assert Fraction(1, 2) * one is not one
+
+    def test_foreign_unit_is_refused(self):
+        one2, one3, x3 = Element.one(SL2), Element.one(SL3), g(SL3, 0, U)
+        for x, y in ((one2, x3), (x3, one2), (one2, one3)):
+            with pytest.raises(ValueError, match="preset mismatch"):
+                x * y
+            for acc in (Sum(SL2), Sum(SL3)):
+                with pytest.raises(ValueError, match="preset mismatch"):
+                    acc.add_product(1, x, y)
+
+    @pytest.mark.parametrize("k", [3, Fraction(-2, 3)], ids=["int", "Fraction"])
+    def test_add_product_with_one_is_add(self, k, monkeypatch):
+        one = Element.one(SL2)
+        y = Fraction(1, 2) * g(SL2, XP, T) + g(SL2, H, U)
+        before = Fraction(1, 5) * g(SL2, XM, U)
+        calls = []
+        real = pbw._mul_into
+        monkeypatch.setattr(pbw, "_mul_into", lambda *args: calls.append(args) or real(*args))
+        for x1, y1 in ((one, y), (y, one)):
+            got, want = Sum(SL2), Sum(SL2)
+            got.add(1, before)
+            want.add(1, before)
+            got.add_product(k, x1, y1)
+            want.add(k, y)
+            assert (got.num, got.den) == (want.num, want.den)
+            assert got.element() == want.element() == before + k * y
+        assert calls == []
+
+    def test_no_unit_reaches_the_straightening_loop(self, monkeypatch):
+        """Over a smoke suite from cold tables, no product that reaches
+        ``_mul_into`` has a factor whose numerators are ``{ONE: 1}``: every
+        unit the checks multiply by is the shared one."""
+        seen = []
+        real = pbw._mul_into
+
+        def spy(preset, num, f, x, y):
+            seen.append(x == {ONE: 1} or y == {ONE: 1})
+            return real(preset, num, f, x, y)
+
+        monkeypatch.setattr(pbw, "_mul_into", spy)
+        clear_caches()
+        assert all(report.passed for report in run_suite(["all"], "smoke"))
+        assert seen and not any(seen)
+
+
 class TestDividedPowers:
     def test_definition(self):
         dp = divided_power(SL2, Gen(XP, T), 3)
