@@ -14,6 +14,9 @@
 #   reduce FILE --format text|json, for three element files written first by
 #     REV's `eval --format json`: a bbD block, an sl3 p(chi) pushed along root
 #     1, and the non-integral x+(1) x+(t) / 2
+#   eval --format text|json: the two evals that write those files, and an sl3
+#     divided power of a negative root vector (xpow)
+#   basis --format text|json: two variables, and sl3 up to degree 2
 # Each run is a cold process.  Timings (`elapsedMs` in JSON, `elapsed=` in
 # text) are stripped and the exit status is kept; any other difference is
 # printed and the script exits 1.  Each line also gives the peak resident
@@ -60,18 +63,29 @@ runs=(
 for name in $equalities; do
     runs+=("check $name --profile deep --format json")
 done
+# The argument strings below are split on spaces, unquoted; the multisets
+# hold `[`, so globbing is off wherever they are split.
+set -f
+eval_bbd="eval bbD --psi1 {[0]:1,[1]:1} --psi2 {[1]:1,[2]:1} --psi3 {[0]:2,[1]:1}"
+eval_p="eval p --algebra sl3 --alpha 1 --chi {[0]:1,[1]:2}"
 elements() {  # the reduce inputs, written into $tmp by REV's eval
     local mapalg=(env PYTHONPATH="$tmp/rev/src" python3 -m mapalg.cli)
-    "${mapalg[@]}" eval bbD --psi1 '{[0]:1,[1]:1}' --psi2 '{[1]:1,[2]:1}' \
-        --psi3 '{[0]:2,[1]:1}' --format json > "$tmp/bbD.json"
-    "${mapalg[@]}" eval p --algebra sl3 --alpha 1 --chi '{[0]:1,[1]:2}' \
-        --format json > "$tmp/p-sl3.json"
+    # shellcheck disable=SC2086
+    "${mapalg[@]}" $eval_bbd --format json > "$tmp/bbD.json"
+    # shellcheck disable=SC2086
+    "${mapalg[@]}" $eval_p --format json > "$tmp/p-sl3.json"
     echo '[{"monomial": [[2, [0], 1], [2, [1], 1]], "coeff": ["1", "2"]}]' > "$tmp/half.json"
 }
 elements
 for element in "bbD.json" "p-sl3.json --algebra sl3" "half.json"; do
     for format in text json; do
         runs+=("reduce $tmp/$element --format $format")
+    done
+done
+for args in "$eval_bbd" "$eval_p" "eval xpow --algebra sl3 --alpha 2 --sign - --psi {[0]:1,[1]:2}" \
+    "basis --variables 2" "basis --algebra sl3 --max-degree 2"; do
+    for format in text json; do
+        runs+=("$args --format $format")
     done
 done
 
@@ -101,6 +115,7 @@ for args in "${runs[@]}"; do
         higher "$new_rss" "${top_new% *}" && top_new="$new_rss $name"
     fi
 done
+set +f
 echo "equalities-deep peak RSS: ${top_old% *} MiB (${top_old#* }) -> ${top_new% *} MiB (${top_new#* })"
 sizes() {  # sizes TREE: "module lines" for each TREE/src/mapalg/*.py, sorted
     local f

@@ -6,7 +6,6 @@ from .combinatorics import (
     ALabel,
     Multiset,
     binom_int,
-    label_product,
     multinomial,
     partitions,
     sub_multisets,
@@ -42,7 +41,6 @@ from .pbw import (
     LiePreset,
     Mono,
     ad_divided,
-    binom_element,
     divided_power,
     make_preset,
     omega,
@@ -64,7 +62,6 @@ __all__ = [
     "ReductionResult",
     "ad_divided",
     "basis_element",
-    "binom_element",
     "binom_int",
     "cartan_at_root",
     "cartan_pair",
@@ -74,7 +71,6 @@ __all__ = [
     "divided_power",
     "dressed_block",
     "enumerate_basis",
-    "label_product",
     "make_preset",
     "make_spec",
     "multinomial",

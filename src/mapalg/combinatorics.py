@@ -19,9 +19,8 @@ from .memo import memoised, new_table
 # ``exponents`` -> the one ALabel with that exponent vector; see ALabel.
 _labels = {}
 
-# ``(label, label)`` -> their product and ``(k, label)`` -> ``label**k``
-# for an int ``k``.  A power's key starts with the int, so ``label * k``
-# never finds one.  Emptying it is safe: results re-intern in ``_labels``.
+# ``(label, label)`` -> their product; ``**`` is not memoised.  Emptying it
+# is safe: results re-intern in ``_labels``.
 _label_products = new_table()
 
 
@@ -55,7 +54,7 @@ class ALabel(tuple):
     Labels are hash-consed like :class:`Multiset`: one object per value,
     kept in the module table ``_labels`` (which ``clear_caches()`` leaves
     alone), so the hash is ``object``'s identity hash.  The constructor,
-    :meth:`unit`, :meth:`from_json`, ``*`` and ``**`` (both memoised) and
+    :meth:`unit`, :meth:`from_json`, ``*`` (memoised), ``**`` and
     unpickling and copying (``__reduce__``) all end in that table.  The
     tuple arithmetic that would otherwise leak through is closed off:
     ``*`` is the label product and ``+`` is refused.
@@ -117,10 +116,7 @@ class ALabel(tuple):
 
     def __pow__(self, k):
         k = as_int(k, "a label power")
-        hit = _label_products.get((k, self))
-        if hit is None:
-            hit = _label_products[k, self] = _label(tuple(e * k for e in self[1]))
-        return hit
+        return _label(tuple(map(k.__mul__, self[1])))
 
     def render(self):
         if self.is_unit():
@@ -270,19 +266,6 @@ class Multiset:
                 return Multiset._canonical(tuple(items), self._size - other._size)
         raise ValueError("cannot subtract %r from %r: not contained" % (other, self))
 
-    def scale(self, k):
-        k = as_int(k, "a scale")
-        if k < 0:
-            raise ValueError("negative scale")
-        return Multiset((key, m * k) for key, m in self._items) if k else Multiset()
-
-    def weighted_total(self):
-        """Sum of key * multiplicity; keys must themselves be multisets."""
-        out = Multiset()
-        for key, m in self._items:
-            out = out + key.scale(m)
-        return out
-
     def render(self):
         if not self._items:
             return "{}"
@@ -296,6 +279,9 @@ class Multiset:
 
     @classmethod
     def from_json(cls, data):
+        """The multiset :meth:`to_json` wrote, refusing a malformed entry or
+        a multiplicity below 1.  No command reads one yet: it is the reader
+        that a replay of written instances needs."""
         if not isinstance(data, list):
             raise ValueError("multiset must be a JSON array of [key, mult] pairs")
         pairs = []
@@ -343,19 +329,6 @@ def binom_int(n, k):
     den = math.factorial(k)
     assert num % den == 0
     return num // den
-
-
-def label_product(ms, nvars=None):
-    """Product of every key raised to its multiplicity, as a single label.
-
-    The empty multiset maps to the unit, which needs an explicit variable
-    count since there is no key to infer it from.
-    """
-    if not ms:
-        if nvars is None:
-            raise ValueError("empty multiset: pass nvars to produce the unit label")
-        return ALabel.unit(nvars)
-    return fold_label(ALabel.unit(ms.items()[0][0].nvars), ms)
 
 
 @memoised
@@ -482,8 +455,8 @@ def subpartitions(chi, parts):
 
 def subpartition_splits(chi, parts):
     """Every ``(psi, leftover)`` with ``psi`` from :func:`subpartitions`, in
-    its order, and ``leftover`` equal to ``chi - psi.weighted_total()``,
-    handed out by the enumeration instead of recomputed."""
+    its order, and ``leftover`` what ``chi`` keeps once ``psi``'s parts are
+    taken, handed out by the enumeration instead of recomputed."""
     if parts < 0:
         raise ValueError("parts must be >= 0")
     for seq, leftover in _part_sequences(chi, parts):

@@ -236,16 +236,6 @@ class BasisIndex(NamedTuple):
             "plus": [ms.to_json() for ms in self.plus],
         }
 
-    @classmethod
-    def from_json(cls, data):
-        if not isinstance(data, dict) or set(data) != {"minus", "zero", "plus"}:
-            raise ValueError("basis index needs 'minus', 'zero' and 'plus'")
-        return cls(
-            tuple(Multiset.from_json(ms) for ms in data["minus"]),
-            tuple(Multiset.from_json(ms) for ms in data["zero"]),
-            tuple(Multiset.from_json(ms) for ms in data["plus"]),
-        )
-
 
 def basis_element(preset, idx):
     """The basis element for ``idx``: negative root monomials, then the

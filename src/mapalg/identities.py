@@ -502,7 +502,7 @@ def _qpx_sides(b, phi, chi, literal=False):
     """
     sl2 = make_preset("sl2")
     pair = cartan_pair(phi, chi)
-    xb = Element.generator(sl2, sl2.pos_index(0), b)
+    xb = Element.generator(sl2, sl2.root_index(1, 0), b)
     lhs = pair * xb
     rhs = Sum(sl2)
     rhs.add_product(1, xb, pair)
@@ -510,7 +510,7 @@ def _qpx_sides(b, phi, chi, literal=False):
         for d in chi.support():
             rhs.add_product(
                 -2,
-                Element.generator(sl2, sl2.pos_index(0), b * c * d),
+                Element.generator(sl2, sl2.root_index(1, 0), b * c * d),
                 cartan_pair(phi - Multiset.single(c), chi - Multiset.single(d)),
             )
     f1s = list(sub_multisets(phi, 2))
@@ -521,7 +521,7 @@ def _qpx_sides(b, phi, chi, literal=False):
             for ps1, ps2 in inner:
                 rhs.add_product(
                     multinomial(f1) * multinomial(f2),
-                    Element.generator(sl2, sl2.pos_index(0), fold_label(b, ps1, ps2)),
+                    Element.generator(sl2, sl2.root_index(1, 0), fold_label(b, ps1, ps2)),
                     cartan_pair(phi - ps1, chi - ps2),
                 )
     return lhs, rhs.element()
@@ -564,7 +564,7 @@ def _idD_sides(sign, b, psi1, psi2, psi3, variant):
 
 def _idbbd_sides(b, varphi, chi):
     sl2 = make_preset("sl2")
-    xminus = Element.generator(sl2, sl2.neg_index(0), b)
+    xminus = Element.generator(sl2, sl2.root_index(-1, 0), b)
     lhs = Sum(sl2)
     for phi, rest in splits(varphi):
         lhs.add_product(1, dressed_block(phi, chi, rest), xminus)
@@ -608,13 +608,13 @@ def _eqnbbd_sides(varphi, phi, chi):
     for c in (varphi - phi).support():
         shrunk = varphi - phi - Multiset.single(c)
         rhs.add_product(
-            1, Element.generator(sl2, sl2.pos_index(0), c), dressed_block(phi, chi, shrunk)
+            1, Element.generator(sl2, sl2.root_index(1, 0), c), dressed_block(phi, chi, shrunk)
         )
         for d in phi.support():
             for d2 in chi.support():
                 rhs.add_product(
                     -1,
-                    Element.generator(sl2, sl2.pos_index(0), c * d * d2),
+                    Element.generator(sl2, sl2.root_index(1, 0), c * d * d2),
                     dressed_block(phi - Multiset.single(d), chi - Multiset.single(d2), shrunk),
                 )
     return lhs, rhs.element()

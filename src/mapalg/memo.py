@@ -22,7 +22,7 @@ reduction steps, splits) are costly to build and later checks reuse them,
 so emptying them per check would recompute them.  So do the small tables
 of per-call bookkeeping that the block families read on every call: the
 multinomials and label folds of :mod:`mapalg.combinatorics` (memoised on
-their interned arguments), its label products and powers, and the
+their interned arguments), its label products (not powers), and the
 one-letter monomials ``pbw._letters`` keyed by the generator.
 :func:`clear_caches` empties every table of either lifetime.
 

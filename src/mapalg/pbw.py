@@ -271,7 +271,7 @@ class LiePreset:
         # beta_j(h_i) read off from [h_i, x^+_j] = beta_j(h_i) x^+_j
         pairing = []
         for j in range(self.m):
-            x = self.pos_index(j)
+            x = self.root_index(1, j)
             entries = [dict(self.bracket_pairs(self.cartan_index(i), x)) for i in range(rank)]
             if any(set(entry) - {x} for entry in entries):
                 raise ValueError("Cartan action is not diagonal on root vectors")
@@ -281,7 +281,7 @@ class LiePreset:
         # h for each positive root: expansion of [x^+_j, x^-_j] in h_1..h_n
         coroots = []
         for j in range(self.m):
-            entry = dict(self.bracket_pairs(self.pos_index(j), self.neg_index(j)))
+            entry = dict(self.bracket_pairs(self.root_index(1, j), self.root_index(-1, j)))
             if any(self.kind(k)[0] != "cartan" for k in entry):
                 raise ValueError("[x+, x-] is not Cartan")
             coroots.append(tuple(entry.get(self.cartan_index(i), 0) for i in range(rank)))
@@ -330,14 +330,8 @@ class LiePreset:
                         raise ValueError("Jacobi identity fails on the bracket table")
 
     # basis layout -------------------------------------------------------
-    def neg_index(self, j):
-        return j
-
     def cartan_index(self, i):
         return self.m + i
-
-    def pos_index(self, j):
-        return self.m + self.rank + j
 
     def root_index(self, sign, alpha):
         """The basis index of the root vector of ``sign``, the int 1 or -1,
@@ -569,9 +563,9 @@ class Element:
     normal forms and are not checked.
     Elements are immutable by convention, so sharing across threads is
     safe.  Every operation returns a fresh instance, except that a result
-    with no terms is the preset's one zero, :meth:`zero`, a sum equal to 1
-    is its one unit, :meth:`one`, and a product with that unit is the
-    other factor itself, with no straightening.
+    with no terms is the preset's one zero, :meth:`zero`, a sum, a built
+    or a copied element equal to 1 is its one unit, :meth:`one`, and a
+    product with that unit is the other factor itself, no straightening.
 
     Rationals live only at the edges: sums, scalar multiples and products
     are integer dict operations followed by one common-factor reduction,
@@ -604,6 +598,8 @@ class Element:
                     fracs[Mono(m)] = c
         if not fracs:
             return preset._zero
+        if fracs == {ONE: 1}:
+            return preset._one
         # Over the LCM of reduced denominators the numerators share no
         # factor with it, so the result is already canonical.
         den = math.lcm(*(c.denominator for c in fracs.values()))
@@ -635,7 +631,9 @@ class Element:
         return self
 
     def __reduce__(self):
-        # through _reduced, so that an unpickled zero is its preset's one zero
+        # a copy of the unit or of a zero is its preset's shared one
+        if self == self.preset._one:
+            return (Element.one, (self.preset,))
         return (Element._reduced, (self.preset, self.num, self.den))
 
     @property
@@ -938,17 +936,6 @@ def divided_power(preset, gen, r):
     return Element._trusted(preset, {Mono(((gen, r),)): 1}, math.factorial(r))
 
 
-def binom_element(u, r):
-    """``u (u-1) ... (u-r+1) / r!`` expanded and normalized exactly."""
-    r = as_int(r, "a binomial power")
-    if r < 0:
-        raise ValueError("negative binomial power")
-    out = Element.one(u.preset)
-    for j in range(r):
-        out = out * (u - j * Element.one(u.preset))
-    return out / math.factorial(r)
-
-
 def omega(alpha, u, target):
     """Algebra map from the rank-one engine into ``target`` along root
     ``alpha``: root vectors go to the corresponding root vectors, the
@@ -963,10 +950,9 @@ def omega(alpha, u, target):
         img = images.get(gen)
         if img is None:
             cls, _ = u.preset.kind(gen.index)
-            if cls == "neg":
-                img = Element.generator(target, target.neg_index(alpha), gen.label)
-            elif cls == "pos":
-                img = Element.generator(target, target.pos_index(alpha), gen.label)
+            if cls != "cartan":
+                index = target.root_index(1 if cls == "pos" else -1, alpha)
+                img = Element.generator(target, index, gen.label)
             else:
                 acc = Sum(target)
                 for i, c in enumerate(target.coroot_expansion(alpha)):

@@ -5,6 +5,8 @@ everywhere, no tolerances) and prints a single PASS/FAIL line.  The desk
 checks are executed once per session and shared.
 """
 
+import importlib
+import inspect
 import json
 import os
 import re
@@ -12,6 +14,7 @@ from fractions import Fraction
 
 import pytest
 
+import mapalg
 from mapalg import pbw
 from mapalg.combinatorics import ALabel, Multiset, binom_int
 from mapalg.forms import cartan_single, root_monomial
@@ -23,6 +26,7 @@ T = ALabel([1])
 SL2 = make_preset("sl2")
 
 REFERENCE = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "reference.json")
+BENCHMARK = os.path.join(os.path.dirname(__file__), os.pardir, "BENCHMARK.json")
 
 ALL_CHECKS = (
     "straightening",
@@ -222,3 +226,27 @@ def test_desk_matches_reference(desk):
         key, eps = re.fullmatch(r"signs (.*): eps=\[(.*)\]", note).groups()
         signs[key] = [int(x) for x in eps.split(",")]
     assert signs == want["a2_signs"]
+
+
+def test_benchmark_traces_public_functions():
+    """``perfbench/trace_cli.py`` wraps the functions ``mapalg.__all__``
+    lists and names each by its module, so a per-layer metric whose
+    function lost its public name would read 0 with no error.  Every
+    ``pbw``, ``forms`` and ``combinatorics`` function that BENCHMARK.json
+    (read only) measures, and ``identities.run_check``, which the tracer
+    hooks, is public and is its module's own object; a counted one is a
+    generator function."""
+    with open(BENCHMARK, encoding="utf-8") as fh:
+        metrics = [metric["name"] for metric in json.load(fh)["per_layer"]]
+    traced = {"identities.run_check": False}
+    for metric in metrics:
+        module, name = metric.split(".")[:2]
+        if module in ("pbw", "forms", "combinatorics") and name not in ("mul", "addsub"):
+            traced[module + "." + name] = metric.endswith(".yielded")
+    for qualified, counted in traced.items():
+        module, name = qualified.split(".")
+        assert name in mapalg.__all__, qualified
+        obj = getattr(mapalg, name)
+        assert obj is getattr(importlib.import_module("mapalg." + module), name), qualified
+        assert (obj.__module__, obj.__name__) == ("mapalg." + module, name), qualified
+        assert inspect.isgeneratorfunction(obj) == counted, qualified

@@ -1,4 +1,5 @@
 import itertools
+import math
 import re
 from fractions import Fraction
 
@@ -7,7 +8,6 @@ import pytest
 from mapalg.combinatorics import (
     ALabel,
     Multiset,
-    label_product,
     multinomial,
     sub_multisets,
 )
@@ -27,7 +27,7 @@ from mapalg.forms import (
 )
 from mapalg import forms
 from mapalg.identities import CHECKS, CheckFailure, _multisets_up_to, make_spec, run_suite
-from mapalg.pbw import Element, Gen, Mono, Sum, binom_element, divided_power, make_preset, omega
+from mapalg.pbw import Element, Gen, Mono, Sum, divided_power, make_preset, omega
 
 U = ALabel([0])
 T = ALabel([1])
@@ -89,7 +89,9 @@ def _oracle_pair(phi, chi_arg):
             rest = _oracle_pair(phi - psi1, chi_arg - psi2)
             if not rest:
                 continue
-            lab = label_product(psi1 + psi2)
+            lab = U
+            for key, m in (psi1 + psi2).items():
+                lab = lab * key**m
             weight = multinomial(psi1) * multinomial(psi2)
             term = _poly_mul(_poly_sym(lab), rest)
             for m, c in term.items():
@@ -97,6 +99,15 @@ def _oracle_pair(phi, chi_arg):
     return {
         m: Fraction(-c, phi.size) for m, c in acc.items() if c
     }
+
+
+def _binomial(u, k):
+    """``u (u - 1) ... (u - k + 1) / k!``, from plain products."""
+    one = Element.one(u.preset)
+    out = one
+    for j in range(k):
+        out = out * (u - j * one)
+    return out / math.factorial(k)
 
 
 def _elem_to_poly(elem):
@@ -194,10 +205,10 @@ class TestCartanPair:
         # p({1:k}) = (-1)^k binom(h(x)1, k): the constant-label case of
         # Garland's Lambda-series, computed here without the recursion.
         for k in range(6):
-            assert cartan_single(chi(U, k)) == (-1) ** k * binom_element(g(H, U), k), k
+            assert cartan_single(chi(U, k)) == (-1) ** k * _binomial(g(H, U), k), k
 
     def test_binomial_oracle_needs_the_unit_label(self):
-        assert cartan_single(chi(T, 2)) != binom_element(g(H, T), 2)
+        assert cartan_single(chi(T, 2)) != _binomial(g(H, T), 2)
 
     def test_at_root(self):
         got = cartan_at_root(0, chi(U), SL3)
@@ -340,10 +351,6 @@ class TestBasisElement:
         with pytest.raises(ValueError):
             basis_element(SL3, BasisIndex((ms(),) * 3, (ms(),), (ms(),) * 3))
 
-    def test_json_round_trip(self):
-        idx = BasisIndex((chi(U),), (chi(T, 2),), (ms(),))
-        assert BasisIndex.from_json(idx.to_json()) == idx
-
 
 class TestReduce:
     def test_single_generator(self, reconstructs):
@@ -394,7 +401,7 @@ class TestReduce:
             reconstructs(reduce_to_basis(elem), elem)
 
     def test_sl3_reduction(self, reconstructs):
-        elem = g(SL3.pos_index(0), U, SL3) * g(SL3.neg_index(0), T, SL3)
+        elem = g(SL3.root_index(1, 0), U, SL3) * g(SL3.root_index(-1, 0), T, SL3)
         result = reduce_to_basis(elem)
         assert result.integral
         reconstructs(result, elem)
@@ -663,7 +670,7 @@ class TestMemoisedValues:
             divided_power(SL2, Gen(XP, T), 2) * divided_power(SL2, Gen(XM, U), 3),
             Fraction(1, 2) * g(H, U) * g(H, T) + g(XM, T2),
             cartan_pair_at_root(2, ms((U, 1), (T, 1)), chi(T, 2), SL3)
-            * g(SL3.pos_index(0), U, SL3),
+            * g(SL3.root_index(1, 0), U, SL3),
         ]
         forms.clear_caches()
         cold = [reduce_to_basis(e) for e in elems]

@@ -26,7 +26,6 @@ from mapalg.pbw import (
     Sum,
     _sl_matrices,
     ad_divided,
-    binom_element,
     divided_power,
     make_preset,
     omega,
@@ -582,10 +581,8 @@ _INTEGER_ARGUMENTS = {
     "multiplicity": lambda k: Multiset([(T, k)]),
     "single-multiplicity": lambda k: Multiset.single(T, k),
     "label-power": lambda k: T**k,
-    "multiset-scale": lambda k: Multiset({T: 1}).scale(k),
     "element-power": lambda k: g(SL2, XP, T) ** k,
     "divided-power": lambda k: divided_power(SL2, Gen(XP, T), k),
-    "binom-element": lambda k: binom_element(g(SL2, H, U), k),
     "ad-divided": lambda k: ad_divided(SL2, Gen(XP, U), k, g(SL2, XM, T)),
 }
 
@@ -800,12 +797,12 @@ class TestNormalization:
             assert (u * v) * w == u * (v * w)
 
     def test_sl3_simple_root_bracket(self):
-        xp1 = g(SL3, SL3.pos_index(0), T)
-        xp2 = g(SL3, SL3.pos_index(1), T)
+        xp1 = g(SL3, SL3.root_index(1, 0), T)
+        xp2 = g(SL3, SL3.root_index(1, 1), T)
         comm = xp1 * xp2 - xp2 * xp1
         assert len(comm.terms) == 1
         ((mono, coeff),) = comm.terms.items()
-        assert mono == ((Gen(SL3.pos_index(2), T2), 1),)
+        assert mono == ((Gen(SL3.root_index(1, 2), T2), 1),)
         assert coeff in (1, -1)
 
 
@@ -1045,6 +1042,22 @@ class TestUnit:
         assert Fraction(1, 2) * one + Fraction(1, 2) * one is one
         assert Fraction(1, 2) * one is not one
 
+    def test_rebuilt_unit_is_shared(self):
+        """An unpickled, copied or constructed unit is the shared one, so a
+        product with it skips the straightening loop too."""
+        for preset in (SL2, SL3):
+            one = Element.one(preset)
+            rebuilt = [
+                pickle.loads(pickle.dumps(one, protocol))
+                for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+            ]
+            rebuilt += [copy.copy(one), copy.deepcopy(one)]
+            rebuilt += [Element(preset, {(): 1}), Element.monomial(preset, ())]
+            assert all(x is one for x in rebuilt)
+            two = Element(preset, {(): 2})
+            assert two is not one and two.num == {ONE: 2} and two.den == 1
+            assert pickle.loads(pickle.dumps(two)) == two
+
     def test_foreign_unit_is_refused(self):
         one2, one3, x3 = Element.one(SL2), Element.one(SL3), g(SL3, 0, U)
         for x, y in ((one2, x3), (x3, one2), (one2, one3)):
@@ -1110,13 +1123,6 @@ class TestDividedPowers:
                     rhs = binom_int(r + s, r) * divided_power(SL2, gen, r + s)
                     assert lhs == rhs
 
-    def test_binom_element(self):
-        h = g(SL2, H, U)
-        expect = Fraction(1, 2) * (h * h) - Fraction(1, 2) * h
-        assert binom_element(h, 2) == expect
-        assert binom_element(h, 0) == Element.one(SL2)
-        assert binom_element(h, 1) == h
-
 
 class TestDegree:
     def test_examples(self):
@@ -1131,8 +1137,8 @@ class TestDegree:
 
 class TestOmega:
     def test_generator_images(self):
-        assert omega(0, g(SL2, XP, T), SL3) == g(SL3, SL3.pos_index(0), T)
-        assert omega(1, g(SL2, XM, T2), SL3) == g(SL3, SL3.neg_index(1), T2)
+        assert omega(0, g(SL2, XP, T), SL3) == g(SL3, SL3.root_index(1, 0), T)
+        assert omega(1, g(SL2, XM, T2), SL3) == g(SL3, SL3.root_index(-1, 1), T2)
 
     def test_highest_root_coroot(self):
         image = omega(2, g(SL2, H, U), SL3)
