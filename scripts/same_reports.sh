@@ -13,7 +13,10 @@
 #     of the benchmark's equalities-deep workload
 #   reduce FILE --format text|json, for three element files written first by
 #     REV's `eval --format json`: a bbD block, an sl3 p(chi) pushed along root
-#     1, and the non-integral x+(1) x+(t) / 2
+#     1, and the non-integral x+(1) x+(t) / 2; and for one element written
+#     out of PBW order, under sl2 and under sl3: its monomials repeat a
+#     generator across letters, one takes an exponent above 1, and its
+#     coefficients are fractions
 #   eval --format text|json: the two evals that write those files, and an sl3
 #     divided power of a negative root vector (xpow)
 #   basis --format text|json: two variables, and sl3 up to degree 2
@@ -75,9 +78,13 @@ elements() {  # the reduce inputs, written into $tmp by REV's eval
     # shellcheck disable=SC2086
     "${mapalg[@]}" $eval_p --format json > "$tmp/p-sl3.json"
     echo '[{"monomial": [[2, [0], 1], [2, [1], 1]], "coeff": ["1", "2"]}]' > "$tmp/half.json"
+    echo '[{"monomial": [[2, [1], 2], [0, [0], 1], [1, [1], 1], [2, [1], 1], [0, [0], 1]],' \
+        '"coeff": ["3", "2"]}, {"monomial": [[1, [0], 1], [0, [1], 2]], "coeff": ["-1", "3"]}]' \
+        > "$tmp/unsorted.json"
 }
 elements
-for element in "bbD.json" "p-sl3.json --algebra sl3" "half.json"; do
+for element in "bbD.json" "p-sl3.json --algebra sl3" "half.json" \
+    "unsorted.json" "unsorted.json --algebra sl3"; do
     for format in text json; do
         runs+=("reduce $tmp/$element --format $format")
     done

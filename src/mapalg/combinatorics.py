@@ -9,6 +9,7 @@ the engine, so all orderings here are total and deterministic.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -291,7 +292,11 @@ class Multiset:
             key, mult = entry
             if type(mult) is not int or mult <= 0:
                 raise ValueError("multiset multiplicity must be a positive integer")
-            pairs.append((ALabel.from_json(key), mult))
+            # a part of a partition is a list of pairs or empty, a label a list of ints
+            nested = isinstance(key, list) and all(isinstance(e, list) for e in key)
+            pairs.append(((cls if nested else ALabel).from_json(key), mult))
+        if len({type(key) for key, _ in pairs}) > 1:
+            raise ValueError("multiset keys must be all labels or all multisets")
         return cls(pairs)
 
 
@@ -317,29 +322,21 @@ def multinomial(ms):
 
 def binom_int(n, k):
     """Generalized binomial coefficient for any integer ``n`` and k >= 0:
-    ``math.comb`` for ``n >= 0``, the falling factorial over ``k!`` for a
-    negative ``n``."""
+    ``math.comb`` for ``n >= 0``, and for a negative ``n`` the upper
+    negation ``C(n, k) = (-1)^k C(k - n - 1, k)``."""
     if k < 0:
         raise ValueError("negative lower index")
     if n >= 0:
         return math.comb(n, k)
-    num = 1
-    for j in range(k):
-        num *= n - j
-    den = math.factorial(k)
-    assert num % den == 0
-    return num // den
+    return (-1) ** k * math.comb(k - n - 1, k)
 
 
 @memoised
 def fold_label(start, *multisets):
     """``start`` times every key of the multisets raised to its multiplicity.
     Memoised for the process, keyed by the interned label and multisets."""
-    out = start
-    for ms in multisets:
-        for key, m in ms.items():
-            out = out * key**m
-    return out
+    powers = [key**m for ms in multisets for key, m in ms.items()]
+    return functools.reduce(operator.mul, powers, start)
 
 
 def sub_multisets(chi, size=None):

@@ -34,7 +34,7 @@ from .combinatorics import (
     partitions,
 )
 from .memo import clear_caches, memoised  # noqa: F401  (clear_caches is re-exported)
-from .pbw import Element, Gen, Mono, Sum, degree_of, divided_power, make_preset, omega
+from .pbw import Element, Gen, Mono, Sum, degree_of, divided_power, make_preset, omega, product
 
 
 def _sl2():
@@ -182,12 +182,11 @@ def root_block_expanded(sign, psi, b, k, c):
     acc = Sum(sl2)
     for split in partitions(psi, k):
         scalar = 1
-        term = Element.one(sl2)
+        factors = []
         for part, cnt in split.items():
-            lab = fold_label(c * b**part.size, part)
             scalar *= multinomial(part) ** cnt
-            term = term * divided_power(sl2, Gen(index, lab), cnt)
-        acc.add(scalar, term)
+            factors.append(divided_power(sl2, Gen(index, fold_label(c * b**part.size, part)), cnt))
+        acc.add(scalar, product(sl2, factors))
     return acc.element()
 
 
@@ -245,32 +244,26 @@ def basis_element(preset, idx):
         raise ValueError("index arity does not match the %d positive roots" % preset.m)
     if len(idx.zero) != preset.rank:
         raise ValueError("index arity does not match rank %d" % preset.rank)
-    out = Element.one(preset)
-    for j, ms in enumerate(idx.minus):
-        out = out * root_monomial(-1, j, ms, preset)
-    for i, ms in enumerate(idx.zero):
-        out = out * cartan_at_root(preset.simple_root_index(i), ms, preset)
-    for j, ms in enumerate(idx.plus):
-        out = out * root_monomial(1, j, ms, preset)
-    return out
+    minus = [root_monomial(-1, j, ms, preset) for j, ms in enumerate(idx.minus)]
+    zero = [cartan_at_root(preset.simple_root_index(i), ms, preset) for i, ms in enumerate(idx.zero)]
+    plus = [root_monomial(1, j, ms, preset) for j, ms in enumerate(idx.plus)]
+    return product(preset, minus + zero + plus)
 
 
-class ReductionResult:
+class ReductionResult(NamedTuple):
     """Exact decomposition over the basis: the input equals the sum of
     coeff * basis element over ``terms``, and ``integral`` is true exactly
     when every coefficient is an integer.
 
     Held as ``(monomial, numerator)`` pairs over the input's denominator
     ``den``, each monomial the top term of its basis element; ``terms``, the
-    ``(BasisIndex, Fraction)`` pairs, is built on each read."""
+    ``(BasisIndex, Fraction)`` pairs, is built on each read.  ``==``
+    compares the fields."""
 
-    __slots__ = ("preset", "pairs", "den", "integral")
-
-    def __init__(self, preset, pairs, den):
-        self.preset = preset
-        self.pairs = pairs
-        self.den = den
-        self.integral = den == 1 or all(n % den == 0 for _, n in pairs)
+    preset: object
+    pairs: list
+    den: int
+    integral: bool
 
     @property
     def terms(self):
@@ -278,14 +271,6 @@ class ReductionResult:
 
         preset, den = self.preset, self.den
         return [(_index_of_monomial(preset, m), Fraction(n, den)) for m, n in self.pairs]
-
-    def __eq__(self, other):
-        if not isinstance(other, ReductionResult):
-            return NotImplemented
-        return self.terms == other.terms and self.integral == other.integral
-
-    def __repr__(self):
-        return "ReductionResult(terms=%r, integral=%r)" % (self.terms, self.integral)
 
     def to_json(self):
         return {
@@ -367,7 +352,7 @@ def _reduction_step(preset, mono):
         raise ValueError(
             "basis element %s does not have %s as its only top-degree term with coefficient %s"
             " and lower terms integral times %d"
-            % (idx.render(), Element.monomial(preset, mono).render(), Fraction(1, inv_lead), inv_lead)
+            % (idx.render(), Element._trusted(preset, {mono: 1}, 1).render(), Fraction(1, inv_lead), inv_lead)
         )
     step = preset._steps[mono] = inv_lead, tuple(
         (degree, tuple(group)) for degree, group in groups.items()
@@ -409,7 +394,8 @@ def reduce_to_basis(elem):
                 residual = layers.setdefault(lower, {})
                 for m, t in group:
                     residual[m] = residual.get(m, 0) - c * t
-    return ReductionResult(elem.preset, pairs, elem.den)
+    den = elem.den
+    return ReductionResult(elem.preset, pairs, den, den == 1 or all(n % den == 0 for _, n in pairs))
 
 
 def _labels_up_to(nvars, max_degree):

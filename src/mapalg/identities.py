@@ -71,6 +71,7 @@ from .pbw import (
     divided_power,
     make_preset,
     omega,
+    product,
     solve_integers,
 )
 
@@ -466,8 +467,8 @@ def _xq_sides(preset, alpha, i, b, phi, chi, side):
 def _xrq_sides(preset, alpha, i, b, chi, r, side):
     sri = preset.simple_root_index(i)
     weight_base = preset.pairing(alpha, i)
-    sign = 1 if side == "i" else -1
-    dp = divided_power(preset, Gen(preset.root_index(sign, alpha), b), r)
+    index = preset.root_index(1 if side == "i" else -1, alpha)
+    dp = divided_power(preset, Gen(index, b), r)
     single = cartan_at_root(sri, chi, preset)
     lhs = dp * single if side == "i" else single * dp
     rhs = Sum(preset)
@@ -480,10 +481,8 @@ def _xrq_sides(preset, alpha, i, b, chi, r, side):
             ) ** cnt
         if not scalar:
             continue
-        prod = Element.one(preset)
-        for part, cnt in psi.items():
-            lab = fold_label(b, part)
-            prod = prod * divided_power(preset, Gen(preset.root_index(sign, alpha), lab), cnt)
+        factors = [divided_power(preset, Gen(index, fold_label(b, p)), n) for p, n in psi.items()]
+        prod = product(preset, factors)
         if side == "i":
             rhs.add_product(scalar, rest, prod)
         else:

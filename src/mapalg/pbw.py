@@ -57,6 +57,7 @@ process never imports it.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import operator
@@ -579,9 +580,7 @@ class Element:
     __slots__ = ("preset", "num", "den")
 
     def __new__(cls, preset, terms=None):
-        from fractions import Fraction
-
-        fracs = {}
+        coeffs = {}
         if terms:
             for m, c in terms.items():
                 for k, (g, e) in enumerate(m):
@@ -592,18 +591,16 @@ class Element:
                         raise ValueError("monomial generators must strictly increase: %r" % (m,))
                 if not _is_scalar(c):
                     raise TypeError("coefficient must be a rational (int or Fraction), not %r" % (c,))
-                if not isinstance(c, Fraction):
-                    c = Fraction(c)
                 if c:
-                    fracs[Mono(m)] = c
-        if not fracs:
+                    coeffs[Mono(m)] = c
+        if not coeffs:
             return preset._zero
-        if fracs == {ONE: 1}:
+        if coeffs == {ONE: 1}:
             return preset._one
-        # Over the LCM of reduced denominators the numerators share no
-        # factor with it, so the result is already canonical.
-        den = math.lcm(*(c.denominator for c in fracs.values()))
-        num = {m: c.numerator * (den // c.denominator) for m, c in fracs.items()}
+        # A Rational is in lowest terms, so over the LCM of the denominators
+        # the numerators share no factor with it: the result is canonical.
+        den = math.lcm(*(c.denominator for c in coeffs.values()))
+        num = {m: c.numerator * (den // c.denominator) for m, c in coeffs.items()}
         return cls._trusted(preset, num, den)
 
     @classmethod
@@ -660,10 +657,6 @@ class Element:
         preset.kind(index)
         g = Gen(index, label)
         return cls._trusted(preset, {_letters.get(g) or _letter(g): 1}, 1)
-
-    @classmethod
-    def monomial(cls, preset, mono, coeff=1):
-        return cls(preset, {tuple(mono): coeff})
 
     def _check_same(self, other):
         if self.preset is not other.preset:
@@ -744,10 +737,7 @@ class Element:
         k = as_int(k, "a power")
         if k < 0:
             raise ValueError("negative power")
-        out = Element.one(self.preset)
-        for _ in range(k):
-            out = out * self
-        return out
+        return product(self.preset, [self] * k)
 
     def degree(self):
         """Largest total exponent over the normal form; None for zero.
@@ -834,7 +824,7 @@ class Element:
                 isinstance(entry, list) and len(entry) == 3 for entry in monomial
             ):
                 raise ValueError("monomial must be a list of [index, label, exponent] entries")
-            factor = cls.one(preset)
+            factors = []
             for index, label, exp in monomial:
                 if not isinstance(index, int) or isinstance(index, bool):
                     raise ValueError("generator index must be an integer")
@@ -850,9 +840,8 @@ class Element:
                     raise ValueError(
                         "label %s has a negative exponent in polynomial mode" % label.to_json()
                     )
-                gen = cls.generator(preset, index, label)
-                factor = factor * gen**exp
-            total.add(coeff, factor)
+                factors.append(cls.generator(preset, index, label) ** exp)
+            total.add(coeff, product(preset, factors))
         return total.element()
 
 
@@ -926,6 +915,12 @@ class Sum:
         return Element._reduced(self.preset, num, self.den * div)
 
 
+def product(preset, factors):
+    """``1 · f1 · f2 · ...`` over ``preset``, bracketed from the left: the
+    factors in their order.  ``math.prod`` may refuse non-numeric ones."""
+    return functools.reduce(operator.mul, factors, preset._one)
+
+
 def divided_power(preset, gen, r):
     """``gen^r / r!`` as a single monomial; r = 0 gives the identity."""
     r = as_int(r, "a divided power")
@@ -942,7 +937,7 @@ def omega(alpha, u, target):
     Cartan generator goes to the coroot expansion of ``alpha``."""
     if u.preset.name != "sl2":
         raise ValueError("omega expects an element over the sl2 preset")
-    if not 0 <= alpha < target.m:
+    if not 0 <= as_int(alpha, "a positive root") < target.m:
         raise ValueError("invalid root index %r for %s" % (alpha, target.name))
     images = {}
 
@@ -963,10 +958,7 @@ def omega(alpha, u, target):
 
     out = Sum(target)
     for mono, c in u.num.items():
-        prod = Element.one(target)
-        for g, e in mono:
-            prod = prod * image(g) ** e
-        out.add(c, prod)
+        out.add(c, product(target, [image(g) ** e for g, e in mono]))
     return out.element(u.den)
 
 
@@ -977,6 +969,8 @@ def ad_divided(preset, x, r, v):
     r = as_int(r, "a divided power")
     if r < 0:
         raise ValueError("negative divided power")
+    preset.kind(x.index)
+    preset._one._check_same(v)
     deg = v.degree()
     if deg is not None and deg > 1:
         raise ValueError("ad_divided expects an element of degree <= 1")

@@ -151,6 +151,26 @@ class TestMultiset:
         assert mom.size == 2
         assert mom.count(ms()) == 2
 
+    def test_json_round_trip_of_multisets_of_multisets(self):
+        """Every value ``partitions`` and ``subpartitions`` yield, the empty
+        part included, reads back from its JSON as the same object."""
+        seen = 0
+        for chi in [ms(), ms((T, 2)), ms((U, 1), (T, 2)), ms((U, 2), (T2, 1))]:
+            for k in range(4):
+                values = list(subpartitions(chi, k))
+                if k:
+                    values += partitions(chi, k)
+                for psi in values:
+                    assert Multiset.from_json(psi.to_json()) is psi
+                    seen += any(not part for part in psi.support())
+        assert seen
+        # a key of keys of keys
+        deep = Multiset(((Multiset(((ms((T, 1)), 2), (ms(), 1))), 1),))
+        assert Multiset.from_json(deep.to_json()) is deep
+        for bad in ([[[[0], 1, 2], 1]], [[[0], 1], [[], 1]], [[[1], 1], [[[[0], 1]], 1]]):
+            with pytest.raises(ValueError):
+                Multiset.from_json(bad)
+
 
 class TestHashConsing:
     """One object per value: every way of building a multiset hands back

@@ -224,9 +224,7 @@ class TestRootMonomial:
 
     def test_mixed_labels(self):
         got = root_monomial(-1, 0, ms((U, 1), (T, 2)))
-        want = Element.monomial(
-            SL2, ((Gen(XM, U), 1), (Gen(XM, T), 2)), Fraction(1, 2)
-        )
+        want = Element(SL2, {((Gen(XM, U), 1), (Gen(XM, T), 2)): Fraction(1, 2)})
         assert got == want
 
     def test_bad_sign(self):
@@ -429,6 +427,25 @@ class TestReduce:
                 seen["integral" if result.integral else "non-integral"] += 1
         assert all(seen.values()), seen
 
+    def test_result_is_its_fields(self):
+        """A result is the tuple ``(preset, pairs, den, integral)``: equal
+        elements built differently reduce to equal results, ``integral``
+        agrees with ``terms``, and no field can be assigned."""
+        data = [{"monomial": [[XP, [1], 1], [XM, [0], 2], [XP, [1], 1]], "coeff": ["3", "2"]}]
+        built = Element.from_json(SL2, data)
+        direct = Fraction(3, 2) * g(XP, T) * g(XM, U) * g(XM, U) * g(XP, T)
+        assert built == direct
+        result = reduce_to_basis(built)
+        assert result == reduce_to_basis(direct) != reduce_to_basis(direct / 4)
+        assert result == (SL2, result.pairs, 2, True)
+        assert not reduce_to_basis(direct / 4).integral
+        for elem in (direct, direct / 4, Element.zero(SL2)):
+            other = reduce_to_basis(elem)
+            assert other.integral == all(c.denominator == 1 for _, c in other.terms)
+        for field in ("preset", "pairs", "den", "integral"):
+            with pytest.raises(AttributeError):
+                setattr(result, field, None)
+
     def test_steps_keep_no_index(self):
         """A reduction step holds its inverse leading coefficient and its
         integer tail, no :class:`BasisIndex`: the result reads each index
@@ -544,7 +561,7 @@ class TestVacuousBlocks:
 
         zero, x = Element.zero(SL2), g(XP, T)
         assert Element(SL2, {}) is zero
-        assert Element.monomial(SL2, ((Gen(XP, T), 1),), 0) is zero
+        assert Element(SL2, {((Gen(XP, T), 1),): 0}) is zero
         assert x - x is zero and -zero is zero and 0 * x is zero
         assert x * zero is zero and zero * x is zero
         assert Sum(SL2).element() is zero

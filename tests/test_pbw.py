@@ -29,6 +29,7 @@ from mapalg.pbw import (
     divided_power,
     make_preset,
     omega,
+    product,
 )
 
 U = ALabel([0])
@@ -234,7 +235,7 @@ class TestMonoHashConsing:
         assert Mono(((x, 2),)) is Mono([(x, 2)]) is Mono(Mono(((x, 2),)))
         assert Mono() is ONE and Mono(()) is ONE and _in_table(()) is ONE
         assert all(_interned(m) for m in Element(SL2, {((x, 1),): 1, (): 2}).num)
-        (m,) = Element.monomial(SL2, [(h, 1), (x, 2)]).num
+        (m,) = Element(SL2, {((h, 1), (x, 2)): 1}).num
         assert m is Mono(((h, 1), (x, 2)))
         assert list(Element.one(SL2).num) == [ONE]
         (m,) = g(SL2, XP, T).num
@@ -539,8 +540,6 @@ class TestElementRefusesOffNormalForm:
         interned = len(pbw._monos)
         with pytest.raises(ValueError):
             Element(SL2, {mono: 1})
-        with pytest.raises(ValueError):
-            Element.monomial(SL2, mono)
         assert len(pbw._monos) == interned
 
 
@@ -555,8 +554,6 @@ class TestScalarsAreRational:
     def test_constructor_refuses(self, bad):
         with pytest.raises(TypeError):
             Element(SL2, {self.MONO: bad})
-        with pytest.raises(TypeError):
-            Element.monomial(SL2, self.MONO, bad)
 
     @pytest.mark.parametrize("bad", [0.5, True, False], ids=repr)
     def test_arithmetic_refuses(self, bad):
@@ -571,7 +568,7 @@ class TestScalarsAreRational:
         third = Element(SL2, {self.MONO: Fraction(1, 3)})
         assert (third.num, third.den) == ({Mono(self.MONO): 1}, 3)
         assert third == x / 3 == x * Fraction(1, 3)
-        assert Element.monomial(SL2, self.MONO, Fraction(-2, 4)) == x * Fraction(-1, 2)
+        assert Element(SL2, {self.MONO: Fraction(-2, 4)}) == x * Fraction(-1, 2)
         assert Element(SL2, {self.MONO: 0}) is Element.zero(SL2)
 
 
@@ -856,7 +853,7 @@ class TestFlatNormalForms:
         xp, ht = Gen(XP, T), Gen(H, T)
         prod = divided_power(SL2, xp, 2) * divided_power(SL2, xp, 3)
         assert prod == 10 * divided_power(SL2, xp, 5)
-        assert g(SL2, H, T) * g(SL2, H, T) == Element.monomial(SL2, [(ht, 2)])
+        assert g(SL2, H, T) * g(SL2, H, T) == Element(SL2, {((ht, 2),): 1})
         assert pbw._mono_product(SL2, Mono(((xp, 2),)), Mono(((xp, 3),))) == (
             Mono(((xp, 5),)),
             1,
@@ -1052,7 +1049,7 @@ class TestUnit:
                 for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
             ]
             rebuilt += [copy.copy(one), copy.deepcopy(one)]
-            rebuilt += [Element(preset, {(): 1}), Element.monomial(preset, ())]
+            rebuilt += [Element(preset, {(): 1}), Element(preset, {ONE: 1})]
             assert all(x is one for x in rebuilt)
             two = Element(preset, {(): 2})
             assert two is not one and two.num == {ONE: 2} and two.den == 1
@@ -1179,6 +1176,13 @@ class TestOmega:
         with pytest.raises(ValueError):
             omega(5, g(SL2, XP, U), SL3)
 
+    def test_root_must_be_an_int(self):
+        """A bool or float root would push along root 1 or index a tuple."""
+        for u in (g(SL2, H, T), g(SL2, XP, U), Element.one(SL2)):
+            for bad in (True, 1.0):
+                with pytest.raises(TypeError):
+                    omega(bad, u, SL3)
+
 
 class TestAdDivided:
     def test_single_bracket(self):
@@ -1200,6 +1204,15 @@ class TestAdDivided:
     def test_rejects_higher_degree(self):
         with pytest.raises(ValueError):
             ad_divided(SL2, Gen(XP, U), 1, g(SL2, XM, T) * g(SL2, XM, U))
+
+    def test_refuses_another_preset_and_a_foreign_index(self):
+        """``v`` over another algebra, or ``x`` outside this one, is refused
+        for every power, as ``*`` refuses a product across presets."""
+        for r in (0, 1):
+            with pytest.raises(ValueError, match="preset mismatch"):
+                ad_divided(SL2, Gen(XP, T), r, g(SL3, SL3.root_index(1, 2), T))
+            with pytest.raises(ValueError, match="basis index out of range"):
+                ad_divided(SL2, Gen(7, T), r, g(SL2, XM, T))
 
     def test_integer_coordinates_preserved(self):
         for sign_index in (XM, XP):
@@ -1248,6 +1261,23 @@ class TestElementInterface:
         assert h**3 == h * h * h
 
 
+class TestProduct:
+    """``product(preset, factors)`` is the left fold of ``*`` from the unit."""
+
+    def test_empty_product_is_the_unit(self):
+        for preset in (SL2, SL3):
+            assert product(preset, []) is Element.one(preset)
+            assert product(preset, iter(())) is Element.one(preset)
+            for x in (g(preset, 0, T), Element.zero(preset), Element.one(preset)):
+                assert x**0 is Element.one(preset)
+
+    def test_keeps_the_order_of_the_factors(self):
+        xp, xm, h = g(SL2, XP, T), g(SL2, XM, U), g(SL2, H, T)
+        assert product(SL2, [xp, xm]) == xp * xm != xm * xp == product(SL2, [xm, xp])
+        assert product(SL2, [xp, h, xm]) == (xp * h) * xm
+        assert product(SL2, [xp]) is xp
+
+
 class TestIntegerCheckPath:
     """A check runs on integers: only the views that return a ``Fraction``
     build one."""
@@ -1266,6 +1296,32 @@ class TestIntegerCheckPath:
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
         )
         assert out.stdout.split() == ["[]"]
+
+    def test_the_constructor_never_imports_fractions(self):
+        """The constructor reads a coefficient through ``numerator`` and
+        ``denominator``: an int, or any other registered ``Rational``, as a
+        ``Fraction`` is, builds an element without importing ``fractions``."""
+        src = os.path.dirname(os.path.dirname(os.path.abspath(pbw.__file__)))
+        code = (
+            "import numbers, sys\n"
+            "from mapalg.combinatorics import ALabel\n"
+            "from mapalg.pbw import Element, Gen, make_preset\n"
+            "class Half:\n"
+            "    numerator, denominator = 1, 2\n"
+            "numbers.Rational.register(Half)\n"
+            "p = make_preset('sl2')\n"
+            "x, h = (Gen(i, ALabel([1])) for i in (2, 1))\n"
+            "e = Element(p, {((x, 1),): 3, ((h, 1), (x, 2)): -2, (): Half()})\n"
+            "print(sorted(e.num.values()), e.den, 'fractions' in sys.modules)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.split() == ["[-4,", "1,", "6]", "2", "False"]
+        x, h = Gen(XP, T), Gen(H, T)
+        e = Element(SL2, {((x, 1),): 3, ((h, 1), (x, 2)): -2, (): Fraction(1, 2)})
+        assert (sorted(e.num.values()), e.den) == ([-4, 1, 6], 2)
 
     def test_the_edges_return_fractions(self):
         x = Fraction(1, 2) * g(SL2, XP, T) + 3 * g(SL2, H, U)
